@@ -242,20 +242,20 @@ class Checker:
     def placement_snapshot(self, placement) -> dict:
         """Capture the placement ground truth before a migration batch."""
         tier = placement.pages.tier
-        sizes = placement.pages.sizes_bytes
+        placed = tier >= 0
+        placed_tier = tier[placed]
+        placed_sizes = placement.pages.sizes_bytes[placed]
         n_tiers = placement.n_tiers
-        counts = np.bincount(tier[tier >= 0], minlength=n_tiers)
         byte_sums = np.bincount(
-            tier[tier >= 0],
-            weights=sizes[tier >= 0].astype(float),
+            placed_tier,
+            weights=placed_sizes.astype(float),
             minlength=n_tiers,
         ).astype(np.int64)
         return {
             "n_pages": int(tier.shape[0]),
-            "placed_pages": int((tier >= 0).sum()),
-            "tier_counts": counts[:n_tiers].copy(),
-            "tier_bytes": byte_sums[:n_tiers].copy(),
-            "total_bytes": int(sizes[tier >= 0].sum()),
+            "placed_pages": int(placed_tier.shape[0]),
+            "tier_bytes": byte_sums[:n_tiers],
+            "total_bytes": int(placed_sizes.sum()),
         }
 
     def check_migration(self, time_s: float, placement, result,
@@ -289,10 +289,8 @@ class Checker:
                 bytes_before=before["total_bytes"],
                 bytes_after=after["total_bytes"],
             )
-        tier = placement.pages.tier
-        sizes = placement.pages.sizes_bytes
         for t in range(placement.n_tiers):
-            recount = int(sizes[tier == t].sum())
+            recount = int(after["tier_bytes"][t])
             if recount != placement.used_bytes(t):
                 self._violate(
                     "pages.accounting_consistent",

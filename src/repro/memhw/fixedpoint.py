@@ -10,11 +10,21 @@ migrations), this module solves the coupled system
     tier latency          =  curve(utilization)
     L_avg                 =  sum_i  p_i * L_i
 
-by damped fixed-point iteration on the tier latencies. The curves are
-monotone increasing in utilization and demand is monotone decreasing in
-latency, so the composite map has a unique fixed point which the damped
-iteration finds reliably; damping is adapted downward whenever the residual
-grows.
+for the tier latencies ``L``. One sweep of these relations is a map
+``G`` from tier latencies to tier latencies. The curves are monotone
+increasing in utilization and demand is monotone decreasing in latency,
+so ``G`` has a unique fixed point.
+
+The solver finds it by a safeguarded Newton iteration on
+``F(L) = G(L) - L``. The n-by-n Jacobian comes from forward
+differences, one extra sweep per tier, so the same code serves two- and
+three-tier machines. A Newton step is taken only when it lands on
+finite, positive latencies; otherwise that step is a damped one. A
+Newton step that raises the residual is undone, and the solve finishes
+from the point before it with damped fixed-point updates, whose damping
+halves whenever the residual grows. Every count of iterations — the
+sweep budget, :attr:`Equilibrium.iterations` — is in sweeps, Jacobian
+probes included.
 
 This is the analytic stand-in for the physical testbed: the paper's own
 performance analysis (§2.2) uses exactly these relations to explain its
@@ -28,7 +38,7 @@ state between quanta):
   iteration with a nearby known equilibrium (the previous quantum's, or
   the previous point of a sweep) instead of the unloaded latencies. The
   fixed point is unique, so the answer is the same within the solver
-  tolerance; only the iteration count collapses.
+  tolerance; only the sweep count collapses.
 * **Memoization** — an exact-key LRU cache on the solver returns the
   previously computed :class:`Equilibrium` in O(1) when a quantum
   re-poses the identical system (same app group, split, pinned groups,
@@ -61,6 +71,7 @@ from repro.memhw.latency import TierCurveArray, TrafficClass
 from repro.memhw.tier import MemoryTierSpec
 from repro.units import CACHELINE_BYTES
 
+#: Sweep budget of one solve, Jacobian probes included.
 _MAX_ITERATIONS = 2000
 #: Convergence criterion on the max relative latency change per sweep.
 #: Public so the invariant checker can bound cached-equilibrium residuals
@@ -68,6 +79,8 @@ _MAX_ITERATIONS = 2000
 SOLVER_RELATIVE_TOLERANCE = 1e-10
 _INITIAL_DAMPING = 0.5
 _MIN_DAMPING = 1e-3
+#: Relative forward-difference step of the Jacobian probes.
+_JACOBIAN_STEP = 1e-7
 
 #: Default capacity of the per-solver memoization cache (solves).
 DEFAULT_SOLVE_CACHE_SIZE = 512
@@ -131,6 +144,7 @@ class MultiEquilibrium:
     tier_read_request_rate: np.ndarray
     utilizations: np.ndarray
     effective_bandwidths: np.ndarray
+    #: Fixed-point sweeps used, Jacobian probes included.
     iterations: int
 
     @property
@@ -169,7 +183,7 @@ class Equilibrium:
             migration reads).
         utilizations: Effective utilization of each tier.
         effective_bandwidths: Mix-dependent achievable bandwidth per tier.
-        iterations: Fixed-point iterations used.
+        iterations: Fixed-point sweeps used, Jacobian probes included.
     """
 
     latencies_ns: np.ndarray
@@ -195,6 +209,12 @@ class Equilibrium:
         if total <= 0:
             return 0.0
         return float(self.tier_read_request_rate[0]) / total
+
+
+def _relative_residual(new_latencies: np.ndarray,
+                       latencies: np.ndarray) -> float:
+    """Max relative change of one sweep: the convergence measure."""
+    return float(np.max(np.abs(new_latencies - latencies) / latencies))
 
 
 class _SolveProblem:
@@ -319,8 +339,9 @@ class EquilibriumSolver:
             self._m_iterations = METRICS.histogram(
                 "repro_solver_iterations", start=1.0, factor=2.0,
                 n_buckets=12,
-                help="fixed-point iterations per computed equilibrium "
-                     "solve (cache hits excluded)",
+                help="fixed-point sweeps, Jacobian probes included, "
+                     "per computed equilibrium solve (cache hits "
+                     "excluded)",
             )
             self._m_cache_hits = METRICS.counter(
                 "repro_solver_cache_hits_total",
@@ -378,8 +399,8 @@ class EquilibriumSolver:
             initial_latencies: Optional warm start — per-tier latencies
                 to seed the iteration with (typically a nearby known
                 equilibrium, e.g. the previous quantum's). The fixed
-                point is unique, so this changes only the iteration
-                count, not the answer (within the solver tolerance). It
+                point is unique, so this changes only the sweep count,
+                not the answer (within the solver tolerance). It
                 is deliberately *not* part of the memoization key.
 
         Returns:
@@ -389,7 +410,8 @@ class EquilibriumSolver:
 
         Raises:
             ConfigurationError: On malformed inputs.
-            ConvergenceError: If the damped iteration fails to settle.
+            ConvergenceError: If the iteration does not settle within
+                its sweep budget.
         """
         split_arr = self._normalize_split(app, split)
         pinned_t = self._normalize_pinned(pinned)
@@ -586,42 +608,90 @@ class EquilibriumSolver:
         if self._validate_cache_hits:
             problem = _SolveProblem(apps, pinned_t, extra)
             check_lat, _ = self._evaluate(problem, cached.latencies_ns)
-            self.last_hit_residual = float(np.max(
-                np.abs(check_lat - cached.latencies_ns)
-                / cached.latencies_ns
-            ))
+            self.last_hit_residual = _relative_residual(
+                check_lat, cached.latencies_ns
+            )
         return cached
 
     def _iterate(self, problem: _SolveProblem,
                  warm: Optional[np.ndarray]):
-        if warm is not None:
-            latencies = warm.copy()
-        else:
-            latencies = self._unloaded.copy()
+        """Safeguarded Newton iteration on ``F(L) = G(L) - L``.
+
+        ``G`` is one :meth:`_evaluate` sweep and ``L`` the per-tier
+        latency vector. Returns ``(latencies, state, sweeps)``: the
+        accepted ``G(L)`` and the state of that same sweep, and the
+        sweeps spent, Jacobian probes included.
+        """
+        n = self.n_tiers
+        latencies = (self._unloaded if warm is None else warm).copy()
+        new_latencies, state = self._evaluate(problem, latencies)
+        residual = _relative_residual(new_latencies, latencies)
+        sweeps = 1
+        newton = True
         damping = _INITIAL_DAMPING
-        previous_residual = np.inf
-        for iteration in range(1, _MAX_ITERATIONS + 1):
-            new_latencies, state = self._evaluate(problem, latencies)
-            residual = float(
-                np.max(np.abs(new_latencies - latencies) / latencies)
-            )
-            if residual < SOLVER_RELATIVE_TOLERANCE:
-                # The accepted iterate was just evaluated: ``state``
-                # already holds the flows at (effectively) the fixed
-                # point, so no extra post-convergence sweep is needed.
-                latencies = new_latencies
-                break
-            if residual > previous_residual:
+        while residual >= SOLVER_RELATIVE_TOLERANCE:
+            if sweeps + (n + 1 if newton else 1) > _MAX_ITERATIONS:
+                raise ConvergenceError(
+                    f"equilibrium did not converge in {sweeps} sweeps "
+                    f"(residual {residual:.3e})"
+                )
+            candidate = None
+            if newton:
+                candidate = self._newton_point(problem, latencies,
+                                               new_latencies)
+                sweeps += n
+            took_newton = candidate is not None
+            if not took_newton:
+                candidate = latencies + damping * (new_latencies - latencies)
+            candidate_new, candidate_state = self._evaluate(problem,
+                                                            candidate)
+            sweeps += 1
+            candidate_residual = _relative_residual(candidate_new,
+                                                    candidate)
+            if candidate_residual > residual:
+                if took_newton:
+                    # Go back to the point before the step and finish
+                    # with the damped update from there.
+                    newton = False
+                    continue
                 damping = max(_MIN_DAMPING, damping * 0.5)
             else:
                 damping = min(_INITIAL_DAMPING, damping * 1.05)
-            previous_residual = residual
-            latencies = latencies + damping * (new_latencies - latencies)
-        else:
-            raise ConvergenceError(
-                f"equilibrium did not converge (residual {residual:.3e})"
+            latencies, new_latencies, state, residual = (
+                candidate, candidate_new, candidate_state,
+                candidate_residual,
             )
-        return latencies, state, iteration
+        # ``state`` holds the flows of the sweep that produced
+        # ``new_latencies``, so no extra post-convergence sweep is needed.
+        return new_latencies, state, sweeps
+
+    def _newton_point(self, problem: _SolveProblem,
+                      latencies: np.ndarray,
+                      new_latencies: np.ndarray) -> Optional[np.ndarray]:
+        """The Newton iterate from ``latencies``, where ``new_latencies``
+        is ``G(latencies)``; None unless it is finite and positive.
+
+        The Jacobian comes from forward differences, one probe sweep
+        per tier.
+        """
+        n = self.n_tiers
+        jacobian = np.empty((n, n))
+        for j in range(n):
+            probe = latencies.copy()
+            probe[j] += _JACOBIAN_STEP * latencies[j]
+            step = probe[j] - latencies[j]
+            jacobian[:, j] = (self._evaluate(problem, probe)[0]
+                              - new_latencies) / step
+            jacobian[j, j] -= 1.0
+        try:
+            candidate = latencies + np.linalg.solve(
+                jacobian, latencies - new_latencies
+            )
+        except np.linalg.LinAlgError:
+            return None
+        if np.isfinite(candidate).all() and (candidate > 0.0).all():
+            return candidate
+        return None
 
     def _record_miss(self, iteration: int) -> None:
         self.cache_misses += 1

@@ -40,7 +40,8 @@ EVENT_SCHEMAS: Dict[str, Dict[str, str]] = {
                    "single-app runs)",
     },
     "solver_converged": {
-        "iterations": "fixed-point iterations the equilibrium solve took",
+        "iterations": "fixed-point sweeps the equilibrium solve took, "
+                      "Jacobian probes included",
         "latencies_ns": "per-tier loaded latency at the fixed point",
         "app_read_rate": "application demand-read bandwidth (bytes/ns)",
         "measured_p": "CHA-visible default-tier request share",
