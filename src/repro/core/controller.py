@@ -178,10 +178,9 @@ class ColloidController:
         need -= placement.free_bytes(0)
         if need <= 0:
             return promotions
-        default_pages = placement.pages.pages_in_tier(0)
-        default_pages = np.setdiff1d(
-            default_pages, promotions.page_indices, assume_unique=False
-        )
+        in_default = placement.pages.tier == 0
+        in_default[promotions.page_indices] = False
+        default_pages = np.nonzero(in_default)[0]
         if default_pages.size == 0:
             return promotions
         order = default_pages[

@@ -128,10 +128,10 @@ class HotListPageFinder:
         acc_b = int(sizes[chosen].sum())
         if acc_p >= dp * 0.5 or acc_b >= byte_budget:
             return chosen
+        # Disjoint from ``hot``, so none of ``chosen`` is among them.
         warm = np.nonzero(in_tier & sampled & (counts < hot_threshold))[0]
         more = select_pages_by_probability(
-            probs, sizes, np.setdiff1d(warm, chosen, assume_unique=False),
-            dp - acc_p, byte_budget - acc_b
+            probs, sizes, warm, dp - acc_p, byte_budget - acc_b
         )
         if more.size:
             return np.concatenate([chosen, more])

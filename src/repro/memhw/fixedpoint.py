@@ -15,16 +15,21 @@ for the tier latencies ``L``. One sweep of these relations is a map
 increasing in utilization and demand is monotone decreasing in latency,
 so ``G`` has a unique fixed point.
 
-The solver finds it by a safeguarded Newton iteration on
-``F(L) = G(L) - L``. The n-by-n Jacobian comes from forward
-differences, one extra sweep per tier, so the same code serves two- and
-three-tier machines. A Newton step is taken only when it lands on
-finite, positive latencies; otherwise that step is a damped one. A
-Newton step that raises the residual is undone, and the solve finishes
-from the point before it with damped fixed-point updates, whose damping
-halves whenever the residual grows. Every count of iterations — the
-sweep budget, :attr:`Equilibrium.iterations` — is in sweeps, Jacobian
-probes included.
+The solver finds it by a safeguarded quasi-Newton iteration on
+``F(L) = G(L) - L``. Steps use an n-by-n inverse Jacobian, so the same
+code serves two- and three-tier machines. A warm solve seeded with
+exactly the output of the solver's last computed solve starts from that
+solve's inverse Jacobian; any other solve probes one by forward
+differences, one extra sweep per tier. A good-Broyden rank-one update
+refines it after every accepted step. A step is taken only when it lands
+on finite, positive latencies. A step from a carried or updated Jacobian
+that misses (raises the residual, or is not positive) is undone and
+retried with a freshly probed one. A step from a fresh Jacobian that
+raises the residual is undone, and the solve finishes from the point
+before it with damped fixed-point updates, whose damping halves whenever
+the residual grows. A cold solve never reads what earlier solves left
+behind. Every count of iterations — the sweep budget,
+:attr:`Equilibrium.iterations` — is in sweeps, Jacobian probes included.
 
 This is the analytic stand-in for the physical testbed: the paper's own
 performance analysis (§2.2) uses exactly these relations to explain its
@@ -47,27 +52,31 @@ state between quanta):
   immutable. Disable with ``--no-solver-cache`` / ``REPRO_SOLVER_CACHE=0``
   (mirroring ``REPRO_CHECK`` / ``REPRO_METRICS``, so pool workers
   inherit the setting).
-* **A vectorized sweep** — per-solve constants (traffic-class
-  aggregates, core-group coefficients, tier mix efficiencies) are hoisted
-  into arrays once per solve and each iteration is a handful of numpy
-  vector operations instead of per-tier Python loops. Floating-point
-  addition order is preserved (extra traffic, then the application
-  class, then pinned groups, exactly as the per-tier lists were built),
-  so the vectorized sweep computes the same floats.
+* **A scalar sweep** — per-solve constants (traffic-class aggregates,
+  core-group demand coefficients, tier mix efficiencies) are hoisted
+  into Python floats once per solve, and each sweep is a short loop over
+  the tiers that evaluates each tier's :class:`LatencyCurve` on a float.
+  With two or three tiers this is several times cheaper than numpy calls
+  on tiny arrays. Floating-point addition order is preserved (extra
+  traffic, then the application groups in input order, then pinned
+  groups), so the per-tier sums are those the per-tier traffic lists
+  always gave.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.memhw.corestate import CoreGroup
-from repro.memhw.latency import TierCurveArray, TrafficClass
+from repro.memhw.latency import LatencyCurve, TrafficClass
 from repro.memhw.tier import MemoryTierSpec
 from repro.units import CACHELINE_BYTES
 
@@ -211,23 +220,24 @@ class Equilibrium:
         return float(self.tier_read_request_rate[0]) / total
 
 
-def _relative_residual(new_latencies: np.ndarray,
-                       latencies: np.ndarray) -> float:
+def _relative_residual(new_latencies: Sequence[float],
+                       latencies: Sequence[float]) -> float:
     """Max relative change of one sweep: the convergence measure."""
-    return float(np.max(np.abs(new_latencies - latencies) / latencies))
+    return max(abs(new - old) / old
+               for new, old in zip(new_latencies, latencies))
 
 
 class _SolveProblem:
-    """Per-solve constants of the fixed-point map.
+    """Per-solve constants of the fixed-point map, as Python floats.
 
     Everything that does not change across iterations is aggregated here
-    once, so each sweep is pure array arithmetic. The extra-traffic
-    aggregates are accumulated in the per-tier class order (and the
-    application and pinned contributions added after, in that order) so
-    float addition order — and hence the computed sums — matches the
-    historical per-tier list construction exactly. With several
+    once, so each sweep is a short loop of float arithmetic. The
+    extra-traffic aggregates are accumulated in the per-tier class order
+    (and the application and pinned contributions added after, in that
+    order), so float addition order — and hence the computed sums —
+    matches the historical per-tier list construction. With several
     application groups the additions run in input order, which for one
-    group is bit-identical to the historical single-app path.
+    group is bit-identical to the single-app path.
     """
 
     __slots__ = ("apps", "pinned", "extra_total", "extra_rand",
@@ -236,23 +246,27 @@ class _SolveProblem:
     def __init__(self, apps: Sequence[Tuple[CoreGroup, np.ndarray]],
                  pinned: Sequence[Tuple[CoreGroup, int]],
                  extra: Sequence[Sequence[TrafficClass]]) -> None:
-        n = len(extra)
+        # ``demand`` is ``N * mlp * 64``: ``demand / L`` is
+        # :meth:`CoreGroup.demand_read_rate` float for float.
         self.apps = tuple(
-            (group, split, group.n_cores > 0, group.traffic_multiplier(),
-             group.randomness, group.wire_read_fraction(),
-             1.0 - group.wire_read_fraction())
+            (split.tolist(), group.n_cores > 0,
+             group.n_cores * group.mlp * CACHELINE_BYTES,
+             group.traffic_multiplier(), group.randomness,
+             group.wire_read_fraction(), 1.0 - group.wire_read_fraction())
             for group, split in apps
         )
         self.pinned = tuple(
-            (group, tier_idx, group.traffic_multiplier(), group.randomness,
+            (tier_idx, group.n_cores * group.mlp * CACHELINE_BYTES,
+             group.traffic_multiplier(), group.randomness,
              group.wire_read_fraction(), 1.0 - group.wire_read_fraction())
             for group, tier_idx in pinned if group.n_cores > 0
         )
-        self.extra_total = np.zeros(n)
-        self.extra_rand = np.zeros(n)
-        self.extra_write = np.zeros(n)
-        self.extra_read = np.zeros(n)
-        self.extra_req = np.zeros(n)
+        n = len(extra)
+        self.extra_total = [0.0] * n
+        self.extra_rand = [0.0] * n
+        self.extra_write = [0.0] * n
+        self.extra_read = [0.0] * n
+        self.extra_req = [0.0] * n
         for i in range(n):
             for cls in extra[i]:
                 self.extra_total[i] += cls.bandwidth
@@ -264,6 +278,25 @@ class _SolveProblem:
                 self.extra_req[i] += (
                     cls.bandwidth * cls.read_fraction / CACHELINE_BYTES
                 )
+
+
+def _broyden_update(inverse: List[List[float]], step: List[float],
+                    change: List[float]) -> List[List[float]]:
+    """Good-Broyden rank-one update of an inverse Jacobian.
+
+    ``step`` is the accepted move in latency and ``change`` the change of
+    ``F`` it caused. The updated ``H`` maps ``change`` to ``step``
+    (Sherman–Morrison form, no matrix inversion). A degenerate step
+    leaves ``H`` as it is.
+    """
+    h_change = [sum(map(mul, row, change)) for row in inverse]
+    denominator = sum(map(mul, step, h_change))
+    if denominator == 0.0 or not math.isfinite(denominator):
+        return inverse
+    step_h = [sum(map(mul, step, column)) for column in zip(*inverse)]
+    return [[h + scale * sh for h, sh in zip(row, step_h)]
+            for row, scale in zip(inverse, [
+                (s - hc) / denominator for s, hc in zip(step, h_change)])]
 
 
 class EquilibriumSolver:
@@ -296,26 +329,20 @@ class EquilibriumSolver:
         if not tiers:
             raise ConfigurationError("at least one tier is required")
         self._tiers: Tuple[MemoryTierSpec, ...] = tuple(tiers)
-        self._curve_array = TierCurveArray(self._tiers)
-        self._unloaded = np.array(
-            [t.unloaded_latency_ns for t in self._tiers], dtype=float
+        self._unloaded = [t.unloaded_latency_ns for t in self._tiers]
+        # Per-tier sweep constants: (curve, sequential efficiency,
+        # random-minus-sequential efficiency, rw penalty, theoretical
+        # bandwidth, duplex).
+        self._tier_consts = tuple(
+            (LatencyCurve(t).latency_ns, t.efficiency_sequential,
+             t.efficiency_random - t.efficiency_sequential, t.rw_penalty,
+             t.theoretical_bandwidth, t.duplex)
+            for t in self._tiers
         )
-        self._theo_bw = np.array(
-            [t.theoretical_bandwidth for t in self._tiers], dtype=float
-        )
-        self._eff_seq = np.array(
-            [t.efficiency_sequential for t in self._tiers], dtype=float
-        )
-        self._eff_delta = np.array(
-            [t.efficiency_random - t.efficiency_sequential
-             for t in self._tiers], dtype=float
-        )
-        self._rw_penalty = np.array(
-            [t.rw_penalty for t in self._tiers], dtype=float
-        )
-        self._duplex = np.array([t.duplex for t in self._tiers],
-                                dtype=bool)
-        self._any_duplex = bool(self._duplex.any())
+        # Output and inverse Jacobian of the last computed solve: a warm
+        # solve seeded with exactly that output starts from this inverse.
+        self._carried_seed: Optional[List[float]] = None
+        self._carried_inverse: Optional[List[List[float]]] = None
         if cache_size < 1:
             raise ConfigurationError("cache_size must be >= 1")
         # Holds Equilibrium and MultiEquilibrium entries; the two key
@@ -577,7 +604,7 @@ class EquilibriumSolver:
 
     def _normalize_warm(
         self, initial_latencies: Optional[Sequence[float]],
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[List[float]]:
         if initial_latencies is None:
             return None
         n = self.n_tiers
@@ -587,11 +614,12 @@ class EquilibriumSolver:
                 f"initial_latencies must have {n} entries, got shape "
                 f"{warm.shape}"
             )
-        if not np.isfinite(warm).all() or (warm <= 0).any():
+        latencies = warm.tolist()
+        if not all(0.0 < latency < math.inf for latency in latencies):
             raise ConfigurationError(
                 "initial_latencies must be finite and positive"
             )
-        return warm
+        return latencies
 
     def _cache_hit(self, key: tuple,
                    apps: Sequence[Tuple[CoreGroup, np.ndarray]],
@@ -607,42 +635,66 @@ class EquilibriumSolver:
             self._m_cache_hits.inc()
         if self._validate_cache_hits:
             problem = _SolveProblem(apps, pinned_t, extra)
-            check_lat, _ = self._evaluate(problem, cached.latencies_ns)
-            self.last_hit_residual = _relative_residual(
-                check_lat, cached.latencies_ns
-            )
+            latencies = cached.latencies_ns.tolist()
+            check_lat, _ = self._evaluate(problem, latencies)
+            self.last_hit_residual = _relative_residual(check_lat,
+                                                        latencies)
         return cached
 
     def _iterate(self, problem: _SolveProblem,
-                 warm: Optional[np.ndarray]):
-        """Safeguarded Newton iteration on ``F(L) = G(L) - L``.
+                 warm: Optional[List[float]]):
+        """Safeguarded quasi-Newton iteration on ``F(L) = G(L) - L``.
 
         ``G`` is one :meth:`_evaluate` sweep and ``L`` the per-tier
-        latency vector. Returns ``(latencies, state, sweeps)``: the
-        accepted ``G(L)`` and the state of that same sweep, and the
-        sweeps spent, Jacobian probes included.
+        latency vector. Steps use an inverse Jacobian ``H``: carried from
+        the last computed solve when ``warm`` is exactly its output,
+        otherwise probed by forward differences, and refined by a Broyden
+        update after each accepted step. A step from a carried or updated
+        ``H`` that raises the residual (or leaves the positive orthant)
+        is undone and retried with a fresh probe; a step from a fresh
+        ``H`` that raises the residual switches the rest of the solve to
+        damped updates. Returns ``(latencies, state, sweeps)``: the
+        accepted ``G(L)`` and the state of that same sweep, as arrays,
+        and the sweeps spent, Jacobian probes included.
         """
         n = self.n_tiers
-        latencies = (self._unloaded if warm is None else warm).copy()
+        if warm is None:
+            latencies = list(self._unloaded)
+            inverse = None
+        else:
+            latencies = warm
+            inverse = (self._carried_inverse
+                       if latencies == self._carried_seed else None)
         new_latencies, state = self._evaluate(problem, latencies)
         residual = _relative_residual(new_latencies, latencies)
         sweeps = 1
+        # Whether ``inverse`` was probed at ``latencies``.
+        fresh = False
         newton = True
         damping = _INITIAL_DAMPING
         while residual >= SOLVER_RELATIVE_TOLERANCE:
-            if sweeps + (n + 1 if newton else 1) > _MAX_ITERATIONS:
+            probe = newton and inverse is None
+            if sweeps + (n + 1 if probe else 1) > _MAX_ITERATIONS:
                 raise ConvergenceError(
                     f"equilibrium did not converge in {sweeps} sweeps "
                     f"(residual {residual:.3e})"
                 )
-            candidate = None
-            if newton:
-                candidate = self._newton_point(problem, latencies,
-                                               new_latencies)
+            if probe:
+                inverse = self._inverse_jacobian(problem, latencies,
+                                                 new_latencies)
                 sweeps += n
+                fresh = True
+            candidate = None
+            if newton and inverse is not None:
+                candidate = self._newton_point(latencies, new_latencies,
+                                               inverse)
+                if candidate is None and not fresh:
+                    inverse = None
+                    continue
             took_newton = candidate is not None
             if not took_newton:
-                candidate = latencies + damping * (new_latencies - latencies)
+                candidate = [old + damping * (new - old)
+                             for old, new in zip(latencies, new_latencies)]
             candidate_new, candidate_state = self._evaluate(problem,
                                                             candidate)
             sweeps += 1
@@ -650,46 +702,71 @@ class EquilibriumSolver:
                                                     candidate)
             if candidate_residual > residual:
                 if took_newton:
-                    # Go back to the point before the step and finish
-                    # with the damped update from there.
-                    newton = False
+                    # Go back to the point before the step: re-probe
+                    # there, or, if this Jacobian was fresh, finish with
+                    # the damped update.
+                    newton = not fresh
+                    inverse = None
                     continue
                 damping = max(_MIN_DAMPING, damping * 0.5)
             else:
                 damping = min(_INITIAL_DAMPING, damping * 1.05)
+            if inverse is not None:
+                inverse = _broyden_update(
+                    inverse,
+                    [c - old for c, old in zip(candidate, latencies)],
+                    [(cn - c) - (new - old) for cn, c, new, old in zip(
+                        candidate_new, candidate, new_latencies, latencies)],
+                )
+            fresh = False
             latencies, new_latencies, state, residual = (
                 candidate, candidate_new, candidate_state,
                 candidate_residual,
             )
+        self._carried_seed = new_latencies
+        self._carried_inverse = inverse
         # ``state`` holds the flows of the sweep that produced
         # ``new_latencies``, so no extra post-convergence sweep is needed.
-        return new_latencies, state, sweeps
+        app_states, wire, req, utils, beffs = state
+        state = (
+            [(avg, rate, np.array(tier_read))
+             for avg, rate, tier_read in app_states],
+            np.array(wire), np.array(req), np.array(utils), np.array(beffs),
+        )
+        return np.array(new_latencies), state, sweeps
 
-    def _newton_point(self, problem: _SolveProblem,
-                      latencies: np.ndarray,
-                      new_latencies: np.ndarray) -> Optional[np.ndarray]:
-        """The Newton iterate from ``latencies``, where ``new_latencies``
-        is ``G(latencies)``; None unless it is finite and positive.
-
-        The Jacobian comes from forward differences, one probe sweep
-        per tier.
-        """
-        n = self.n_tiers
-        jacobian = np.empty((n, n))
+    def _inverse_jacobian(self, problem: _SolveProblem,
+                          latencies: List[float],
+                          new_latencies: List[float],
+                          ) -> Optional[List[List[float]]]:
+        """Inverse Jacobian of ``F`` at ``latencies`` by forward
+        differences, one probe sweep per tier; None if it is singular.
+        ``new_latencies`` is ``G(latencies)``."""
+        n = len(latencies)
+        columns = []
         for j in range(n):
-            probe = latencies.copy()
+            probe = list(latencies)
             probe[j] += _JACOBIAN_STEP * latencies[j]
             step = probe[j] - latencies[j]
-            jacobian[:, j] = (self._evaluate(problem, probe)[0]
-                              - new_latencies) / step
-            jacobian[j, j] -= 1.0
+            probed = self._evaluate(problem, probe)[0]
+            columns.append([(g - f) / step
+                            for g, f in zip(probed, new_latencies)])
         try:
-            candidate = latencies + np.linalg.solve(
-                jacobian, latencies - new_latencies
-            )
+            return np.linalg.inv(np.array(columns).T - np.eye(n)).tolist()
         except np.linalg.LinAlgError:
             return None
-        if np.isfinite(candidate).all() and (candidate > 0.0).all():
+
+    def _newton_point(self, latencies: List[float],
+                      new_latencies: List[float],
+                      inverse: List[List[float]]) -> Optional[List[float]]:
+        """The Newton iterate ``L - H F(L)`` from ``latencies``, where
+        ``new_latencies`` is ``G(latencies)`` and ``inverse`` is ``H``;
+        None unless it is finite and positive."""
+        residual = [old - new for old, new in zip(latencies, new_latencies)]
+        candidate = [old + sum(map(mul, row, residual))
+                     for old, row in zip(latencies, inverse)]
+        # A NaN or infinity makes the sum non-finite.
+        if min(candidate) > 0.0 and math.isfinite(sum(candidate)):
             return candidate
         return None
 
@@ -704,46 +781,47 @@ class EquilibriumSolver:
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
 
-    def _evaluate(self, problem: _SolveProblem, latencies: np.ndarray):
-        """One sweep of the fixed-point map.
+    def _evaluate(self, problem: _SolveProblem,
+                  latencies: Sequence[float]):
+        """One sweep of the fixed-point map, in Python floats.
 
         Returns ``(new_latencies, state)`` where ``state`` carries the
         flows computed from the input latencies: ``(app_states,
         tier_wire_traffic, tier_read_request_rate, utilizations,
-        effective_bandwidths)``; ``app_states`` holds one
+        effective_bandwidths)``, each per tier; ``app_states`` holds one
         ``(avg_latency, read_rate, tier_read_rate)`` triple per
         application group, in input order.
         """
         # Per-tier aggregates in historical addition order: extra
         # classes (pre-summed), then the application classes in input
-        # order, then pinned groups. ``a.copy(); a += b`` computes the
-        # same floats as the historical ``a + b``.
-        total = problem.extra_total.copy()
-        rand_sum = problem.extra_rand.copy()
-        write_sum = problem.extra_write.copy()
-        read_sum = problem.extra_read.copy()
-        req = problem.extra_req.copy()
+        # order, then pinned groups.
+        total = list(problem.extra_total)
+        rand_sum = list(problem.extra_rand)
+        write_sum = list(problem.extra_write)
+        read_sum = list(problem.extra_read)
+        req = list(problem.extra_req)
         app_states = []
-        for group, split, has_cores, mult, rand, wrf, one_minus_wrf in \
+        for split, has_cores, demand, mult, rand, wrf, one_minus_wrf in \
                 problem.apps:
             if has_cores:
-                app_avg_latency = float(np.dot(split, latencies))
-                app_read_rate = group.demand_read_rate(app_avg_latency)
+                app_avg_latency = sum(map(mul, split, latencies))
+                app_read_rate = demand / app_avg_latency
             else:
-                app_avg_latency = float(latencies[0])
+                app_avg_latency = latencies[0]
                 app_read_rate = 0.0
-            app_tier_read = app_read_rate * split
-            app_bw = app_tier_read * mult
-            total += app_bw
-            rand_sum += app_bw * rand
-            write_sum += app_bw * one_minus_wrf
-            read_sum += app_bw * wrf
-            req += app_tier_read / CACHELINE_BYTES
+            app_tier_read = [app_read_rate * share for share in split]
+            for i, tier_read in enumerate(app_tier_read):
+                bw = tier_read * mult
+                total[i] += bw
+                rand_sum[i] += bw * rand
+                write_sum[i] += bw * one_minus_wrf
+                read_sum[i] += bw * wrf
+                req[i] += tier_read / CACHELINE_BYTES
             app_states.append((app_avg_latency, app_read_rate,
                                app_tier_read))
-        for group, tier_idx, mult, rand, wrf, one_minus_wrf in \
+        for tier_idx, demand, mult, rand, wrf, one_minus_wrf in \
                 problem.pinned:
-            rate = group.demand_read_rate(float(latencies[tier_idx]))
+            rate = demand / latencies[tier_idx]
             bw = rate * mult
             total[tier_idx] += bw
             rand_sum[tier_idx] += bw * rand
@@ -751,25 +829,26 @@ class EquilibriumSolver:
             read_sum[tier_idx] += bw * wrf
             req[tier_idx] += rate / CACHELINE_BYTES
 
-        nonzero = total > 0.0
-        mean_rand = np.zeros_like(total)
-        np.divide(rand_sum, total, out=mean_rand, where=nonzero)
-        write_share = np.zeros_like(total)
-        np.divide(write_sum, total, out=write_share, where=nonzero)
-        pattern_eff = self._eff_seq + mean_rand * self._eff_delta
-        # write_share of 0.5 corresponds to a 1:1 read/write mix -> full
-        # penalty.
-        rw_eff = 1.0 - self._rw_penalty * np.minimum(
-            1.0, 2.0 * write_share
-        )
-        beffs = self._theo_bw * pattern_eff * rw_eff
-        if self._any_duplex:
-            load = np.where(self._duplex,
-                            np.maximum(read_sum, write_sum), total)
-        else:
-            load = total
-        utils = np.zeros_like(total)
-        np.divide(load, beffs, out=utils, where=beffs > 0.0)
-        new_latencies = self._curve_array.latency_ns(utils)
+        new_latencies = []
+        utils = []
+        beffs = []
+        for i, (curve, eff_seq, eff_delta, rw_penalty, theo_bw, duplex) in \
+                enumerate(self._tier_consts):
+            tier_total = total[i]
+            if tier_total > 0.0:
+                mean_rand = rand_sum[i] / tier_total
+                write_share = write_sum[i] / tier_total
+            else:
+                mean_rand = write_share = 0.0
+            pattern_eff = eff_seq + mean_rand * eff_delta
+            # write_share of 0.5 corresponds to a 1:1 read/write mix ->
+            # full penalty.
+            rw_eff = 1.0 - rw_penalty * min(1.0, 2.0 * write_share)
+            beff = theo_bw * pattern_eff * rw_eff
+            load = max(read_sum[i], write_sum[i]) if duplex else tier_total
+            util = load / beff if beff > 0.0 else 0.0
+            new_latencies.append(curve(util))
+            utils.append(util)
+            beffs.append(beff)
         state = (app_states, total, req, utils, beffs)
         return new_latencies, state

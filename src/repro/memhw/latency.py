@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.memhw.tier import MemoryTierSpec
 
@@ -153,59 +151,6 @@ class LatencyCurve:
             else:
                 hi = mid
         return (lo + hi) / 2.0
-
-
-class TierCurveArray:
-    """Vectorized :class:`LatencyCurve` over a fixed set of tiers.
-
-    Evaluates every tier's loaded latency from a utilization vector in
-    one numpy pass — the inner operation of the equilibrium solver's
-    fixed-point sweep. The per-tier coefficients are taken from the
-    scalar :class:`LatencyCurve` instances so both paths share the same
-    precomputed cap value/slope, and the arithmetic mirrors
-    :meth:`LatencyCurve.latency_ns` operation for operation (including
-    the ``u**1`` shortcut, exact in IEEE arithmetic) so the vectorized
-    result matches the scalar one.
-    """
-
-    def __init__(self, tiers: Sequence[MemoryTierSpec]) -> None:
-        if not tiers:
-            raise ConfigurationError("at least one tier is required")
-        curves = [LatencyCurve(t) for t in tiers]
-        self._l0 = np.array([c._l0 for c in curves], dtype=float)
-        self._wq = np.array([c._wq for c in curves], dtype=float)
-        self._gamma = np.array([c._gamma for c in curves], dtype=float)
-        self._cap_value = np.array([c._cap_value for c in curves],
-                                   dtype=float)
-        self._cap_slope = np.array([c._cap_slope for c in curves],
-                                   dtype=float)
-        self._gamma_is_one = bool((self._gamma == 1.0).all())
-
-    @property
-    def n_tiers(self) -> int:
-        return len(self._l0)
-
-    @property
-    def unloaded_latency_ns(self) -> np.ndarray:
-        """Per-tier latency at zero utilization (copy)."""
-        return self._l0.copy()
-
-    def latency_ns(self, utilization: np.ndarray) -> np.ndarray:
-        """Per-tier loaded latency for a utilization vector.
-
-        Semantics match :meth:`LatencyCurve.latency_ns` element-wise:
-        negative utilizations clamp to zero and utilizations beyond
-        ``U_CAP`` follow the linear extension.
-        """
-        u = np.maximum(np.asarray(utilization, dtype=float), 0.0)
-        capped = np.minimum(u, U_CAP)
-        powed = capped if self._gamma_is_one else capped ** self._gamma
-        analytic = self._l0 + self._wq * powed / (1.0 - capped)
-        over = u > U_CAP
-        if over.any():
-            linear = self._cap_value + self._cap_slope * (u - U_CAP)
-            return np.where(over, linear, analytic)
-        return analytic
 
 
 def total_bandwidth(traffic: Iterable[TrafficClass]) -> float:

@@ -222,13 +222,14 @@ class TestConvergedStateConsistency:
         """latencies_ns is exactly the curve at the returned utilizations
         — the convergence fix returns the evaluated state, not a
         re-derived one."""
-        from repro.memhw.latency import TierCurveArray
+        from repro.memhw.latency import LatencyCurve
 
         solver = EquilibriumSolver(tiers, use_cache=False)
         eq = solver.solve(_app(), [0.55, 0.45])
-        curve = TierCurveArray(tiers)
         np.testing.assert_array_equal(
-            eq.latencies_ns, curve.latency_ns(eq.utilizations)
+            eq.latencies_ns,
+            [LatencyCurve(tier).latency_ns(u)
+             for tier, u in zip(tiers, eq.utilizations)],
         )
 
     def test_closed_loop_exact(self, tiers):
