@@ -28,6 +28,7 @@ from repro.core.shift import ShiftComputer, trace_shift
 from repro.errors import ConfigurationError
 from repro.pages.migration import MigrationPlan
 from repro.pages.placement import PlacementState
+from repro.pages.selection import stable_top_k
 from repro.tiering.base import QuantumContext
 
 #: Signature of a page-finding procedure: (src_tier, dp, byte_budget) ->
@@ -183,13 +184,11 @@ class ColloidController:
         default_pages = np.nonzero(in_default)[0]
         if default_pages.size == 0:
             return promotions
-        order = default_pages[
-            np.argsort(coldness[default_pages], kind="stable")
-        ]
+        # Every page holds at least the smallest page size, so the
+        # coldest ceil(need / min size) pages always cover ``need``.
+        k = -(-need // placement.pages.min_page_bytes)
+        order = default_pages[stable_top_k(-coldness[default_pages], k)]
         cum = np.cumsum(sizes[order])
-        n = int(np.searchsorted(cum, need, side="left")) + 1
-        demotions = MigrationPlan(
-            order[:min(n, len(order))],
-            np.ones(min(n, len(order)), dtype=np.int64),
-        )
+        n = min(int(np.searchsorted(cum, need, side="left")) + 1, len(order))
+        demotions = MigrationPlan(order[:n], np.ones(n, dtype=np.int64))
         return interleave_plans(demotions, promotions)

@@ -6,13 +6,14 @@ interconnect bandwidth at both the source and destination tiers. The
 :class:`MigrationExecutor` models both effects: it truncates a migration
 plan at a per-quantum byte budget, applies the moves through the
 capacity-checked placement state, and reports the traffic classes the
-hardware model should charge for the quantum.
+hardware model should charge for the quantum. Plans are ranked lazily, so
+only the head of a plan that the budget can reach is ever sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,30 +22,70 @@ from repro.memhw.latency import TrafficClass
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.pages.placement import PlacementState
+from repro.pages.selection import stable_top_k
 
 #: Page copies stream sequentially within a page but jump between pages.
 _MIGRATION_RANDOMNESS = 0.3
 
 
-@dataclass
 class MigrationPlan:
     """An ordered list of page moves requested by a tiering system.
 
     Order matters: the executor processes entries front to back and stops
     at the byte budget, so systems should put demotions that free capacity
     before the promotions that need it.
+
+    A plan is ranked lazily. It is a sequence of segments: an eager
+    segment is moves in their final order (``MigrationPlan(pages,
+    dsts)``), and a ranked segment (:meth:`ranked`) moves the ``count``
+    highest-keyed candidates to one tier, in the order
+    ``candidates[np.argsort(-key, kind="stable")][:count]``. Nothing is
+    sorted until :meth:`head` asks for a prefix, and then only that prefix
+    is ranked (:func:`~repro.pages.selection.stable_top_k`). The executor
+    asks for the head its byte budget can reach, so a quantum that applies
+    a few 2 MiB pages never sorts thousands of candidates. ``len()`` is
+    exact and cheap; :attr:`page_indices` and :attr:`dst_tiers`
+    materialize the whole plan.
     """
 
-    page_indices: np.ndarray
-    dst_tiers: np.ndarray
+    __slots__ = ("_segments", "_len", "_full")
 
-    def __post_init__(self) -> None:
-        self.page_indices = np.asarray(self.page_indices, dtype=np.int64)
-        self.dst_tiers = np.asarray(self.dst_tiers, dtype=np.int64)
-        if self.page_indices.shape != self.dst_tiers.shape:
+    def __init__(self, page_indices: np.ndarray,
+                 dst_tiers: np.ndarray) -> None:
+        pages = np.asarray(page_indices, dtype=np.int64)
+        dsts = np.asarray(dst_tiers, dtype=np.int64)
+        if pages.shape != dsts.shape:
             raise ConfigurationError(
                 "page_indices and dst_tiers must have equal length"
             )
+        self._segments = [(pages, None, len(pages), dsts)]
+        self._len = len(pages)
+        self._full = (pages, dsts)
+
+    @classmethod
+    def _of_segments(cls, segments: list) -> "MigrationPlan":
+        plan = cls.__new__(cls)
+        plan._segments = [seg for seg in segments if seg[2] > 0]
+        plan._len = sum(seg[2] for seg in plan._segments)
+        plan._full = None
+        return plan
+
+    @classmethod
+    def ranked(cls, candidates: np.ndarray, key: np.ndarray, count: int,
+               dst_tier: int) -> "MigrationPlan":
+        """Move the ``count`` highest-``key`` candidates to ``dst_tier``,
+        highest first, ties in candidate order; ranked on demand."""
+        candidates = np.asarray(candidates, dtype=np.int64)
+        key = np.asarray(key)
+        if key.shape != candidates.shape:
+            raise ConfigurationError("candidates and key must have equal "
+                                     "length")
+        if not 0 <= count <= len(candidates):
+            raise ConfigurationError(
+                f"count {count} outside [0, {len(candidates)}]"
+            )
+        return cls._of_segments([(candidates, key, int(count),
+                                  int(dst_tier))])
 
     @classmethod
     def empty(cls) -> "MigrationPlan":
@@ -53,16 +94,51 @@ class MigrationPlan:
 
     @classmethod
     def concat(cls, plans: Sequence["MigrationPlan"]) -> "MigrationPlan":
-        """Concatenate plans preserving order."""
-        if not plans:
-            return cls.empty()
-        return cls(
-            np.concatenate([p.page_indices for p in plans]),
-            np.concatenate([p.dst_tiers for p in plans]),
+        """Concatenate plans preserving order (nothing is ranked)."""
+        return cls._of_segments(
+            [seg for plan in plans for seg in plan._segments]
         )
 
     def __len__(self) -> int:
-        return len(self.page_indices)
+        return self._len
+
+    def head(self, m: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The first ``min(m, len(self))`` moves as ``(page_indices,
+        dst_tiers)``, ranking only the candidates that prefix needs."""
+        m = max(0, min(int(m), self._len))
+        if self._full is not None:
+            pages, dsts = self._full
+            return pages[:m], dsts[:m]
+        page_parts, dst_parts = [], []
+        left = m
+        for candidates, key, count, dst in self._segments:
+            if left == 0:
+                break
+            take = min(count, left)
+            if key is None:
+                page_parts.append(candidates[:take])
+                dst_parts.append(dst[:take])
+            else:
+                page_parts.append(candidates[stable_top_k(key, take)])
+                dst_parts.append(np.full(take, dst, dtype=np.int64))
+            left -= take
+        if not page_parts:
+            return (np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=np.int64))
+        head = (np.concatenate(page_parts), np.concatenate(dst_parts))
+        if m == self._len:
+            self._full = head
+        return head
+
+    @property
+    def page_indices(self) -> np.ndarray:
+        """Every move's page, in plan order (materializes the plan)."""
+        return self.head(self._len)[0]
+
+    @property
+    def dst_tiers(self) -> np.ndarray:
+        """Every move's destination tier (materializes the plan)."""
+        return self.head(self._len)[1]
 
 
 @dataclass(frozen=True)
@@ -176,28 +252,41 @@ class MigrationExecutor:
         applied_src: List[int] = []
         applied_dst: List[int] = []
 
-        for idx, dst in zip(plan.page_indices, plan.dst_tiers):
-            src = int(pages.tier[idx])
-            dst = int(dst)
-            if src == dst:
-                continue
-            size = int(pages.sizes_bytes[idx])
-            if bytes_moved + size > budget:
-                deferred += len(plan) - applied - skipped
+        tier = pages.tier
+        sizes = pages.sizes_bytes
+        n_planned = len(plan)
+        # Each applied move spends at least the smallest page size, so the
+        # walk reaches the budget within this many entries unless capacity
+        # skips or no-op entries (which spend nothing) push it further; only
+        # then is the rest of the plan ranked.
+        start, stop = 0, budget // pages.min_page_bytes + 1
+        while start < n_planned:
+            head_pages, head_dsts = plan.head(stop)
+            for idx, dst in zip(head_pages[start:].tolist(),
+                                head_dsts[start:].tolist()):
+                src = int(tier[idx])
+                if src == dst:
+                    continue
+                size = int(sizes[idx])
+                if bytes_moved + size > budget:
+                    deferred = n_planned - applied - skipped
+                    break
+                single = np.array([idx], dtype=np.int64)
+                try:
+                    placement.move(single, dst)
+                except CapacityError:
+                    skipped += 1
+                    continue
+                bytes_moved += size
+                moved_read[src] += size
+                moved_write[dst] += size
+                applied += 1
+                applied_pages.append(idx)
+                applied_src.append(src)
+                applied_dst.append(dst)
+            if deferred:  # the budget stopped the walk
                 break
-            single = np.array([idx], dtype=np.int64)
-            try:
-                placement.move(single, dst)
-            except CapacityError:
-                skipped += 1
-                continue
-            bytes_moved += size
-            moved_read[src] += size
-            moved_write[dst] += size
-            applied += 1
-            applied_pages.append(int(idx))
-            applied_src.append(src)
-            applied_dst.append(dst)
+            start, stop = len(head_pages), n_planned
         self._tokens -= bytes_moved
 
         tier_traffic: List[List[TrafficClass]] = [[] for _ in range(n_tiers)]
@@ -218,16 +307,14 @@ class MigrationExecutor:
                         read_fraction=0.0,
                     )
                 )
-        if len(plan) > 0 and (self.tracer.enabled or METRICS.enabled):
-            planned_bytes = int(
-                pages.sizes_bytes[plan.page_indices].sum()
-            )
+        if n_planned and (self.tracer.enabled or METRICS.enabled):
+            planned_bytes = int(sizes[plan.page_indices].sum())
             if METRICS.enabled:
                 self._m_plan_bytes.observe(planned_bytes)
             if self.tracer.enabled:
                 self.tracer.emit(
                     "migration_executed",
-                    planned_moves=len(plan),
+                    planned_moves=n_planned,
                     planned_bytes=planned_bytes,
                     executed_bytes=bytes_moved,
                     budget_bytes=int(budget),

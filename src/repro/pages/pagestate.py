@@ -36,6 +36,7 @@ class PageArray:
         self._sizes = sizes.copy()
         self._tier = np.full(len(sizes), UNPLACED, dtype=np.int16)
         self._version = 0
+        self._size_bounds: tuple | None = None
 
     @classmethod
     def uniform(cls, n_pages: int, page_bytes: int) -> "PageArray":
@@ -56,8 +57,8 @@ class PageArray:
 
     @property
     def sizes_bytes(self) -> np.ndarray:
-        """Per-page sizes in bytes (writable view — used by MEMTIS's
-        split/coalesce, which must keep total bytes constant)."""
+        """Per-page sizes in bytes (a view; change sizes through
+        :meth:`resize_pages`, which keeps the cached size bounds valid)."""
         return self._sizes
 
     @property
@@ -74,6 +75,22 @@ class PageArray:
         derived state across quanta where no page moved or resized.
         """
         return self._version
+
+    @property
+    def min_page_bytes(self) -> int:
+        """Smallest page size (cached until :meth:`resize_pages`)."""
+        return self._bounds()[0]
+
+    @property
+    def max_page_bytes(self) -> int:
+        """Largest page size (cached until :meth:`resize_pages`)."""
+        return self._bounds()[1]
+
+    def _bounds(self) -> tuple:
+        if self._size_bounds is None:
+            self._size_bounds = (int(self._sizes.min()),
+                                 int(self._sizes.max()))
+        return self._size_bounds
 
     @property
     def total_bytes(self) -> int:
@@ -110,4 +127,5 @@ class PageArray:
         if (sizes <= 0).any():
             raise ConfigurationError("page sizes must be positive")
         self._sizes[pages] = sizes
+        self._size_bounds = None
         self._version += 1

@@ -5,6 +5,9 @@ probability between tiers: Colloid's page-finding procedures (§3.2, §4) and
 the rate-balancing related-work baselines. Given per-page probability
 estimates and a candidate set, select pages whose summed probability stays
 within a budget and whose summed size stays within a byte budget.
+
+:func:`stable_top_k` ranks only the first k pages of a hotness order, for
+plan builders whose byte budget reaches a handful of pages.
 """
 
 from __future__ import annotations
@@ -13,6 +16,38 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+#: At or below this many keys a full stable sort is as fast as
+#: partitioning, so :func:`stable_top_k` just sorts.
+_TOP_K_SORT_MAX_N = 1024
+
+
+def stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest keys, largest first, ties by index.
+
+    Exactly ``np.argsort(-keys, kind="stable")[:k]``, but only the first
+    ``k`` positions are sorted: ``np.partition`` finds the k-th key, every
+    strictly larger key is taken, then the tied ones in index order, and
+    only those are stable-sorted.
+    """
+    keys = np.asarray(keys)
+    n = keys.size
+    k = max(0, min(int(k), n))
+    neg = -keys
+    if k == n or n <= _TOP_K_SORT_MAX_N:
+        return np.argsort(neg, kind="stable")[:k]
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(neg, k - 1)[k - 1]
+    if kth != kth:  # NaN ranks last and compares unequal to itself
+        return np.argsort(neg, kind="stable")[:k]
+    better = np.flatnonzero(neg < kth)
+    tied = np.flatnonzero(neg == kth)[:k - better.size]
+    # Every tied key sorts after every strictly better one, and both
+    # parts are in index order, so a stable sort of the concatenation
+    # breaks ties by index.
+    chosen = np.concatenate([better, tied])
+    return chosen[np.argsort(neg[chosen], kind="stable")]
 
 
 def select_pages_by_probability(

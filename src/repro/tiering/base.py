@@ -21,6 +21,7 @@ from repro.memhw.mbm import MbmSample
 from repro.obs.tracer import NULL_TRACER
 from repro.pages.migration import MigrationPlan
 from repro.pages.placement import PlacementState
+from repro.pages.selection import stable_top_k
 from repro.tracking.feed import AccessFeed
 
 
@@ -144,6 +145,11 @@ def pack_hottest_plan(
     This is the common core of HeMem/MEMTIS/TPP placement the paper
     critiques: it never looks at loaded latency.
 
+    The plan is ranked lazily (:class:`MigrationPlan`): demotions coldest
+    first, then promotions hottest first, ties by page index, as a full
+    stable sort orders them, but only the head the executor's budget
+    reaches is ever sorted.
+
     Args:
         placement: Current placement state.
         hotness: Per-page hotness estimates (higher is hotter).
@@ -157,35 +163,42 @@ def pack_hottest_plan(
     pages = placement.pages
     tier = pages.tier
     sizes = pages.sizes_bytes
+    min_bytes = pages.min_page_bytes
+    uniform = min_bytes == pages.max_page_bytes
 
+    # Each page holds at least ``min_bytes``, which bounds how many
+    # entries a byte target can take; with uniform sizes the bound is the
+    # count, so neither segment is ranked here.
     promo_candidates = np.nonzero(hot_mask & (tier != 0))[0]
-    if promo_candidates.size:
-        promo_order = promo_candidates[
-            np.argsort(-hotness[promo_candidates], kind="stable")
-        ]
-        promo_cum = np.cumsum(sizes[promo_order])
-        n_promo = int(np.searchsorted(promo_cum, max_bytes, side="right"))
-        promo_order = promo_order[:n_promo]
-        promo_bytes = int(sizes[promo_order].sum())
+    promo_key = hotness[promo_candidates]
+    n_promo = min(promo_candidates.size, max(max_bytes, 0) // min_bytes)
+    if uniform:
+        promo = MigrationPlan.ranked(promo_candidates, promo_key, n_promo, 0)
+        promo_bytes = n_promo * min_bytes
     else:
-        promo_order = promo_candidates
-        promo_bytes = 0
+        promo_bytes = int(sizes[promo_candidates].sum())
+        if promo_bytes <= max_bytes:
+            promo = MigrationPlan.ranked(promo_candidates, promo_key,
+                                         promo_candidates.size, 0)
+        else:
+            order = promo_candidates[stable_top_k(promo_key, n_promo)]
+            cum = np.cumsum(sizes[order])
+            n_promo = int(np.searchsorted(cum, max_bytes, side="right"))
+            promo_bytes = int(cum[n_promo - 1]) if n_promo else 0
+            promo = MigrationPlan(order[:n_promo], np.zeros(n_promo))
 
     need = promo_bytes + free_slack_bytes - placement.free_bytes(0)
-    demo_order = np.empty(0, dtype=np.int64)
-    if need > 0:
-        demo_candidates = np.nonzero(~hot_mask & (tier == 0))[0]
-        if demo_candidates.size:
-            demo_order = demo_candidates[
-                np.argsort(hotness[demo_candidates], kind="stable")
-            ]
-            demo_cum = np.cumsum(sizes[demo_order])
-            n_demo = int(np.searchsorted(demo_cum, need, side="left")) + 1
-            demo_order = demo_order[:min(n_demo, demo_order.size)]
-
-    plan_pages = np.concatenate([demo_order, promo_order])
-    plan_dst = np.concatenate([
-        np.ones(len(demo_order), dtype=np.int64),
-        np.zeros(len(promo_order), dtype=np.int64),
-    ])
-    return MigrationPlan(plan_pages, plan_dst)
+    if need <= 0:
+        return promo
+    demo_candidates = np.nonzero(~hot_mask & (tier == 0))[0]
+    demo_key = -hotness[demo_candidates]  # coldest first
+    n_demo = min(demo_candidates.size, -(-need // min_bytes))
+    if uniform:
+        demo = MigrationPlan.ranked(demo_candidates, demo_key, n_demo, 1)
+    else:
+        order = demo_candidates[stable_top_k(demo_key, n_demo)]
+        cum = np.cumsum(sizes[order])
+        n_demo = min(int(np.searchsorted(cum, need, side="left")) + 1,
+                     n_demo)
+        demo = MigrationPlan(order[:n_demo], np.ones(n_demo))
+    return MigrationPlan.concat([demo, promo])

@@ -61,7 +61,8 @@ class AccessFeed:
             n_samples = min(n_samples, max_samples)
         if n_samples <= 0:
             return np.zeros(self.n_pages, dtype=np.int64)
-        return self._rng.multinomial(n_samples, self._probs).astype(np.int64)
+        return self._rng.multinomial(n_samples, self._probs).astype(
+            np.int64, copy=False)
 
     def page_access_rates(self) -> np.ndarray:
         """Per-page access rates (requests/ns) — the physical quantity the

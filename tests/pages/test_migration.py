@@ -1,12 +1,17 @@
 """Tests for the rate-limited migration executor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
+from repro.obs.metrics import METRICS
+from repro.obs.tracer import Tracer
 from repro.pages.migration import MigrationExecutor, MigrationPlan
 from repro.pages.pagestate import PageArray
 from repro.pages.placement import PlacementState, fill_default_first
+from repro.pages.selection import stable_top_k
 
 PAGE = 100
 QUANTUM_NS = 1e7
@@ -127,3 +132,199 @@ class TestExecute:
         executor = MigrationExecutor(placement, 100)
         with pytest.raises(ConfigurationError):
             executor.execute(MigrationPlan.empty(), 0.0)
+
+
+class TestRankedPlan:
+    def test_ranked_order_is_the_stable_sort_prefix(self):
+        candidates = np.array([10, 11, 12, 13, 14])
+        key = np.array([1.0, 3.0, 1.0, 3.0, 2.0])
+        plan = MigrationPlan.ranked(candidates, key, 4, 1)
+        assert len(plan) == 4
+        assert list(plan.page_indices) == [11, 13, 14, 10]
+        assert list(plan.dst_tiers) == [1, 1, 1, 1]
+
+    def test_head_ranks_across_segments(self):
+        plan = MigrationPlan.concat([
+            MigrationPlan.ranked(np.array([0, 1, 2]),
+                                 np.array([1.0, 2.0, 3.0]), 2, 1),
+            MigrationPlan(np.array([7]), np.array([0])),
+            MigrationPlan.ranked(np.array([5, 6]), np.array([0.0, 0.0]),
+                                 2, 0),
+        ])
+        assert len(plan) == 5
+        pages, dsts = plan.head(4)
+        assert list(pages) == [2, 1, 7, 5]
+        assert list(dsts) == [1, 1, 0, 0]
+        assert plan.head(0)[0].size == 0
+        assert list(plan.page_indices) == [2, 1, 7, 5, 6]
+
+    def test_rejects_bad_ranked_segments(self):
+        with pytest.raises(ConfigurationError):
+            MigrationPlan.ranked(np.arange(3), np.zeros(2), 1, 0)
+        with pytest.raises(ConfigurationError):
+            MigrationPlan.ranked(np.arange(3), np.zeros(3), 4, 0)
+
+
+N_BIG = 3000  # above the top-k helper's small-n cutoff
+
+
+def big_state(sizes, default_pages):
+    """Pages ``0..default_pages-1`` fill tier 0 exactly; the rest sit in
+    tier 1."""
+    pages = PageArray(sizes)
+    used0 = int(sizes[:default_pages].sum())
+    placement = PlacementState(pages, [used0, int(sizes.sum())])
+    placement.move(np.arange(default_pages), 0)
+    placement.move(np.arange(default_pages, len(sizes)), 1)
+    return placement
+
+
+def skips_then_noops_plan(n_default):
+    """Promotions into the full tier 0 (all capacity skips), then
+    demotions over every page, where tier-1 pages are no-ops: the walk
+    passes far beyond the budget-sized head before spending a byte."""
+    rng = np.random.default_rng(5)
+    promo = np.arange(n_default, N_BIG)
+    return MigrationPlan.concat([
+        MigrationPlan.ranked(promo, rng.random(promo.size), promo.size, 0),
+        MigrationPlan.ranked(np.arange(N_BIG),
+                             rng.integers(0, 4, N_BIG).astype(float),
+                             N_BIG - 10, 1),
+    ])
+
+
+def demotion_plan(n_default):
+    key = np.random.default_rng(6).integers(0, 3, n_default).astype(float)
+    return MigrationPlan.ranked(np.arange(n_default), key, n_default, 1)
+
+
+def run_plan(plan, sizes, n_default, limit, budget_bytes=None,
+             idle_quanta=0, tracer=None):
+    placement = big_state(sizes, n_default)
+    executor = MigrationExecutor(placement, limit_bytes_per_quantum=limit,
+                                 tracer=tracer)
+    for __ in range(idle_quanta):
+        executor.execute(MigrationPlan.empty(), QUANTUM_NS)
+    result = executor.execute(plan, QUANTUM_NS, budget_bytes=budget_bytes)
+    return result, placement.pages.tier.copy()
+
+
+def assert_same_result(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y)
+        else:
+            assert x == y, field.name
+
+
+def whole_plan_walk(placement, plan, budget):
+    """The executor's walk as it was before plans were ranked lazily:
+    every entry front to back, kept as the oracle for the counts."""
+    pages = placement.pages
+    bytes_moved = applied = skipped = deferred = 0
+    applied_pages = []
+    for idx, dst in zip(plan.page_indices, plan.dst_tiers):
+        src = int(pages.tier[idx])
+        dst = int(dst)
+        if src == dst:
+            continue
+        size = int(pages.sizes_bytes[idx])
+        if bytes_moved + size > budget:
+            deferred += len(plan) - applied - skipped
+            break
+        try:
+            placement.move(np.array([idx], dtype=np.int64), dst)
+        except CapacityError:
+            skipped += 1
+            continue
+        bytes_moved += size
+        applied += 1
+        applied_pages.append(int(idx))
+    return bytes_moved, applied, skipped, deferred, applied_pages
+
+
+UNIFORM = np.full(N_BIG, 100, dtype=np.int64)
+MIXED = np.random.default_rng(4).choice([100, 300], N_BIG).astype(np.int64)
+
+
+class TestRankedPlanExecutesLikeItsEagerCopy:
+    """A lazily ranked plan and its materialized copy give the same
+    result and final placement, however far the walk goes."""
+
+    @pytest.mark.parametrize("sizes", [UNIFORM, MIXED],
+                             ids=["uniform", "mixed"])
+    @pytest.mark.parametrize("make_plan, limit, budget, idle", [
+        (skips_then_noops_plan, 250, None, 0),
+        (skips_then_noops_plan, 10**6, 700, 0),
+        (demotion_plan, 250, None, 0),
+        (demotion_plan, 200, None, 7),   # burst tokens, no override
+        (demotion_plan, 10**9, None, 0),  # budget beyond the whole plan
+    ])
+    def test_same_result_and_placement(self, sizes, make_plan, limit,
+                                       budget, idle):
+        n_default = N_BIG // 2
+        eager_source = make_plan(n_default)
+        eager = MigrationPlan(eager_source.page_indices,
+                              eager_source.dst_tiers)
+        expected, expected_tier = run_plan(eager, sizes, n_default, limit,
+                                           budget, idle)
+        result, tier = run_plan(make_plan(n_default), sizes, n_default,
+                                limit, budget, idle)
+        assert_same_result(result, expected)
+        np.testing.assert_array_equal(tier, expected_tier)
+
+        tokens = limit * (idle + 1)  # below the 100-quantum burst cap
+        placement = big_state(sizes, n_default)
+        walked = whole_plan_walk(
+            placement, eager, tokens if budget is None
+            else min(budget, tokens))
+        assert walked == (result.bytes_moved, result.moves_applied,
+                          result.moves_skipped, result.moves_deferred,
+                          result.moved_pages.tolist())
+        np.testing.assert_array_equal(placement.pages.tier, tier)
+
+    @pytest.mark.parametrize("sizes", [UNIFORM, MIXED],
+                             ids=["uniform", "mixed"])
+    def test_ranks_only_the_head_the_budget_reaches(self, sizes,
+                                                     monkeypatch):
+        import repro.pages.migration as migration
+        ranked_k = []
+
+        def recording_top_k(keys, k):
+            ranked_k.append(k)
+            return stable_top_k(keys, k)
+
+        monkeypatch.setattr(migration, "stable_top_k", recording_top_k)
+        result, __ = run_plan(demotion_plan(N_BIG // 2), sizes,
+                              N_BIG // 2, 250)
+        assert result.moves_deferred > 0
+        assert ranked_k == [250 // 100 + 1]
+
+    def test_observation_does_not_change_the_result(self):
+        n_default = N_BIG // 2
+        eager_source = skips_then_noops_plan(n_default)
+        eager = MigrationPlan(eager_source.page_indices,
+                              eager_source.dst_tiers)
+        untraced, __ = run_plan(eager, MIXED, n_default, 250)
+        saved = (METRICS.enabled, METRICS._histograms)
+        METRICS.enabled, METRICS._histograms = True, {}
+        try:
+            runs = []
+            for plan in (eager, skips_then_noops_plan(n_default)):
+                METRICS._histograms = {}
+                tracer = Tracer()
+                result, tier = run_plan(plan, MIXED, n_default, 250,
+                                        tracer=tracer)
+                runs.append((result, tier, tracer.events(),
+                             METRICS.snapshot().histograms))
+        finally:
+            METRICS.enabled, METRICS._histograms = saved
+        (eager_run, ranked_run) = runs
+        assert_same_result(ranked_run[0], untraced)
+        assert_same_result(ranked_run[0], eager_run[0])
+        np.testing.assert_array_equal(ranked_run[1], eager_run[1])
+        assert ranked_run[2] == eager_run[2]
+        assert ranked_run[2][0]["planned_bytes"] == int(
+            MIXED[eager.page_indices].sum())
+        assert ranked_run[3] == eager_run[3]

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.pages.selection import select_pages_by_probability
+from repro.pages.selection import (
+    _TOP_K_SORT_MAX_N,
+    select_pages_by_probability,
+    stable_top_k,
+)
 
 
 def uniform_sizes(n, size=100):
@@ -220,3 +224,67 @@ class TestMatchesPageByPageScan:
         np.testing.assert_array_equal(chosen, [0, 2, 3])
         np.testing.assert_array_equal(
             chosen, _scan_oracle(probs, sizes, np.arange(5), 0.6, 3 * _MIB2))
+
+
+def _top_k_oracle(keys, k):
+    return np.argsort(-keys, kind="stable")[:k]
+
+
+@st.composite
+def _top_k_inputs(draw):
+    """Keys on both sides of the small-n cutoff, built from a drawn seed
+    so large arrays stay cheap to generate and shrink."""
+    n = draw(st.one_of(
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from([_TOP_K_SORT_MAX_N, _TOP_K_SORT_MAX_N + 1]),
+        st.integers(min_value=_TOP_K_SORT_MAX_N - 50,
+                    max_value=3 * _TOP_K_SORT_MAX_N)))
+    kind = draw(st.sampled_from(
+        ["float", "ties", "all_equal", "signed_zero", "int"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "float":
+        keys = rng.random(n)
+    elif kind == "ties":
+        keys = rng.integers(0, draw(st.integers(1, 8)), n).astype(float)
+    elif kind == "all_equal":
+        keys = np.full(n, 3.5)
+    elif kind == "signed_zero":
+        # -0.0 and 0.0 compare equal, so they tie and break by index.
+        keys = rng.choice([-0.0, 0.0, 1.0, -1.0], n)
+    else:
+        keys = rng.integers(-5, 6, n)
+    k = draw(st.one_of(
+        st.just(0), st.just(1), st.just(n), st.just(n + 3),
+        st.integers(min_value=0, max_value=max(n, 0))))
+    return keys, k
+
+
+class TestStableTopK:
+    @given(inputs=_top_k_inputs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_full_stable_argsort(self, inputs):
+        keys, k = inputs
+        np.testing.assert_array_equal(stable_top_k(keys, k),
+                                      _top_k_oracle(keys, k))
+
+    def test_signed_zeros_tie_past_the_cutoff(self):
+        n = 2 * _TOP_K_SORT_MAX_N
+        keys = np.where(np.arange(n) % 2 == 0, -0.0, 0.0)
+        keys[-5:] = 1.0
+        for k in (3, 5, 6, 100, n - 1):
+            np.testing.assert_array_equal(stable_top_k(keys, k),
+                                          _top_k_oracle(keys, k))
+
+    def test_nan_keys_rank_last(self):
+        n = 2 * _TOP_K_SORT_MAX_N
+        keys = np.random.default_rng(0).random(n)
+        keys[::3] = np.nan
+        for k in (1, 10, n - n // 3, n - 5):
+            np.testing.assert_array_equal(stable_top_k(keys, k),
+                                          _top_k_oracle(keys, k))
+
+    def test_k_outside_zero_to_n_is_clamped(self):
+        keys = np.arange(5.0)
+        assert stable_top_k(keys, -2).size == 0
+        np.testing.assert_array_equal(stable_top_k(keys, 99),
+                                      [4, 3, 2, 1, 0])

@@ -1,7 +1,10 @@
 """Tests for the tiering base interface and the pack-hottest policy."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.pages.migration import MigrationPlan
 from repro.pages.pagestate import PageArray
 from repro.pages.placement import PlacementState
 from repro.tiering.base import QuantumDecision, pack_hottest_plan
@@ -137,3 +140,101 @@ class TestPackHottestDeterminism:
                                           plans[0].page_indices)
             np.testing.assert_array_equal(plan.dst_tiers,
                                           plans[0].dst_tiers)
+
+
+def _full_sort_pack_hottest_plan(
+    placement, hotness, hot_mask, max_bytes, free_slack_bytes=0,
+):
+    """The pack-hottest policy as it was built before plans were ranked
+    lazily (every candidate stable-sorted), kept verbatim as the oracle."""
+    pages = placement.pages
+    tier = pages.tier
+    sizes = pages.sizes_bytes
+
+    promo_candidates = np.nonzero(hot_mask & (tier != 0))[0]
+    if promo_candidates.size:
+        promo_order = promo_candidates[
+            np.argsort(-hotness[promo_candidates], kind="stable")
+        ]
+        promo_cum = np.cumsum(sizes[promo_order])
+        n_promo = int(np.searchsorted(promo_cum, max_bytes, side="right"))
+        promo_order = promo_order[:n_promo]
+        promo_bytes = int(sizes[promo_order].sum())
+    else:
+        promo_order = promo_candidates
+        promo_bytes = 0
+
+    need = promo_bytes + free_slack_bytes - placement.free_bytes(0)
+    demo_order = np.empty(0, dtype=np.int64)
+    if need > 0:
+        demo_candidates = np.nonzero(~hot_mask & (tier == 0))[0]
+        if demo_candidates.size:
+            demo_order = demo_candidates[
+                np.argsort(hotness[demo_candidates], kind="stable")
+            ]
+            demo_cum = np.cumsum(sizes[demo_order])
+            n_demo = int(np.searchsorted(demo_cum, need, side="left")) + 1
+            demo_order = demo_order[:min(n_demo, demo_order.size)]
+
+    plan_pages = np.concatenate([demo_order, promo_order])
+    plan_dst = np.concatenate([
+        np.ones(len(demo_order), dtype=np.int64),
+        np.zeros(len(promo_order), dtype=np.int64),
+    ])
+    return MigrationPlan(plan_pages, plan_dst)
+
+
+@st.composite
+def _pack_inputs(draw):
+    """A placement, hotness and budgets; sizes in units of 100 B, pages
+    on both sides of the top-k small-n cutoff."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=40),
+                       st.integers(min_value=1500, max_value=4000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        sizes = np.full(n, 200, dtype=np.int64)
+    else:
+        sizes = rng.choice([100, 200, 500], n).astype(np.int64)
+    tiers = rng.integers(0, 2, n)
+    n_levels = draw(st.sampled_from([2, 5, 1000]))  # tie-heavy or not
+    hotness = rng.integers(0, n_levels, n).astype(float)
+    hot_mask = hotness >= draw(st.integers(0, n_levels))
+    free0 = draw(st.sampled_from([0, 100, 300, 1000, 10**5]))
+    used0 = int(sizes[tiers == 0].sum())
+    pages = PageArray(sizes)
+    placement = PlacementState(pages, [used0 + free0, int(sizes.sum())])
+    for t in (0, 1):
+        placement.move(np.nonzero(tiers == t)[0], t)
+    # Multiples of 100 B land cumulative sizes exactly on the cap.
+    max_bytes = draw(st.one_of(
+        st.just(2**62), st.just(0),
+        st.integers(min_value=1, max_value=1000).map(lambda x: 100 * x),
+        st.integers(min_value=1, max_value=10**5)))
+    slack = draw(st.sampled_from([0, 0, 300, 5000]))
+    return placement, hotness, hot_mask, max_bytes, slack
+
+
+class TestPackHottestMatchesFullSort:
+    @given(inputs=_pack_inputs())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_same_plan_and_heads_as_the_full_sort(self, inputs):
+        placement, hotness, hot_mask, max_bytes, slack = inputs
+        expected = _full_sort_pack_hottest_plan(
+            placement, hotness, hot_mask, max_bytes, slack)
+
+        def build():
+            return pack_hottest_plan(placement, hotness, hot_mask,
+                                     max_bytes, free_slack_bytes=slack)
+
+        n = len(expected)
+        assert len(build()) == n
+        for m in sorted({0, 1, 3, 7, n}):
+            head_pages, head_dsts = build().head(m)
+            np.testing.assert_array_equal(head_pages,
+                                          expected.page_indices[:m])
+            np.testing.assert_array_equal(head_dsts,
+                                          expected.dst_tiers[:m])
+        plan = build()
+        np.testing.assert_array_equal(plan.page_indices,
+                                      expected.page_indices)
+        np.testing.assert_array_equal(plan.dst_tiers, expected.dst_tiers)
