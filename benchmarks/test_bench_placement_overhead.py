@@ -74,12 +74,12 @@ class TestPlacementAuditOverhead:
     def test_audited_run_fits_the_overhead_budget(self):
         plain = _make_loop(None)
         audited = _make_loop(_AUDIT_PERIOD)
-        assert plain._placement_obs is None
-        assert audited._placement_obs is not None
+        assert plain._tenants[0].placement_obs is None
+        assert audited._tenants[0].placement_obs is not None
         for __ in range(_WARMUP_STEPS):
             plain.step()
             audited.step()
-        assert audited._placement_obs.audits_run > 0
+        assert audited._tenants[0].placement_obs.audits_run > 0
 
         plain_s = audited_s = 0.0
         gc.collect()
@@ -117,9 +117,9 @@ class TestPlacementAuditOverhead:
         solver = loop._audit_solver
         hits = solver.cache_hits
         misses = solver.cache_misses
-        audits_before = loop._placement_obs.audits_run
+        audits_before = loop._tenants[0].placement_obs.audits_run
         for __ in range(10 * _AUDIT_PERIOD):
             loop.step()
-        assert loop._placement_obs.audits_run >= audits_before + 10
+        assert loop._tenants[0].placement_obs.audits_run >= audits_before + 10
         assert solver.cache_hits == hits
         assert solver.cache_misses == misses

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.memhw.fixedpoint import Equilibrium
 
 
 @dataclass(frozen=True)
@@ -54,15 +53,11 @@ class MbmMonitor:
         self._traffic_integral = np.zeros(n_tiers)
         self._elapsed_ns = 0.0
 
-    def observe(self, equilibrium: Equilibrium, duration_ns: float) -> None:
-        """Integrate the application's per-tier traffic over a window."""
-        self.observe_rates(equilibrium.app_tier_read_rate, duration_ns)
-
     def observe_rates(self, tier_read_rate: np.ndarray,
                       duration_ns: float) -> None:
-        """Integrate one application's per-tier read rates directly.
+        """Integrate one application's per-tier read rates over a window.
 
-        The colocated loop feeds each tenant's monitor from its own
+        The loop feeds each tenant's monitor from its own
         :class:`~repro.memhw.fixedpoint.AppEquilibrium` — MBM attributes
         bandwidth per resource-monitoring ID on real hardware, so each
         tenant sees only its own traffic here too.

@@ -1,22 +1,13 @@
 """Multi-tenant colocation: N applications sharing one machine.
 
-The single-app :class:`~repro.runtime.loop.SimulationLoop` hard-codes
-one workload, one tiering system, one placement. The
-:class:`ColocatedLoop` hosts **N tenants** — each a (workload, tiering
-system, placement, page array) tuple with its own controller — coupled
-through one shared hardware equilibrium:
+:class:`ColocatedLoop` builds the N-tenant
+:class:`~repro.runtime.loop.QuantumLoop` — the same per-quantum pipeline
+a single-app :class:`~repro.runtime.loop.SimulationLoop` runs, with one
+shared equilibrium solve over every tenant's demand, so every tenant's
+latency reflects everybody's traffic (the paper's contention story with
+real co-runners instead of the antagonist). What the constructor adds:
 
-* The per-quantum solve is a single
-  :meth:`~repro.memhw.fixedpoint.EquilibriumSolver.solve_multi` over all
-  tenant core groups, so every tenant's demand loads the same tiers and
-  every tenant's latency reflects everybody's traffic (the paper's
-  contention story with real co-runners instead of the antagonist).
-* Each tenant's CHA sample integrates the *machine* equilibrium (total
-  request rates, shared loaded latencies — exactly what the hardware
-  counters show any observer), while its MBM sample and access feed are
-  scoped to its own traffic, as resource-monitoring IDs scope MBM on
-  real hardware.
-* Each tenant migrates only its own pages, inside a private
+* Each tenant places its pages inside a private
   :class:`~repro.pages.placement.PlacementState` whose per-tier
   capacities are the tenant's grant from the
   :class:`~repro.pages.placement.CapacityArbiter`; migration budgets are
@@ -24,39 +15,23 @@ through one shared hardware equilibrium:
   ``check_colocation`` invariant closes the loop: grants and placed
   bytes can never over-commit a physical tier.
 * All tenant-scoped events are emitted through per-tenant
-  :class:`~repro.obs.tracer.TenantTracer` views, so traces are
-  tenant-labeled without any controller knowing about colocation.
-
-Migration copy traffic follows the single-app convention: copies decided
-at the end of quantum k are charged to the equilibrium of quantum k+1,
-summed across tenants in declaration order.
+  :class:`~repro.obs.tracer.TenantTracer` views (and checked by
+  per-tenant checkers), so traces are tenant-labeled without any
+  controller knowing about colocation.
+* Tenant i derives its random streams from ``[seed, i]`` and
+  ``[seed + 1, i]``, so adding a tenant never perturbs the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.check.invariants import (
-    NULL_CHECKER,
-    Checker,
-    checks_enabled,
-    find_shift_computer,
-)
+from repro.check.invariants import NULL_CHECKER, Checker
 from repro.errors import ConfigurationError
-from repro.memhw.antagonist import antagonist_core_group
-from repro.memhw.cha import ChaCounters
-from repro.memhw.fixedpoint import EquilibriumSolver
-from repro.memhw.mbm import MbmMonitor
 from repro.memhw.topology import Machine
-from repro.obs.events import TRACE_SCHEMA_VERSION
-from repro.obs.metrics import METRICS
-from repro.obs.placement import PlacementObserver, placement_audit_enabled
-from repro.obs.profile import Counters, PhaseProfiler
-from repro.obs.tracer import NULL_TRACER, TenantTracer
-from repro.pages.migration import MigrationExecutor
+from repro.obs.tracer import TenantTracer
 from repro.pages.pagestate import PageArray
 from repro.pages.placement import (
     CapacityArbiter,
@@ -66,78 +41,16 @@ from repro.pages.placement import (
 from repro.runtime.loop import (
     DEFAULT_MIGRATION_LIMIT_PER_QUANTUM,
     ContentionSchedule,
-    coerce_intensity,
+    QuantumLoop,
+    TenantSpec,
 )
-from repro.runtime.metrics import MetricsRecorder, QuantumRecord
-from repro.tiering.base import QuantumContext, TieringSystem
-from repro.tracking.feed import AccessFeed
-from repro.units import ms_to_ns
-from repro.workloads.base import Workload
 
 
-@dataclass(frozen=True)
-class TenantSpec:
-    """One tenant of a colocated run.
-
-    Attributes:
-        name: Unique tenant label — appears on every tenant-scoped trace
-            event, metric series, and report section.
-        workload: The tenant's workload instance (owns its page count
-            and access distribution).
-        system: The tenant's tiering system instance (owns its
-            controller state; must not be shared between tenants).
-        weight: Optional capacity-arbitration weight; None means the
-            tenant's working-set bytes (footprint-proportional grants).
-    """
-
-    name: str
-    workload: Workload
-    system: TieringSystem
-    weight: Optional[float] = None
-
-
-@dataclass
-class _Tenant:
-    """Runtime state of one tenant (private to the loop)."""
-
-    spec: TenantSpec
-    tracer: TenantTracer
-    checker: object
-    rng: np.random.Generator
-    cha: ChaCounters
-    mbm: MbmMonitor
-    placement: PlacementState
-    executor: MigrationExecutor
-    grant: tuple
-    metrics: MetricsRecorder = field(default_factory=MetricsRecorder)
-    copy_read_debt: np.ndarray = None
-    copy_write_debt: np.ndarray = None
-    placement_obs: Optional[PlacementObserver] = None
-    audit_warm: Optional[np.ndarray] = None
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    def app_core_group(self):
-        """Core group with the system's throughput scale applied."""
-        group = self.spec.workload.core_group()
-        scale = self.spec.system.throughput_scale()
-        if scale != 1.0:
-            group = group.with_mlp(group.mlp * scale)
-        return group
-
-
-class ColocatedLoop:
-    """Drives N tenants through the shared per-quantum cycle.
-
-    Duck-compatible with :class:`~repro.runtime.loop.SimulationLoop`
-    where drivers care: :meth:`step` returns an aggregate
-    :class:`~repro.runtime.metrics.QuantumRecord` (summed throughput,
-    shared latencies), ``metrics``/``quantum_s``/``counters``/
-    ``profiler``/``emit_run_end`` behave identically — so
-    :func:`~repro.runtime.experiment.run_steady_state` runs a colocated
-    loop unchanged. Per-tenant series live in :attr:`tenant_metrics`.
+class ColocatedLoop(QuantumLoop):
+    """Drives N tenants through the shared per-quantum cycle: the
+    N-tenant :class:`~repro.runtime.loop.QuantumLoop`, so drivers such
+    as :func:`~repro.runtime.experiment.run_steady_state` run it
+    unchanged. Per-tenant series live in :attr:`tenant_metrics`.
 
     Args:
         machine: The shared machine.
@@ -176,8 +89,6 @@ class ColocatedLoop:
         profile: bool = False,
         checker=None,
     ) -> None:
-        if quantum_ms <= 0:
-            raise ConfigurationError("quantum must be positive")
         if not tenants:
             raise ConfigurationError("need at least one tenant")
         names = [spec.name for spec in tenants]
@@ -190,32 +101,11 @@ class ColocatedLoop:
             raise ConfigurationError(
                 "tenants must not share tiering-system instances"
             )
-        self.machine = machine
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        if checker is None:
-            checker = (Checker(tracer=self.tracer) if checks_enabled()
-                       else NULL_CHECKER)
-        self.checker = checker
-        self.profiler = PhaseProfiler(enabled=profile)
-        self.counters = Counters()
-        self.quantum_ns = ms_to_ns(quantum_ms)
-        self.quantum_s = quantum_ms / 1e3
-        if callable(contention):
-            self._contention = contention
-        else:
-            level = coerce_intensity(contention)
-            self._contention = lambda _t: level
-
-        self.solver = EquilibriumSolver(
-            machine.tiers, validate_cache_hits=self.checker.enabled
-        )
-        self._warm_latencies: Optional[np.ndarray] = None
-        n_tiers = len(machine.tiers)
-        self._capacities = tuple(t.capacity_bytes for t in machine.tiers)
+        self._setup(machine, quantum_ms, contention, cha_noise_sigma,
+                    migration_limit_bytes, tracer, profile, checker)
 
         # Arbitrate the shared capacity once, up front: grants are the
         # tenants' placement capacities for the whole run.
-        arbiter = CapacityArbiter(self._capacities)
         working_sets = [
             spec.workload.n_pages * spec.workload.page_bytes
             for spec in tenants
@@ -228,465 +118,40 @@ class ColocatedLoop:
             ]
         else:
             weights = None
-        grants = arbiter.grant(working_sets, weights=weights)
-
-        self._tenants: List[_Tenant] = []
+        grants = CapacityArbiter(self._capacities).grant(working_sets,
+                                                         weights=weights)
         for i, (spec, grant) in enumerate(zip(tenants, grants)):
             tenant_tracer = TenantTracer(self.tracer, spec.name)
-            tenant_checker = (Checker(tracer=tenant_tracer)
-                              if self.checker.enabled else NULL_CHECKER)
-            pages = PageArray.uniform(spec.workload.n_pages,
-                                      spec.workload.page_bytes)
-            placement = PlacementState(pages, grant)
+            placement = PlacementState(
+                PageArray.uniform(spec.workload.n_pages,
+                                  spec.workload.page_bytes),
+                grant,
+            )
             fill_default_first(placement)
-            action_period_s = getattr(spec.system, "action_period_s",
-                                      None)
-            if action_period_s:
-                burst_quanta = max(2, int(round(action_period_s * 1e3
-                                                / quantum_ms)))
-            else:
-                burst_quanta = 2
-            app = spec.workload.core_group()
-            tenant = _Tenant(
-                spec=spec,
-                tracer=tenant_tracer,
-                checker=tenant_checker,
+            self._add_tenant(
+                spec, placement, tenant_tracer,
+                (Checker(tracer=tenant_tracer) if self.checker.enabled
+                 else NULL_CHECKER),
                 rng=np.random.default_rng([seed, i]),
-                cha=ChaCounters(
-                    n_tiers=n_tiers,
-                    noise_sigma=cha_noise_sigma,
-                    rng=np.random.default_rng([seed + 1, i]),
-                ),
-                mbm=MbmMonitor(
-                    n_tiers=n_tiers,
-                    traffic_multiplier=app.traffic_multiplier(),
-                ),
-                placement=placement,
-                executor=MigrationExecutor(
-                    placement, migration_limit_bytes,
-                    burst_quanta=burst_quanta,
-                    tracer=tenant_tracer,
-                ),
-                grant=tuple(grant),
+                cha_rng=np.random.default_rng([seed + 1, i]),
             )
-            tenant.copy_read_debt = np.zeros(n_tiers)
-            tenant.copy_write_debt = np.zeros(n_tiers)
-            self._tenants.append(tenant)
-            spec.system.attach(placement)
-            spec.system.on_configure(machine, migration_limit_bytes,
-                                     self.quantum_ns)
-
-        # Placement observability: one observer per tenant (samples are
-        # tenant-labeled through the tenant tracer) sharing one private
-        # audit solver — the probe solves never touch the loop's solver
-        # or warm-start state, so audited runs are bit-identical.
-        self._audit_solver: Optional[EquilibriumSolver] = None
-        if placement_audit_enabled() and self.tracer.enabled:
-            for tenant in self._tenants:
-                tenant.placement_obs = PlacementObserver(
-                    n_tiers=n_tiers, tracer=tenant.tracer,
-                )
-            if n_tiers == 2:
-                self._audit_solver = EquilibriumSolver(machine.tiers)
-        self._copy_rate_limit = float(migration_limit_bytes)
-        self.metrics = MetricsRecorder()
-        self.time_s = 0.0
-        self._epoch = 0
-        self._last_intensity: Optional[int] = None
-        if METRICS.enabled:
-            self._m_quanta = METRICS.counter(
-                "repro_quanta_total", help="simulation quanta executed")
-            self._m_migrated = METRICS.counter(
-                "repro_migrated_bytes_total",
-                help="bytes charged to the hardware model as migration "
-                     "traffic",
-            )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "run_start",
-                schema_version=TRACE_SCHEMA_VERSION,
-                system="colocation",
-                workload="+".join(
-                    spec.workload.name for spec in tenants),
-                n_tiers=n_tiers,
-                quantum_ms=quantum_ms,
-                migration_limit_bytes=int(migration_limit_bytes),
-                tenants=[
-                    {
-                        "tenant": spec.name,
-                        "workload": spec.workload.name,
-                        "system": spec.system.name,
-                    }
-                    for spec in tenants
-                ],
-            )
-
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def tenant_names(self) -> List[str]:
-        """Tenant names in declaration (and solve) order."""
-        return [t.name for t in self._tenants]
-
-    @property
-    def tenant_metrics(self) -> Dict[str, MetricsRecorder]:
-        """Per-tenant metrics recorders, keyed by tenant name."""
-        return {t.name: t.metrics for t in self._tenants}
-
-    @property
-    def tenant_placements(self) -> Dict[str, PlacementState]:
-        """Per-tenant placements, keyed by tenant name."""
-        return {t.name: t.placement for t in self._tenants}
-
-    @property
-    def tenant_systems(self) -> Dict[str, TieringSystem]:
-        """Per-tenant tiering systems, keyed by tenant name."""
-        return {t.name: t.spec.system for t in self._tenants}
-
-    @property
-    def tenant_grants(self) -> Dict[str, tuple]:
-        """Arbitrated per-tier byte grants, keyed by tenant name."""
-        return {t.name: t.grant for t in self._tenants}
-
-    @property
-    def violations(self) -> List[dict]:
-        """Machine plus per-tenant invariant violations."""
-        records = list(getattr(self.checker, "violations", []))
-        for tenant in self._tenants:
-            records.extend(getattr(tenant.checker, "violations", []))
-        return records
-
-    # -- per-quantum cycle ------------------------------------------------
-
-    def _drain_copy_debt(self, tenant: _Tenant):
-        """One tenant's share of this quantum's migration traffic.
-
-        Same streaming model as the single-app loop, with the rate limit
-        applied per tenant (each tenant's copies ride its own migration
-        budget).
-        """
-        from repro.memhw.latency import TrafficClass
-
-        total_debt = (tenant.copy_read_debt.sum()
-                      + tenant.copy_write_debt.sum())
-        if total_debt <= 0:
-            return None, 0
-        moved_debt = tenant.copy_read_debt.sum()
-        fraction = min(1.0, self._copy_rate_limit / max(moved_debt, 1.0))
-        charged_read = tenant.copy_read_debt * fraction
-        charged_write = tenant.copy_write_debt * fraction
-        tenant.copy_read_debt -= charged_read
-        tenant.copy_write_debt -= charged_write
-        traffic = []
-        for t in range(len(charged_read)):
-            classes = []
-            if charged_read[t] > 0:
-                classes.append(TrafficClass(
-                    bandwidth=charged_read[t] / self.quantum_ns,
-                    randomness=0.3, read_fraction=1.0,
-                ))
-            if charged_write[t] > 0:
-                classes.append(TrafficClass(
-                    bandwidth=charged_write[t] / self.quantum_ns,
-                    randomness=0.3, read_fraction=0.0,
-                ))
-            traffic.append(classes)
-        return traffic, int(charged_read.sum())
-
-    def _tenant_audit_evaluate(self, index: int, apps, antagonist,
-                               tenant: _Tenant):
-        """Misplacement-audit callback for one tenant.
-
-        Varies only tenant ``index``'s split while holding every other
-        tenant's current split (and the antagonist) fixed — the audit
-        asks "given everybody else's behavior this quantum, where should
-        *this* tenant's pages sit?". Solved on the private audit solver
-        with per-tenant warm-start chaining.
-        """
-        solver = self._audit_solver
-
-        def evaluate(p: float):
-            probe = [
-                (group, [p, 1.0 - p] if j == index else split)
-                for j, (group, split) in enumerate(apps)
-            ]
-            eq = solver.solve_multi(
-                probe, pinned=[(antagonist, 0)],
-                initial_latencies=tenant.audit_warm,
-            )
-            tenant.audit_warm = eq.latencies_ns
-            return eq.latencies_ns, eq.apps[index].read_rate
-
-        return evaluate
-
-    def step(self) -> QuantumRecord:
-        """Advance every tenant by one quantum; returns the aggregate."""
-        t = self.time_s
-        tracer = self.tracer
-        profiler = self.profiler
-        metered = METRICS.enabled
-        if tracer.enabled:
-            tracer.time_s = t
-        profiler.start()
-
-        # 1. Advance workloads and the antagonist schedule.
-        tenant_probs = []
-        tenant_splits = []
-        tenant_shifted = []
-        for tenant in self._tenants:
-            shifted = tenant.spec.workload.advance(t)
-            tenant_shifted.append(bool(shifted))
-            if shifted and tracer.enabled:
-                self._epoch += 1
-                tenant.tracer.emit("workload_shift", epoch=self._epoch)
-            probs = tenant.spec.workload.access_probabilities()
-            split = tenant.placement.tier_probabilities(probs)
-            override_fn = getattr(tenant.spec.system,
-                                  "traffic_split_override", None)
-            if override_fn is not None:
-                override = override_fn()
-                if override is not None:
-                    split = override
-            tenant_probs.append(probs)
-            tenant_splits.append(split)
-        intensity = coerce_intensity(self._contention(t), time_s=t)
-        if intensity != self._last_intensity:
-            previous = self._last_intensity
-            self._last_intensity = intensity
-            if previous is not None and tracer.enabled:
-                self._epoch += 1
-                tracer.emit(
-                    "contention_change",
-                    intensity=intensity,
-                    previous=previous,
-                    epoch=self._epoch,
-                )
-        antagonist = antagonist_core_group(intensity,
-                                           self.machine.antagonist)
-        dt_workload = profiler.lap("workload_advance")
-
-        # 2. One shared solve over every tenant's demand plus the summed
-        # migration traffic (tenant order keeps the sum deterministic).
-        n_tiers = len(self._capacities)
-        combined_traffic = None
-        tenant_charged = []
-        for tenant in self._tenants:
-            traffic, charged = self._drain_copy_debt(tenant)
-            tenant_charged.append(charged)
-            if traffic is not None:
-                if combined_traffic is None:
-                    combined_traffic = [[] for _ in range(n_tiers)]
-                for tier, classes in enumerate(traffic):
-                    combined_traffic[tier].extend(classes)
-        apps = [
-            (tenant.app_core_group(), split)
-            for tenant, split in zip(self._tenants, tenant_splits)
-        ]
-        equilibrium = self.solver.solve_multi(
-            apps,
-            pinned=[(antagonist, 0)],
-            extra_traffic=combined_traffic,
-            initial_latencies=self._warm_latencies,
+        self._start(
+            system="colocation",
+            workload="+".join(spec.workload.name for spec in tenants),
+            tenants=[
+                {
+                    "tenant": spec.name,
+                    "workload": spec.workload.name,
+                    "system": spec.system.name,
+                }
+                for spec in tenants
+            ],
         )
-        self._warm_latencies = equilibrium.latencies_ns
-        for i, tenant in enumerate(self._tenants):
-            tenant.cha.observe(equilibrium, self.quantum_ns)
-            tenant.mbm.observe_rates(
-                equilibrium.apps[i].tier_read_rate, self.quantum_ns
-            )
-        if self.checker.enabled:
-            self.checker.check_equilibrium(
-                t, equilibrium.latencies_ns, equilibrium.total_read_rate,
-                equilibrium.measured_p,
-            )
-            if self.solver.last_was_cache_hit:
-                self.checker.check_solver_cache(
-                    t, self.solver.last_hit_residual
-                )
-        dt_solve = profiler.lap("equilibrium_solve")
-        if tracer.enabled:
-            tracer.emit(
-                "solver_converged",
-                iterations=equilibrium.iterations,
-                latencies_ns=equilibrium.latencies_ns,
-                app_read_rate=equilibrium.total_read_rate,
-                measured_p=equilibrium.measured_p,
-                cached=self.solver.last_was_cache_hit,
-            )
 
-        # 3. Per-tenant observe/decide/migrate with tenant-scoped state.
-        dt_decide_total = 0
-        dt_migrate_total = 0
-        tenant_records = []
-        for i, tenant in enumerate(self._tenants):
-            app_eq = equilibrium.apps[i]
-            feed = AccessFeed(
-                access_probs=tenant_probs[i],
-                request_rate=app_eq.read_rate / 64.0,
-                quantum_ns=self.quantum_ns,
-                rng=tenant.rng,
-            )
-            ctx = QuantumContext(
-                time_s=t,
-                quantum_ns=self.quantum_ns,
-                placement=tenant.placement,
-                cha=tenant.cha.sample_and_reset(),
-                mbm=tenant.mbm.sample_and_reset(),
-                feed=feed,
-                rng=tenant.rng,
-                tracer=tenant.tracer,
-                tenant=tenant.name,
-                visible_capacity_bytes=tenant.grant,
-            )
-            decision = tenant.spec.system.quantum(ctx)
-            dt_decide_total += profiler.lap("tiering_decision")
-            checker = tenant.checker
-            if checker.enabled:
-                shift = find_shift_computer(tenant.spec.system)
-                if shift is not None:
-                    checker.check_shift(t, shift)
-                snapshot = checker.placement_snapshot(tenant.placement)
-            result = tenant.executor.execute(
-                decision.plan, self.quantum_ns, decision.budget_bytes
-            )
-            if checker.enabled:
-                checker.check_migration(
-                    t, tenant.placement, result, decision.budget_bytes,
-                    snapshot,
-                )
-                checker.check_placement_flows(
-                    t, tenant.placement, result, snapshot
-                )
-            if result.bytes_moved > 0:
-                tenant.copy_read_debt += result.read_bytes_per_tier
-                tenant.copy_write_debt += result.write_bytes_per_tier
-            if tenant.placement_obs is not None:
-                evaluate = None
-                audit_key = None
-                if (self._audit_solver is not None
-                        and tenant.placement_obs.audit_due()):
-                    evaluate = self._tenant_audit_evaluate(
-                        i, apps, antagonist, tenant
-                    )
-                    # The probe equilibrium holds every *other* tenant's
-                    # split fixed; the audited tenant's own split is the
-                    # probe variable and must stay out of the key.
-                    audit_key = (
-                        tuple(
-                            (group,
-                             None if j == i else tuple(map(float, split)))
-                            for j, (group, split) in enumerate(apps)
-                        ),
-                        antagonist,
-                    )
-                tenant.placement_obs.observe_quantum(
-                    access_probs=tenant_probs[i],
-                    placement=tenant.placement,
-                    result=result,
-                    p_actual=float(tenant_splits[i][0]),
-                    evaluate=evaluate,
-                    probs_changed=tenant_shifted[i],
-                    audit_key=audit_key,
-                )
-            dt_migrate_total += profiler.lap("migration_execute")
-
-            record = QuantumRecord(
-                time_s=t,
-                throughput=app_eq.read_rate,
-                latencies_ns=(
-                    equilibrium.latencies_ns + self.machine.cpu_to_cha_ns
-                ),
-                p_true=float(tenant_splits[i][0]),
-                p_measured=equilibrium.measured_p,
-                app_tier_bandwidth=(
-                    app_eq.tier_read_rate
-                    * apps[i][0].traffic_multiplier()
-                ),
-                migration_bytes=tenant_charged[i],
-                antagonist_intensity=intensity,
-            )
-            tenant.metrics.record(record)
-            tenant_records.append(record)
-            counters = self.counters
-            counters.inc("migrated_bytes", tenant_charged[i])
-            counters.inc("moves_applied", result.moves_applied)
-            counters.inc("moves_deferred", result.moves_deferred)
-            counters.inc("moves_skipped", result.moves_skipped)
-
-        # 4. Cross-tenant conservation: the machine-level invariant.
-        if self.checker.enabled:
-            self.checker.check_colocation(
-                t, self._capacities,
-                [(tenant.name, tenant.placement)
-                 for tenant in self._tenants],
-            )
-        if profiler.enabled and tracer.enabled:
-            tracer.emit(
-                "phase_timing",
-                phases={
-                    "workload_advance": dt_workload,
-                    "equilibrium_solve": dt_solve,
-                    "tiering_decision": dt_decide_total,
-                    "migration_execute": dt_migrate_total,
-                },
-            )
-
-        # 5. Aggregate record: summed throughput/bandwidth, shared
-        # latencies, demand-weighted true default-tier share.
-        total_rate = sum(r.throughput for r in tenant_records)
-        if total_rate > 0:
-            p_true = sum(r.throughput * r.p_true
-                         for r in tenant_records) / total_rate
-        else:
-            p_true = float(np.mean([r.p_true for r in tenant_records]))
-        aggregate = QuantumRecord(
-            time_s=t,
-            throughput=total_rate,
-            latencies_ns=(
-                equilibrium.latencies_ns + self.machine.cpu_to_cha_ns
-            ),
-            p_true=p_true,
-            p_measured=equilibrium.measured_p,
-            app_tier_bandwidth=sum(
-                r.app_tier_bandwidth for r in tenant_records
-            ),
-            migration_bytes=sum(tenant_charged),
-            antagonist_intensity=intensity,
-        )
-        self.metrics.record(aggregate)
-        counters = self.counters
-        counters.inc("quanta")
-        if self.solver.last_was_cache_hit:
-            counters.inc("solver_cache_hits")
-        else:
-            counters.inc("solver_cache_misses")
-            counters.inc("solver_iterations", equilibrium.iterations)
-        if metered:
-            self._m_quanta.inc()
-            self._m_migrated.inc(sum(tenant_charged))
-        self.time_s = t + self.quantum_s
-        return aggregate
-
-    def run(self, duration_s: float) -> MetricsRecorder:
-        """Run for ``duration_s`` simulated seconds; aggregate metrics."""
-        if duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
-        n_quanta = int(round(duration_s / self.quantum_s))
-        for __ in range(max(1, n_quanta)):
-            self.step()
-        return self.metrics
-
-    def emit_run_end(self) -> None:
-        """Emit ``run_end`` with the shared runtime counters."""
-        if not self.tracer.enabled:
-            return
-        self.tracer.time_s = self.time_s
-        self.tracer.emit(
-            "run_end",
-            simulated_s=self.time_s,
-            n_quanta=len(self.metrics),
-            counters=self.counters.snapshot(),
-        )
+    # Bound in this body (not inherited) so per-class instrumentation can
+    # wrap each constructor's entry points separately.
+    step = QuantumLoop.step
+    run = QuantumLoop.run
 
 
 __all__ = ["ColocatedLoop", "TenantSpec"]

@@ -34,15 +34,11 @@ class QuantumContext:
     ``if ctx.tracer.enabled:`` guards and pay one attribute check when
     tracing is off.
 
-    Under colocation each tenant's controller receives its own context:
-    ``cha`` reflects the *machine* (total traffic of every tenant, the
-    antagonist, and migrations — exactly what the hardware counters
-    show), while ``placement``, ``mbm``, and ``feed`` are scoped to the
-    tenant's own pages. ``tenant`` names the tenant (None on the
-    single-app path) and ``visible_capacity_bytes`` is the tenant's
-    arbitrated per-tier grant — the same numbers its placement enforces
-    — so systems that size watermarks from capacity see their grant, not
-    the machine.
+    Each tenant's controller receives its own context: ``cha`` reflects
+    the *machine* (total traffic of every tenant, the antagonist, and
+    migrations — exactly what the hardware counters show), while
+    ``placement``, ``mbm``, and ``feed`` are scoped to the tenant's own
+    pages; the placement's capacities are the tenant's grant.
     """
 
     time_s: float
@@ -53,8 +49,6 @@ class QuantumContext:
     feed: AccessFeed
     rng: np.random.Generator
     tracer: object = NULL_TRACER
-    tenant: Optional[str] = None
-    visible_capacity_bytes: Optional[tuple] = None
 
 
 @dataclass

@@ -82,6 +82,8 @@ class TestExecuteColocated:
         result = execute_spec(spec)
         assert result.tenants is None
         assert "tenants" not in result.to_dict()
+        assert result.cpu_work
+        assert not any("." in key for key in result.cpu_work)
 
     def test_execution_is_deterministic(self):
         a = execute_spec(colocated_spec())

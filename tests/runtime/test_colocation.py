@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.exec.factories import make_system
 from repro.runtime.colocation import ColocatedLoop, TenantSpec
-from repro.runtime.loop import SimulationLoop
+from repro.runtime.loop import QuantumLoop, SimulationLoop
 from repro.tiering.static import StaticPlacementSystem
 from repro.workloads.gups import GupsWorkload
 from tests.conftest import FAST_SCALE
@@ -71,7 +71,7 @@ class TestConstruction:
                     <= capacities[tier])
         for tenant in loop._tenants:
             workload = tenant.spec.workload
-            assert (sum(tenant.grant)
+            assert (sum(grants[tenant.name])
                     >= workload.n_pages * workload.page_bytes)
 
 
@@ -180,3 +180,63 @@ class TestContentionValidation:
         loop = make_coloc(small_machine, contention=lambda t: 2.0)
         record = loop.step()
         assert record.antagonist_intensity == 2
+
+
+class TestOnePipeline:
+    """Single-app and colocated runs share one per-quantum pipeline."""
+
+    def test_one_tenant_aggregate_is_the_tenant_record(self, small_machine):
+        tenants = [TenantSpec(name="solo",
+                              workload=GupsWorkload(scale=FAST_SCALE,
+                                                    seed=4),
+                              system=make_system("hemem+colloid"))]
+        loop = make_coloc(small_machine, tenants=tenants, contention=2)
+        loop.run(0.3)
+        solo = loop.tenant_metrics["solo"]
+        for name in ("p_true", "throughput", "latencies_ns",
+                     "app_tier_bandwidth", "migration_bytes"):
+            np.testing.assert_array_equal(getattr(loop.metrics, name),
+                                          getattr(solo, name))
+
+    def test_colocated_metrics_record_quantum_histograms(
+            self, small_machine):
+        from repro.obs.metrics import METRICS
+
+        saved = (METRICS.enabled, METRICS._counters, METRICS._gauges,
+                 METRICS._histograms)
+        METRICS.enabled = True
+        METRICS._counters = {}
+        METRICS._gauges = {}
+        METRICS._histograms = {}
+        try:
+            make_coloc(small_machine).run(0.05)
+            snapshot = METRICS.snapshot()
+        finally:
+            (METRICS.enabled, METRICS._counters, METRICS._gauges,
+             METRICS._histograms) = saved
+        histograms = snapshot.histograms
+        assert histograms["repro_quantum_wall_ns"]["count"] == 5
+        for tier in range(len(small_machine.tiers)):
+            name = f"repro_tier{tier}_loaded_latency_ns"
+            assert histograms[name]["count"] == 5
+        assert snapshot.counters["repro_quanta_total"] == 5
+
+    @pytest.mark.parametrize("cls", [SimulationLoop, ColocatedLoop])
+    def test_entry_points_bound_in_each_class_body(self, cls):
+        # Per-class instrumentation wraps these by name; an inherited
+        # binding would be missing from the class dict.
+        for name in ("step", "run"):
+            assert cls.__dict__[name] is QuantumLoop.__dict__[name]
+
+    def test_single_app_loop_exposes_its_one_tenant(self, small_machine):
+        workload = GupsWorkload(scale=FAST_SCALE, seed=4)
+        system = make_system("hemem")
+        loop = SimulationLoop(machine=small_machine, workload=workload,
+                              system=system, seed=4)
+        loop.run(0.05)
+        assert loop.tenant_systems == {workload.name: system}
+        assert loop.tenant_placements == {workload.name: loop.placement}
+        assert loop.tenant_grants[workload.name] == tuple(
+            t.capacity_bytes for t in small_machine.tiers)
+        np.testing.assert_array_equal(
+            loop.tenant_metrics[workload.name].p_true, loop.metrics.p_true)
