@@ -20,7 +20,7 @@ from repro.memhw.tier import MemoryTierSpec
 from repro.memhw.latency import LatencyCurve, TrafficClass, effective_bandwidth
 from repro.memhw.corestate import CoreGroup
 from repro.memhw.antagonist import AntagonistSpec, antagonist_core_group
-from repro.memhw.fixedpoint import Equilibrium, EquilibriumSolver
+from repro.memhw.fixedpoint import EquilibriumSolver, MultiEquilibrium
 from repro.memhw.cha import ChaCounters, ChaSample
 from repro.memhw.mbm import MbmMonitor, MbmSample
 from repro.memhw.topology import (
@@ -38,7 +38,7 @@ __all__ = [
     "CoreGroup",
     "AntagonistSpec",
     "antagonist_core_group",
-    "Equilibrium",
+    "MultiEquilibrium",
     "EquilibriumSolver",
     "ChaCounters",
     "ChaSample",

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.memhw.fixedpoint import Equilibrium
+from repro.memhw.fixedpoint import MultiEquilibrium
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,13 @@ class ChaCounters:
         """Number of tiers being monitored."""
         return self._n_tiers
 
-    def observe(self, equilibrium: Equilibrium, duration_ns: float) -> None:
+    def observe(self, equilibrium: MultiEquilibrium,
+                duration_ns: float) -> None:
         """Integrate counters over ``duration_ns`` of the given steady state.
 
         Accepts anything exposing ``tier_read_request_rate`` and
-        ``latencies_ns`` — in particular a colocated run's
-        :class:`~repro.memhw.fixedpoint.MultiEquilibrium`, since the CHA
-        sees the machine's total traffic regardless of who generated it.
+        ``latencies_ns``. With several applications the CHA sees the
+        machine's total traffic regardless of who generated it.
         """
         if duration_ns < 0:
             raise ConfigurationError("duration must be non-negative")

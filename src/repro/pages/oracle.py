@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.memhw.corestate import CoreGroup
-from repro.memhw.fixedpoint import Equilibrium, EquilibriumSolver
+from repro.memhw.fixedpoint import EquilibriumSolver, MultiEquilibrium
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class PlacementPoint:
     hot_fraction: float
     default_probability: float
     throughput: float
-    equilibrium: Equilibrium
+    equilibrium: MultiEquilibrium
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def best_case_sweep(
             PlacementPoint(
                 hot_fraction=float(fraction),
                 default_probability=p,
-                throughput=eq.app_read_rate,
+                throughput=eq.apps[0].read_rate,
                 equilibrium=eq,
             )
         )
@@ -168,5 +168,5 @@ def sweep_hot_fraction(
         eq = solver.solve(app, [p, 1.0 - p], pinned=pinned,
                           initial_latencies=warm)
         warm = eq.latencies_ns
-        results.append((float(p), eq.app_read_rate))
+        results.append((float(p), eq.apps[0].read_rate))
     return results

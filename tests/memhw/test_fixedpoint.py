@@ -56,7 +56,7 @@ class TestEquilibriumBasics:
         eq = solver.solve(idle, [1.0, 0.0])
         assert eq.latencies_ns[0] == pytest.approx(65.0, rel=1e-6)
         assert eq.latencies_ns[1] == pytest.approx(130.0, rel=1e-6)
-        assert eq.app_read_rate == 0.0
+        assert eq.apps[0].read_rate == 0.0
 
     def test_loaded_latency_above_unloaded(self, solver, app):
         eq = solver.solve(app, [1.0, 0.0])
@@ -64,13 +64,13 @@ class TestEquilibriumBasics:
 
     def test_closed_loop_law_holds_at_equilibrium(self, solver, app):
         eq = solver.solve(app, [0.9, 0.1])
-        expected = app.n_cores * app.mlp * 64 / eq.app_avg_latency_ns
-        assert eq.app_read_rate == pytest.approx(expected, rel=1e-9)
+        expected = app.n_cores * app.mlp * 64 / eq.apps[0].avg_latency_ns
+        assert eq.apps[0].read_rate == pytest.approx(expected, rel=1e-9)
 
     def test_app_avg_latency_is_split_weighted(self, solver, app):
         eq = solver.solve(app, [0.7, 0.3])
         expected = 0.7 * eq.latencies_ns[0] + 0.3 * eq.latencies_ns[1]
-        assert eq.app_avg_latency_ns == pytest.approx(expected, rel=1e-9)
+        assert eq.apps[0].avg_latency_ns == pytest.approx(expected, rel=1e-9)
 
     def test_more_contention_means_more_default_latency(self, solver, app):
         latencies = []
@@ -119,7 +119,7 @@ class TestEquilibriumProperties:
         eq = solver.solve(app, [p, 1.0 - p])
         assert np.isfinite(eq.latencies_ns).all()
         assert (eq.latencies_ns >= np.array([65.0, 130.0]) - 1e-9).all()
-        assert eq.app_read_rate > 0
+        assert eq.apps[0].read_rate > 0
 
     @given(st.integers(min_value=0, max_value=4))
     @settings(max_examples=10, deadline=None)
@@ -133,4 +133,4 @@ class TestEquilibriumProperties:
 
     def test_split_normalized_in_result(self, solver, app):
         eq = solver.solve(app, [0.25, 0.75])
-        assert eq.app_split.sum() == pytest.approx(1.0)
+        assert eq.apps[0].split.sum() == pytest.approx(1.0)

@@ -49,8 +49,8 @@ class TestMonotonicity:
     def test_more_cores_never_raise_per_core_throughput(self, p, cores):
         few = solve(p, n_cores=cores)
         many = solve(p, n_cores=cores + 8)
-        per_core_few = few.app_read_rate / cores
-        per_core_many = many.app_read_rate / (cores + 8)
+        per_core_few = few.apps[0].read_rate / cores
+        per_core_many = many.apps[0].read_rate / (cores + 8)
         assert per_core_many <= per_core_few + 1e-9
 
     @given(st.floats(min_value=0.0, max_value=1.0))
@@ -64,7 +64,7 @@ class TestMonotonicity:
 class TestBalancePrinciple:
     def test_average_latency_continuous_in_p(self):
         """No jumps in the objective the placement algorithm descends."""
-        values = [solve(p).app_avg_latency_ns
+        values = [solve(p).apps[0].avg_latency_ns
                   for p in np.linspace(0, 1, 21)]
         diffs = np.abs(np.diff(values))
         assert diffs.max() < 0.2 * np.mean(values)
@@ -73,10 +73,10 @@ class TestBalancePrinciple:
         """At 3x the throughput-vs-p curve peaks well inside (0, 1) or at
         the lower boundary — never at hot-packed p."""
         ps = np.linspace(0, 1, 21)
-        ts = [solve(p, intensity=3).app_read_rate for p in ps]
+        ts = [solve(p, intensity=3).apps[0].read_rate for p in ps]
         assert np.argmax(ts) < 5
 
     def test_throughput_peak_at_high_p_without_contention(self):
         ps = np.linspace(0, 1, 21)
-        ts = [solve(p, intensity=0).app_read_rate for p in ps]
+        ts = [solve(p, intensity=0).apps[0].read_rate for p in ps]
         assert np.argmax(ts) > 12

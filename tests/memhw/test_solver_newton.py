@@ -119,11 +119,11 @@ class TestSolverMetamorphic:
         assert multi.iterations == single.iterations
         assert multi.measured_p == single.measured_p
         (view,) = multi.apps
-        assert view.avg_latency_ns == single.app_avg_latency_ns
-        assert view.read_rate == single.app_read_rate
-        np.testing.assert_array_equal(view.split, single.app_split)
+        assert view.avg_latency_ns == single.apps[0].avg_latency_ns
+        assert view.read_rate == single.apps[0].read_rate
+        np.testing.assert_array_equal(view.split, single.apps[0].split)
         np.testing.assert_array_equal(view.tier_read_rate,
-                                      single.app_tier_read_rate)
+                                      single.apps[0].tier_read_rate)
 
 
 class TestCarriedJacobian:
@@ -145,13 +145,18 @@ class TestCarriedJacobian:
                                    extra_traffic=extra)
         fresh = EquilibriumSolver(machine.tiers, use_cache=False).solve(
             app, split, pinned=pinned, extra_traffic=extra)
-        for field in ("latencies_ns", "app_split", "app_tier_read_rate",
-                      "tier_wire_traffic", "tier_read_request_rate",
-                      "utilizations", "effective_bandwidths"):
+        for field in ("latencies_ns", "tier_wire_traffic",
+                      "tier_read_request_rate", "utilizations",
+                      "effective_bandwidths"):
             np.testing.assert_array_equal(getattr(after_history, field),
                                           getattr(fresh, field))
-        assert after_history.app_avg_latency_ns == fresh.app_avg_latency_ns
-        assert after_history.app_read_rate == fresh.app_read_rate
+        for field in ("split", "tier_read_rate"):
+            np.testing.assert_array_equal(
+                getattr(after_history.apps[0], field),
+                getattr(fresh.apps[0], field))
+        assert (after_history.apps[0].avg_latency_ns
+                == fresh.apps[0].avg_latency_ns)
+        assert after_history.apps[0].read_rate == fresh.apps[0].read_rate
         assert after_history.iterations == fresh.iterations
 
     def test_only_the_last_output_seeds_without_probing(self,
