@@ -36,6 +36,7 @@ The checks, and where the loop invokes them:
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, List, Optional
 
@@ -155,14 +156,16 @@ class Checker:
         """Solver outputs must be physical: finite positive latencies,
         non-negative throughput, ``p`` a probability."""
         self.checks_run += 1
-        latencies = np.asarray(latencies_ns, dtype=float)
-        if not np.isfinite(latencies).all() or (latencies <= 0).any():
+        # Python floats: the same tests as numpy's, without its per-call
+        # cost on a handful of values.
+        latencies = np.asarray(latencies_ns, dtype=float).ravel().tolist()
+        if not all(math.isfinite(x) and x > 0 for x in latencies):
             self._violate(
                 "memhw.latency_physical",
                 "equilibrium latencies must be finite and positive",
-                time_s, latencies_ns=latencies.tolist(),
+                time_s, latencies_ns=latencies,
             )
-        if not np.isfinite(throughput) or throughput < 0:
+        if not math.isfinite(throughput) or throughput < 0:
             self._violate(
                 "memhw.throughput_nonnegative",
                 "equilibrium throughput must be finite and non-negative",
@@ -241,21 +244,24 @@ class Checker:
 
     def placement_snapshot(self, placement) -> dict:
         """Capture the placement ground truth before a migration batch."""
-        tier = placement.pages.tier
-        placed = tier >= 0
-        placed_tier = tier[placed]
-        placed_sizes = placement.pages.sizes_bytes[placed]
-        n_tiers = placement.n_tiers
-        byte_sums = np.bincount(
-            placed_tier,
-            weights=placed_sizes.astype(float),
-            minlength=n_tiers,
-        ).astype(np.int64)
+        pages = placement.pages
+        tier = pages.tier
+        uniform = pages.min_page_bytes == pages.max_page_bytes
+        counts = []
+        tier_bytes = []
+        for t in range(placement.n_tiers):
+            in_tier = tier == t
+            count = int(np.count_nonzero(in_tier))
+            counts.append(count)
+            # Uniform pages (the usual case) need no masked sum.
+            tier_bytes.append(
+                count * pages.min_page_bytes if uniform
+                else int(pages.sizes_bytes[in_tier].sum()))
         return {
-            "n_pages": int(tier.shape[0]),
-            "placed_pages": int(placed_tier.shape[0]),
-            "tier_bytes": byte_sums[:n_tiers],
-            "total_bytes": int(placed_sizes.sum()),
+            "n_pages": len(tier),
+            "placed_pages": sum(counts),
+            "tier_bytes": np.array(tier_bytes, dtype=np.int64),
+            "total_bytes": sum(tier_bytes),
         }
 
     def check_migration(self, time_s: float, placement, result,
@@ -289,21 +295,20 @@ class Checker:
                 bytes_before=before["total_bytes"],
                 bytes_after=after["total_bytes"],
             )
-        for t in range(placement.n_tiers):
-            recount = int(after["tier_bytes"][t])
-            if recount != placement.used_bytes(t):
+        for t, recount in enumerate(after["tier_bytes"].tolist()):
+            used = placement.used_bytes(t)
+            if recount != used:
                 self._violate(
                     "pages.accounting_consistent",
                     f"tier {t} used-bytes accounting drifted from the "
                     "page table",
-                    time_s, tier=t, recount=recount,
-                    accounted=placement.used_bytes(t),
+                    time_s, tier=t, recount=recount, accounted=used,
                 )
-            if placement.used_bytes(t) > placement.capacity_bytes(t):
+            if used > placement.capacity_bytes(t):
                 self._violate(
                     "pages.capacity_respected",
                     f"tier {t} is over capacity after migration",
-                    time_s, tier=t, used=placement.used_bytes(t),
+                    time_s, tier=t, used=used,
                     capacity=placement.capacity_bytes(t),
                 )
         if budget_bytes is not None and result.bytes_moved > budget_bytes:

@@ -15,12 +15,13 @@ paper.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.memhw.cha import ChaSample
+from repro.memhw.fixedpoint import tier_sum
 
 #: Default EWMA weight for new samples.
 DEFAULT_EWMA_ALPHA = 0.2
@@ -44,9 +45,13 @@ class LatencyMonitor:
         if (unloaded <= 0).any():
             raise ConfigurationError("unloaded latencies must be positive")
         self._unloaded = unloaded
+        self._unloaded_list = unloaded.tolist()
         self._alpha = float(ewma_alpha)
-        self._occupancy: Optional[np.ndarray] = None
-        self._rate: Optional[np.ndarray] = None
+        # Smoothed per-tier signals as Python floats: the elementwise
+        # EWMA gives the bits numpy would, without its per-call cost on
+        # two or three tiers.
+        self._occupancy: Optional[List[float]] = None
+        self._rate: Optional[List[float]] = None
         self.samples_seen = 0
 
     @property
@@ -58,13 +63,19 @@ class LatencyMonitor:
         """Fold one counter sample into the smoothed state."""
         if sample.occupancy.shape != (self.n_tiers,):
             raise ConfigurationError("sample tier count mismatch")
+        occupancy = sample.occupancy.astype(float).tolist()
+        rate = sample.rate.astype(float).tolist()
         if self._occupancy is None:
-            self._occupancy = sample.occupancy.astype(float).copy()
-            self._rate = sample.rate.astype(float).copy()
+            self._occupancy = occupancy
+            self._rate = rate
         else:
             a = self._alpha
-            self._occupancy = (1 - a) * self._occupancy + a * sample.occupancy
-            self._rate = (1 - a) * self._rate + a * sample.rate
+            keep = 1 - a
+            self._occupancy = [keep * old + a * new
+                               for old, new in zip(self._occupancy,
+                                                   occupancy)]
+            self._rate = [keep * old + a * new
+                          for old, new in zip(self._rate, rate)]
         self.samples_seen += 1
 
     @property
@@ -72,7 +83,7 @@ class LatencyMonitor:
         """EWMA-smoothed per-tier request rates (requests/ns)."""
         if self._rate is None:
             return np.zeros(self.n_tiers)
-        return self._rate.copy()
+        return np.array(self._rate)
 
     def latencies_ns(self) -> np.ndarray:
         """Per-tier latency estimates, ``O / R`` on the smoothed signals.
@@ -81,22 +92,25 @@ class LatencyMonitor:
         probe request would see, and the right operand for the balancing
         comparison (an idle tier is maximally attractive).
         """
-        result = self._unloaded.copy()
         if self._occupancy is None:
-            return result
-        active = self._rate > _MIN_RATE
-        result[active] = self._occupancy[active] / self._rate[active]
+            return self._unloaded.copy()
+        result = self._unloaded_list.copy()
+        for i, (occupancy, rate) in enumerate(zip(self._occupancy,
+                                                  self._rate)):
+            if rate > _MIN_RATE:
+                result[i] = occupancy / rate
         # Measurement noise can push the estimate below physical unloaded
         # latency; clamp, as the kernel implementation does.
         return np.maximum(result, self._unloaded)
 
     def measured_p(self) -> float:
         """Default-tier share of total request rate (Algorithm 1, line 4)."""
-        rates = self.smoothed_rates
-        total = float(rates.sum())
+        if self._rate is None:
+            return 0.0
+        total = tier_sum(self._rate)
         if total <= _MIN_RATE:
             return 0.0
-        return float(rates[0]) / total
+        return self._rate[0] / total
 
     def reset(self) -> None:
         """Forget all smoothed state (used on reconfiguration)."""

@@ -20,6 +20,7 @@ turning them into latencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -65,8 +66,11 @@ class ChaCounters:
         self._n_tiers = n_tiers
         self._noise_sigma = noise_sigma
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._occupancy_integral = np.zeros(n_tiers)
-        self._arrivals = np.zeros(n_tiers)
+        # Per-tier integrals as Python floats: elementwise float
+        # arithmetic gives the bits numpy would, without its per-call
+        # cost on two or three tiers.
+        self._occupancy_integral = [0.0] * n_tiers
+        self._arrivals = [0.0] * n_tiers
         self._elapsed_ns = 0.0
 
     @property
@@ -90,10 +94,14 @@ class ChaCounters:
                 f"equilibrium has {rates.shape[0]} tiers, "
                 f"counters expect {self._n_tiers}"
             )
-        # Little's Law in reverse: steady-state queue occupancy is R * L.
-        occupancy = rates * equilibrium.latencies_ns
-        self._occupancy_integral += occupancy * duration_ns
-        self._arrivals += rates * duration_ns
+        occupancy = self._occupancy_integral
+        arrivals = self._arrivals
+        for i, (rate, latency) in enumerate(zip(
+                rates.tolist(), equilibrium.latencies_ns.tolist())):
+            # Little's Law in reverse: steady-state queue occupancy is
+            # R * L.
+            occupancy[i] += rate * latency * duration_ns
+            arrivals[i] += rate * duration_ns
         self._elapsed_ns += duration_ns
 
     def sample_and_reset(self) -> ChaSample:
@@ -102,27 +110,30 @@ class ChaCounters:
         An empty window yields all-zero occupancy and rates, which is what
         idle hardware counters report.
         """
-        if self._elapsed_ns > 0:
-            occupancy = self._occupancy_integral / self._elapsed_ns
-            rate = self._arrivals / self._elapsed_ns
+        elapsed = self._elapsed_ns
+        if elapsed > 0:
+            occupancy = [o / elapsed for o in self._occupancy_integral]
+            rate = [a / elapsed for a in self._arrivals]
         else:
-            occupancy = np.zeros(self._n_tiers)
-            rate = np.zeros(self._n_tiers)
+            occupancy = [0.0] * self._n_tiers
+            rate = [0.0] * self._n_tiers
         if self._noise_sigma > 0:
-            occupancy = occupancy * self._lognormal_noise()
-            rate = rate * self._lognormal_noise()
+            occupancy = list(map(mul, occupancy, self._lognormal_noise()))
+            rate = list(map(mul, rate, self._lognormal_noise()))
         sample = ChaSample(
-            occupancy=occupancy,
-            rate=rate,
-            duration_ns=self._elapsed_ns,
+            occupancy=np.array(occupancy),
+            rate=np.array(rate),
+            duration_ns=elapsed,
         )
-        self._occupancy_integral = np.zeros(self._n_tiers)
-        self._arrivals = np.zeros(self._n_tiers)
+        self._occupancy_integral = [0.0] * self._n_tiers
+        self._arrivals = [0.0] * self._n_tiers
         self._elapsed_ns = 0.0
         return sample
 
-    def _lognormal_noise(self) -> np.ndarray:
-        """Multiplicative noise factors, mean ~1."""
+    def _lognormal_noise(self) -> list:
+        """Multiplicative noise factors, mean ~1: one ``normal`` draw of
+        ``n_tiers`` values, exponentiated by numpy (``math.exp`` is not
+        guaranteed to round like ``np.exp``)."""
         return np.exp(
             self._rng.normal(0.0, self._noise_sigma, size=self._n_tiers)
-        )
+        ).tolist()

@@ -171,10 +171,25 @@ class MultiEquilibrium:
         application's, the antagonist's and migration traffic, exactly
         as on real hardware.
         """
-        total = float(self.tier_read_request_rate.sum())
+        rates = self.tier_read_request_rate.tolist()
+        total = tier_sum(rates)
         if total <= 0:
             return 0.0
-        return float(self.tier_read_request_rate[0]) / total
+        return rates[0] / total
+
+
+def tier_sum(values: Sequence[float]) -> float:
+    """``np.sum`` of a per-tier float sequence, bit for bit.
+
+    Two values (the two-tier machine) are added in Python, skipping
+    numpy's per-call cost: ``(0.0 + a) + b`` is what every numpy version
+    computes for two elements, signed zeros included. Other lengths go
+    through numpy, whose summation order for them differs between
+    versions.
+    """
+    if len(values) == 2:
+        return (0.0 + values[0]) + values[1]
+    return float(np.sum(values))
 
 
 def _relative_residual(new_latencies: Sequence[float],
@@ -532,17 +547,21 @@ class EquilibriumSolver:
             raise ConfigurationError(
                 f"split must have {n} entries, got shape {split_arr.shape}"
             )
-        if (split_arr < -1e-12).any():
+        # Per-tier floats: the same values np.clip and the array division
+        # give (NaN propagates, -0.0 clips to 0.0), without numpy's
+        # per-call cost on two or three elements.
+        values = split_arr.tolist()
+        if any(v < -1e-12 for v in values):
             raise ConfigurationError("split fractions must be non-negative")
-        split_arr = np.clip(split_arr, 0.0, None)
-        total_split = split_arr.sum()
+        values = [0.0 if v <= 0.0 else v for v in values]
+        total_split = tier_sum(values)
         if app.n_cores > 0:
             if abs(total_split - 1.0) > 1e-6:
                 raise ConfigurationError(
                     f"split must sum to 1, got {total_split}"
                 )
-            split_arr = split_arr / total_split
-        return split_arr
+            values = [v / total_split for v in values]
+        return np.array(values)
 
     def _iterate(self, problem: _SolveProblem,
                  warm: Optional[List[float]]):

@@ -50,7 +50,9 @@ class MbmMonitor:
             raise ConfigurationError("traffic multiplier must be >= 1")
         self._n_tiers = n_tiers
         self._multiplier = traffic_multiplier
-        self._traffic_integral = np.zeros(n_tiers)
+        # Python floats per tier: the bits numpy would give, without its
+        # per-call cost on two or three tiers.
+        self._traffic_integral = [0.0] * n_tiers
         self._elapsed_ns = 0.0
 
     def observe_rates(self, tier_read_rate: np.ndarray,
@@ -67,18 +69,22 @@ class MbmMonitor:
         reads = np.asarray(tier_read_rate, dtype=float)
         if reads.shape != (self._n_tiers,):
             raise ConfigurationError("tier count mismatch")
-        self._traffic_integral += reads * self._multiplier * duration_ns
+        integral = self._traffic_integral
+        multiplier = self._multiplier
+        for i, read in enumerate(reads.tolist()):
+            integral[i] += read * multiplier * duration_ns
         self._elapsed_ns += duration_ns
 
     def sample_and_reset(self) -> MbmSample:
         """Produce the window's sample and reset the accumulator."""
-        if self._elapsed_ns > 0:
-            bandwidth = self._traffic_integral / self._elapsed_ns
+        elapsed = self._elapsed_ns
+        if elapsed > 0:
+            bandwidth = [b / elapsed for b in self._traffic_integral]
         else:
-            bandwidth = np.zeros(self._n_tiers)
+            bandwidth = [0.0] * self._n_tiers
         sample = MbmSample(
-            app_tier_bandwidth=bandwidth, duration_ns=self._elapsed_ns
+            app_tier_bandwidth=np.array(bandwidth), duration_ns=elapsed
         )
-        self._traffic_integral = np.zeros(self._n_tiers)
+        self._traffic_integral = [0.0] * self._n_tiers
         self._elapsed_ns = 0.0
         return sample

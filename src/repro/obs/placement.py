@@ -231,17 +231,18 @@ class FlowTracker:
         now = self._quantum
         horizon = now - self.window_quanta
         wasted = 0
-        for page, src, dst, size in zip(moved_pages, src_tiers,
-                                        dst_tiers, sizes_bytes):
-            page = int(page)
-            src = int(src)
-            dst = int(dst)
-            previous = self._last_move.get(page)
-            if previous is not None and previous == (dst, src):
-                history = self._reversals.setdefault(page, [])
-                history.append(now)
-                wasted += int(size)
-            self._last_move[page] = (src, dst)
+        if len(moved_pages):
+            for page, src, dst, size in zip(
+                    np.asarray(moved_pages).tolist(),
+                    np.asarray(src_tiers).tolist(),
+                    np.asarray(dst_tiers).tolist(),
+                    np.asarray(sizes_bytes).tolist()):
+                previous = self._last_move.get(page)
+                if previous is not None and previous == (dst, src):
+                    history = self._reversals.setdefault(page, [])
+                    history.append(now)
+                    wasted += size
+                self._last_move[page] = (src, dst)
         self.total_wasted_bytes += wasted
 
         ping_pong = 0
@@ -454,22 +455,22 @@ class PlacementObserver:
         self._quantum += 1
 
         moved_pages = getattr(result, "moved_pages", None)
-        if moved_pages is None:
-            moved_pages = np.empty(0, dtype=np.int64)
-            moved_src = np.empty(0, dtype=np.int64)
-            moved_dst = np.empty(0, dtype=np.int64)
+        if moved_pages is None or not len(moved_pages):
+            # Most quanta move nothing: an all-zero flow matrix, and the
+            # churn window only ages.
+            empty = np.empty(0, dtype=np.int64)
+            flows = np.zeros((self.n_tiers, self.n_tiers), dtype=np.int64)
+            ping_pong, wasted = self.flows.observe(empty, empty, empty,
+                                                   empty)
         else:
             moved_src = result.moved_src_tiers
             moved_dst = result.moved_dst_tiers
-        sizes = placement.pages.sizes_bytes
-        moved_sizes = sizes[moved_pages] if len(moved_pages) else (
-            np.empty(0, dtype=np.int64)
-        )
-        flows = flow_matrix(self.n_tiers, moved_src, moved_dst,
-                            moved_sizes)
-        ping_pong, wasted = self.flows.observe(
-            moved_pages, moved_src, moved_dst, moved_sizes
-        )
+            moved_sizes = placement.pages.sizes_bytes[moved_pages]
+            flows = flow_matrix(self.n_tiers, moved_src, moved_dst,
+                                moved_sizes)
+            ping_pong, wasted = self.flows.observe(
+                moved_pages, moved_src, moved_dst, moved_sizes
+            )
 
         if (probs_changed is False
                 and self._cached_deciles is not None

@@ -241,11 +241,25 @@ class MigrationExecutor:
             min(int(budget_bytes), self._tokens)
         )
         placement = self._placement
-        pages = placement.pages
         n_tiers = placement.n_tiers
+        n_planned = len(plan)
+        if not n_planned:
+            # Most quanta plan nothing: the tokens accrued above are all
+            # an empty plan changes.
+            return MigrationResult(
+                bytes_moved=0, moves_applied=0, moves_skipped=0,
+                moves_deferred=0,
+                tier_traffic=[[] for _ in range(n_tiers)],
+                read_bytes_per_tier=np.zeros(n_tiers, dtype=np.int64),
+                write_bytes_per_tier=np.zeros(n_tiers, dtype=np.int64),
+                moved_pages=np.empty(0, dtype=np.int64),
+                moved_src_tiers=np.empty(0, dtype=np.int64),
+                moved_dst_tiers=np.empty(0, dtype=np.int64),
+            )
+        pages = placement.pages
 
-        moved_read = np.zeros(n_tiers, dtype=np.int64)   # bytes read per tier
-        moved_write = np.zeros(n_tiers, dtype=np.int64)  # bytes written
+        moved_read = [0] * n_tiers   # bytes read per tier
+        moved_write = [0] * n_tiers  # bytes written per tier
         bytes_moved = 0
         applied = skipped = deferred = 0
         applied_pages: List[int] = []
@@ -254,7 +268,7 @@ class MigrationExecutor:
 
         tier = pages.tier
         sizes = pages.sizes_bytes
-        n_planned = len(plan)
+        move_page = placement.move_page
         # Each applied move spends at least the smallest page size, so the
         # walk reaches the budget within this many entries unless capacity
         # skips or no-op entries (which spend nothing) push it further; only
@@ -271,9 +285,8 @@ class MigrationExecutor:
                 if bytes_moved + size > budget:
                     deferred = n_planned - applied - skipped
                     break
-                single = np.array([idx], dtype=np.int64)
                 try:
-                    placement.move(single, dst)
+                    move_page(idx, dst)
                 except CapacityError:
                     skipped += 1
                     continue
@@ -328,8 +341,8 @@ class MigrationExecutor:
             moves_skipped=skipped,
             moves_deferred=deferred,
             tier_traffic=tier_traffic,
-            read_bytes_per_tier=moved_read.copy(),
-            write_bytes_per_tier=moved_write.copy(),
+            read_bytes_per_tier=np.array(moved_read, dtype=np.int64),
+            write_bytes_per_tier=np.array(moved_write, dtype=np.int64),
             moved_pages=np.array(applied_pages, dtype=np.int64),
             moved_src_tiers=np.array(applied_src, dtype=np.int64),
             moved_dst_tiers=np.array(applied_dst, dtype=np.int64),

@@ -37,8 +37,10 @@ class PlacementState:
                 f"capacity ({int(capacities.sum())} B)"
             )
         self._pages = pages
-        self._capacities = capacities
-        self._used = np.zeros(len(capacities), dtype=np.int64)
+        # Per-tier byte counts as Python ints, so a one-page move is
+        # integer arithmetic rather than numpy calls on 2-3 elements.
+        self._capacities = capacities.tolist()
+        self._used = [0] * len(capacities)
         self._recount()
 
     def _recount(self) -> None:
@@ -46,7 +48,7 @@ class PlacementState:
         tier = self._pages.tier
         sizes = self._pages.sizes_bytes
         for t in range(len(self._capacities)):
-            self._used[t] = sizes[tier == t].sum()
+            self._used[t] = int(sizes[tier == t].sum())
 
     @property
     def pages(self) -> PageArray:
@@ -60,15 +62,15 @@ class PlacementState:
 
     def capacity_bytes(self, tier: int) -> int:
         """Capacity of ``tier``."""
-        return int(self._capacities[tier])
+        return self._capacities[tier]
 
     def used_bytes(self, tier: int) -> int:
         """Bytes currently placed in ``tier``."""
-        return int(self._used[tier])
+        return self._used[tier]
 
     def free_bytes(self, tier: int) -> int:
         """Remaining capacity in ``tier``."""
-        return int(self._capacities[tier] - self._used[tier])
+        return self._capacities[tier] - self._used[tier]
 
     def move(self, page_indices: np.ndarray, dst_tier: int) -> None:
         """Move pages to ``dst_tier``, enforcing its capacity.
@@ -98,6 +100,32 @@ class PlacementState:
             self._used[t] -= int(sizes[src_tiers == t].sum())
         self._pages.set_tier(moving, dst_tier)
         self._used[dst_tier] += incoming
+
+    def move_page(self, page: int, dst_tier: int) -> None:
+        """Move one page to ``dst_tier``: exactly ``move([page],
+        dst_tier)`` in Python scalars.
+
+        A page already in the destination is ignored; an unplaced page
+        frees no tier's bytes. Raises :class:`CapacityError` (leaving
+        state unchanged) if the page does not fit.
+        """
+        if not 0 <= dst_tier < len(self._capacities):
+            raise ConfigurationError(f"tier {dst_tier} out of range")
+        pages = self._pages
+        src = int(pages.tier[page])
+        if src == dst_tier:
+            return
+        size = int(pages.sizes_bytes[page])
+        used = self._used
+        if used[dst_tier] + size > self._capacities[dst_tier]:
+            raise CapacityError(
+                f"moving {size} B to tier {dst_tier} would exceed its "
+                f"capacity ({self.free_bytes(dst_tier)} B free)"
+            )
+        if src != UNPLACED:
+            used[src] -= size
+        pages.set_tier(page, dst_tier)
+        used[dst_tier] += size
 
     def fits(self, page_indices: np.ndarray, dst_tier: int) -> bool:
         """Whether moving the pages to ``dst_tier`` would respect capacity."""

@@ -40,7 +40,8 @@ from repro.check.invariants import (
 from repro.errors import ConfigurationError
 from repro.memhw.antagonist import antagonist_core_group
 from repro.memhw.cha import ChaCounters
-from repro.memhw.fixedpoint import EquilibriumSolver
+from repro.memhw.corestate import CoreGroup
+from repro.memhw.fixedpoint import EquilibriumSolver, tier_sum
 from repro.memhw.latency import TrafficClass
 from repro.memhw.mbm import MbmMonitor
 from repro.memhw.topology import Machine
@@ -74,6 +75,8 @@ def coerce_intensity(value, time_s: Optional[float] = None) -> int:
     :class:`ConfigurationError` naming the simulated time, instead of
     silently truncating into a wrong antagonist intensity.
     """
+    if type(value) is int and value >= 0:  # the per-quantum common case
+        return value
     where = ("in the contention schedule" if time_s is None
              else f"from the contention schedule at t={time_s:.3f}s")
     try:
@@ -119,7 +122,12 @@ class TenantSpec:
 
 @dataclass
 class _Tenant:
-    """Runtime state of one tenant (private to the loop)."""
+    """Runtime state of one tenant (private to the loop).
+
+    Besides the tenant's components it holds what the loop caches across
+    quanta (see :meth:`tier_split` and :meth:`app_core_group`) and the
+    copy debt, per tier, as Python floats.
+    """
 
     spec: TenantSpec
     tracer: object
@@ -129,24 +137,65 @@ class _Tenant:
     mbm: MbmMonitor
     placement: PlacementState
     executor: MigrationExecutor
-    copy_read_debt: np.ndarray
-    copy_write_debt: np.ndarray
+    copy_read_debt: List[float]
+    copy_write_debt: List[float]
     metrics: MetricsRecorder = field(default_factory=MetricsRecorder)
     placement_obs: Optional[PlacementObserver] = None
     audit_warm: Optional[np.ndarray] = None
+    # Tier-split cache: the split, and the page-table version and the
+    # very probability array it was computed from.
+    _split: Optional[np.ndarray] = field(default=None, init=False)
+    _split_version: int = field(default=-1, init=False)
+    _split_probs: Optional[np.ndarray] = field(default=None, init=False)
+    # Core-group memo: the workload's group, and (scale, scaled group).
+    _group: Optional[CoreGroup] = field(default=None, init=False)
+    _scaled: Optional[tuple] = field(default=None, init=False)
 
     @property
     def name(self) -> str:
         return self.spec.name
 
-    def app_core_group(self):
+    def forget_distribution(self) -> None:
+        """Drop everything derived from the workload's distribution (its
+        ``advance`` reported a change, possibly made in place)."""
+        self._split_probs = None
+        self._group = None
+        self._scaled = None
+
+    def tier_split(self, probs: np.ndarray) -> np.ndarray:
+        """The tenant's per-tier access split for ``probs``.
+
+        Recomputed only when a page moved or resized (the page table's
+        ``version``) or the workload handed out another probability
+        array; an in-place change to the same array must go through
+        :meth:`forget_distribution`. The cached array is shared
+        across quanta and read-only.
+        """
+        version = self.placement.pages.version
+        if probs is not self._split_probs or version != self._split_version:
+            split = self.placement.tier_probabilities(probs)
+            split.flags.writeable = False
+            self._split = split
+            self._split_version = version
+            self._split_probs = probs
+        return self._split
+
+    def app_core_group(self) -> CoreGroup:
         """The tenant's core group with the system's throughput scale
-        (e.g. MEMTIS hugepage-split TLB pressure) applied."""
-        group = self.spec.workload.core_group()
+        (e.g. MEMTIS hugepage-split TLB pressure) applied.
+
+        The workload's group is built once per distribution, and the
+        scaled group once per distinct scale.
+        """
+        if self._group is None:
+            self._group = self.spec.workload.core_group()
+        group = self._group
         scale = self.spec.system.throughput_scale()
-        if scale != 1.0:
-            group = group.with_mlp(group.mlp * scale)
-        return group
+        if scale == 1.0:
+            return group
+        if self._scaled is None or self._scaled[0] != scale:
+            self._scaled = (scale, group.with_mlp(group.mlp * scale))
+        return self._scaled[1]
 
     def drain_copy_debt(self, rate_limit: int, quantum_ns: float):
         """Charge up to one quantum's worth of copy traffic this quantum.
@@ -161,32 +210,44 @@ class _Tenant:
             migration bandwidth presented to the equilibrium solver and
             the amount recorded as this quantum's migration volume.
         """
-        if self.copy_read_debt.sum() + self.copy_write_debt.sum() <= 0:
+        read_debt = self.copy_read_debt
+        write_debt = self.copy_write_debt
+        # Debts are never negative, so "no debt" is "all zero".
+        if not (any(read_debt) or any(write_debt)):
             return None, 0
         # Reads and writes of one copy happen together; scale both sides
         # by the same factor so the rate limit covers moved bytes (the
         # read side), matching the executor's accounting.
-        moved_debt = self.copy_read_debt.sum()
+        moved_debt = tier_sum(read_debt)
         fraction = min(1.0, rate_limit / max(moved_debt, 1.0))
-        charged_read = self.copy_read_debt * fraction
-        charged_write = self.copy_write_debt * fraction
-        self.copy_read_debt -= charged_read
-        self.copy_write_debt -= charged_write
+        charged_read = [debt * fraction for debt in read_debt]
+        charged_write = [debt * fraction for debt in write_debt]
         traffic = []
-        for t in range(len(charged_read)):
+        for t, (read, write) in enumerate(zip(charged_read,
+                                              charged_write)):
+            read_debt[t] -= read
+            write_debt[t] -= write
             classes = []
-            if charged_read[t] > 0:
+            if read > 0:
                 classes.append(TrafficClass(
-                    bandwidth=charged_read[t] / quantum_ns,
+                    bandwidth=read / quantum_ns,
                     randomness=0.3, read_fraction=1.0,
                 ))
-            if charged_write[t] > 0:
+            if write > 0:
                 classes.append(TrafficClass(
-                    bandwidth=charged_write[t] / quantum_ns,
+                    bandwidth=write / quantum_ns,
                     randomness=0.3, read_fraction=0.0,
                 ))
             traffic.append(classes)
-        return traffic, int(charged_read.sum())
+        return traffic, int(tier_sum(charged_read))
+
+    def add_copy_debt(self, result) -> None:
+        """Owe the copies of an executed migration batch."""
+        for t, (read, write) in enumerate(zip(
+                result.read_bytes_per_tier.tolist(),
+                result.write_bytes_per_tier.tolist())):
+            self.copy_read_debt[t] += read
+            self.copy_write_debt[t] += write
 
 
 def _solve_apps(solver: EquilibriumSolver, apps, **inputs):
@@ -295,6 +356,8 @@ class QuantumLoop:
         # Last antagonist intensity observed; a change mid-run is the
         # paper's Fig. 4c dynamism and opens a new diagnostics epoch.
         self._last_intensity: Optional[int] = None
+        # The antagonist's core group at that intensity.
+        self._antagonist: Optional[CoreGroup] = None
 
     def _add_tenant(self, spec: TenantSpec, placement: PlacementState,
                     tracer, checker, rng: np.random.Generator,
@@ -324,8 +387,8 @@ class QuantumLoop:
                 placement, self._migration_limit_bytes,
                 burst_quanta=burst_quanta, tracer=tracer,
             ),
-            copy_read_debt=np.zeros(n_tiers),
-            copy_write_debt=np.zeros(n_tiers),
+            copy_read_debt=[0.0] * n_tiers,
+            copy_write_debt=[0.0] * n_tiers,
         )
         self._tenants.append(tenant)
         spec.system.attach(placement)
@@ -439,14 +502,18 @@ class QuantumLoop:
         tenant_shifted = []
         for tenant in tenants:
             shifted = bool(tenant.spec.workload.advance(t))
-            # Dynamic workloads report hot-set reshuffles; the event is
-            # what lets repro.obs.diagnose segment the run into epochs
-            # and judge per-epoch (re)convergence.
-            if shifted and tracer.enabled:
-                self._epoch += 1
-                tenant.tracer.emit("workload_shift", epoch=self._epoch)
+            if shifted:
+                # GUPS reshuffles its hot set in place: the probability
+                # array is the same object with new contents.
+                tenant.forget_distribution()
+                # Dynamic workloads report hot-set reshuffles; the event
+                # is what lets repro.obs.diagnose segment the run into
+                # epochs and judge per-epoch (re)convergence.
+                if tracer.enabled:
+                    self._epoch += 1
+                    tenant.tracer.emit("workload_shift", epoch=self._epoch)
             probs = tenant.spec.workload.access_probabilities()
-            split = tenant.placement.tier_probabilities(probs)
+            split = tenant.tier_split(probs)
             # Hardware-managed systems (memory mode) steer traffic
             # without moving pages; they publish the split they produce.
             override_fn = getattr(tenant.spec.system,
@@ -460,6 +527,8 @@ class QuantumLoop:
             tenant_shifted.append(shifted)
         intensity = coerce_intensity(self._contention(t), time_s=t)
         if intensity != self._last_intensity:
+            self._antagonist = antagonist_core_group(
+                intensity, self.machine.antagonist)
             previous = self._last_intensity
             self._last_intensity = intensity
             if previous is not None and tracer.enabled:
@@ -470,8 +539,7 @@ class QuantumLoop:
                     previous=previous,
                     epoch=self._epoch,
                 )
-        antagonist = antagonist_core_group(intensity,
-                                           self.machine.antagonist)
+        antagonist = self._antagonist
         dt_workload = profiler.lap("workload_advance")
 
         # 2. One shared solve over every tenant's demand plus the summed
@@ -571,8 +639,7 @@ class QuantumLoop:
                     t, tenant.placement, result, snapshot
                 )
             if result.bytes_moved > 0:
-                tenant.copy_read_debt += result.read_bytes_per_tier
-                tenant.copy_write_debt += result.write_bytes_per_tier
+                tenant.add_copy_debt(result)
             dt_migrate += profiler.lap("migration_execute")
             if tenant.placement_obs is not None:
                 evaluate = None

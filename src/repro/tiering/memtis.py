@@ -80,6 +80,10 @@ class MemtisSystem(TieringSystem):
         self._counts: Optional[np.ndarray] = None
         self._split: Optional[np.ndarray] = None
         self._did_split = False
+        # throughput_scale() of the current split mask, refreshed where
+        # the mask changes instead of reduced over every page each
+        # quantum.
+        self._scale = 1.0
         self._last_action_s = -np.inf
         self._decay = 0.98  # slow exponential ageing of counts
 
@@ -89,6 +93,7 @@ class MemtisSystem(TieringSystem):
         self._counts = np.zeros(n)
         self._split = np.zeros(n, dtype=bool)
         self._did_split = False
+        self._scale = 1.0
         self._last_action_s = -np.inf
 
     @property
@@ -100,7 +105,8 @@ class MemtisSystem(TieringSystem):
 
     @property
     def split_pages(self) -> np.ndarray:
-        """Mask of pages MEMTIS has split into base pages."""
+        """Mask of pages MEMTIS has split into base pages (read-only:
+        :meth:`throughput_scale` tracks MEMTIS's own changes to it)."""
         if self._split is None:
             raise ConfigurationError("system not attached yet")
         return self._split
@@ -134,6 +140,7 @@ class MemtisSystem(TieringSystem):
         order = np.argsort(-self.counts, kind="stable")
         n_split = int(self.split_fraction * len(order))
         self._split[order[:n_split]] = True
+        self._refresh_scale()
         self.account("hugepage_splits", n_split)
         if ctx.tracer.enabled:
             ctx.tracer.emit("memtis_split", n_split=n_split)
@@ -151,15 +158,20 @@ class MemtisSystem(TieringSystem):
         self._coalesce_credit -= n
         split_idx = np.nonzero(self._split)[0]
         self._split[split_idx[:n]] = False
+        self._refresh_scale()
         self.account("hugepage_coalesces", min(n, len(split_idx)))
+
+    def _refresh_scale(self) -> None:
+        if not self._split.any():
+            self._scale = 1.0
+            return
+        frac = float(self._split.mean())
+        self._scale = 1.0 - SPLIT_TLB_PENALTY * (
+            frac / max(self.split_fraction, 1e-9))
 
     def throughput_scale(self) -> float:
         """TLB-pressure penalty proportional to the split fraction."""
-        if self._split is None or not self._split.any():
-            return 1.0
-        frac = float(self._split.mean())
-        return 1.0 - SPLIT_TLB_PENALTY * (frac / max(self.split_fraction,
-                                                     1e-9))
+        return self._scale
 
     def make_plan(self, ctx: QuantumContext) -> QuantumDecision:
         """Hot pages (count >= dynamic threshold) packed into default tier."""

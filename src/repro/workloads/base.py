@@ -64,7 +64,11 @@ class Workload(abc.ABC):
 
         Returns:
             True if the access distribution changed (so cached state
-            derived from it must be refreshed).
+            derived from it must be refreshed). A change made in place,
+            to the same array :meth:`access_probabilities` returned
+            before (GUPS's hot-set reshuffle), must return True too: the
+            loop reuses each tenant's tier split and core group until
+            this returns True or the page table changes.
         """
         return False
 

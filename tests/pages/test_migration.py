@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
+from repro.memhw.latency import TrafficClass
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import Tracer
-from repro.pages.migration import MigrationExecutor, MigrationPlan
+from repro.pages.migration import (
+    MigrationExecutor,
+    MigrationPlan,
+    MigrationResult,
+)
 from repro.pages.pagestate import PageArray
 from repro.pages.placement import PlacementState, fill_default_first
 from repro.pages.selection import stable_top_k
@@ -328,3 +333,142 @@ class TestRankedPlanExecutesLikeItsEagerCopy:
         assert ranked_run[2][0]["planned_bytes"] == int(
             MIXED[eager.page_indices].sum())
         assert ranked_run[3] == eager_run[3]
+
+
+def former_execute(executor, plan, quantum_ns, budget_bytes=None):
+    """``MigrationExecutor.execute`` as it was before one-page moves went
+    through ``PlacementState.move_page``: every move is
+    ``move(np.array([idx]))`` and the per-tier bytes are numpy arrays.
+    Kept as the oracle for the whole result."""
+    executor._tokens = min(executor._burst_cap,
+                           executor._tokens + executor._limit)
+    budget = executor._tokens if budget_bytes is None else (
+        min(int(budget_bytes), executor._tokens))
+    placement = executor._placement
+    pages = placement.pages
+    n_tiers = placement.n_tiers
+    moved_read = np.zeros(n_tiers, dtype=np.int64)
+    moved_write = np.zeros(n_tiers, dtype=np.int64)
+    bytes_moved = applied = skipped = deferred = 0
+    applied_pages, applied_src, applied_dst = [], [], []
+    n_planned = len(plan)
+    for idx, dst in zip(plan.page_indices.tolist(), plan.dst_tiers.tolist()):
+        src = int(pages.tier[idx])
+        if src == dst:
+            continue
+        size = int(pages.sizes_bytes[idx])
+        if bytes_moved + size > budget:
+            deferred = n_planned - applied - skipped
+            break
+        try:
+            placement.move(np.array([idx], dtype=np.int64), dst)
+        except CapacityError:
+            skipped += 1
+            continue
+        bytes_moved += size
+        moved_read[src] += size
+        moved_write[dst] += size
+        applied += 1
+        applied_pages.append(idx)
+        applied_src.append(src)
+        applied_dst.append(dst)
+    executor._tokens -= bytes_moved
+    tier_traffic = [[] for _ in range(n_tiers)]
+    for t in range(n_tiers):
+        if moved_read[t] > 0:
+            tier_traffic[t].append(TrafficClass(
+                bandwidth=moved_read[t] / quantum_ns, randomness=0.3,
+                read_fraction=1.0))
+        if moved_write[t] > 0:
+            tier_traffic[t].append(TrafficClass(
+                bandwidth=moved_write[t] / quantum_ns, randomness=0.3,
+                read_fraction=0.0))
+    return MigrationResult(
+        bytes_moved=bytes_moved, moves_applied=applied,
+        moves_skipped=skipped, moves_deferred=deferred,
+        tier_traffic=tier_traffic,
+        read_bytes_per_tier=moved_read.copy(),
+        write_bytes_per_tier=moved_write.copy(),
+        moved_pages=np.array(applied_pages, dtype=np.int64),
+        moved_src_tiers=np.array(applied_src, dtype=np.int64),
+        moved_dst_tiers=np.array(applied_dst, dtype=np.int64),
+    )
+
+
+def random_state(rng, n_pages=400, n_tiers=3):
+    """Mixed page sizes over ``n_tiers`` tight tiers, with some pages
+    left unplaced (moving one frees no tier's bytes)."""
+    sizes = rng.choice([100, 200, 300], n_pages).astype(np.int64)
+    home = rng.integers(-1, n_tiers, n_pages)
+    capacities = [int(sizes[home == t].sum()) + int(rng.integers(0, 600))
+                  for t in range(n_tiers)]
+    capacities[-1] += int(sizes[home == -1].sum())
+    placement = PlacementState(PageArray(sizes), capacities)
+    for t in range(n_tiers):
+        placement.move(np.nonzero(home == t)[0], t)
+    return placement
+
+
+def random_plan(rng, n_pages, n_tiers):
+    """An eager segment, then ranked segments to random tiers."""
+    n_eager = int(rng.integers(0, 80))
+    segments = [MigrationPlan(rng.integers(0, n_pages, n_eager),
+                              rng.integers(0, n_tiers, n_eager))]
+    for __ in range(int(rng.integers(0, 3))):
+        candidates = rng.choice(n_pages, int(rng.integers(1, 200)),
+                                replace=False)
+        key = rng.integers(0, 5, candidates.size).astype(float)
+        count = int(rng.integers(0, candidates.size + 1))
+        segments.append(MigrationPlan.ranked(
+            candidates, key, count, int(rng.integers(0, n_tiers))))
+    return MigrationPlan.concat(segments)
+
+
+class TestOnePageMovesMatchTheFormerWalk:
+    """The executor's scalar one-page moves give the result, placement
+    and page-table version of the former ``move(np.array([idx]))``
+    walk, on eager and ranked plans alike."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_plans(self, seed):
+        rng = np.random.default_rng(seed)
+        state_seed = int(rng.integers(2**32))
+        limit = int(rng.choice([150, 700, 5000, 10**6]))
+        placements = [random_state(np.random.default_rng(state_seed))
+                      for __ in range(2)]
+        executors = [MigrationExecutor(p, limit_bytes_per_quantum=limit,
+                                       burst_quanta=3)
+                     for p in placements]
+        for __ in range(6):
+            plan_seed = int(rng.integers(2**32))
+            budget = (None if rng.random() < 0.5
+                      else int(rng.integers(0, 3000)))
+            plans = [random_plan(np.random.default_rng(plan_seed), 400, 3)
+                     for __ in range(2)]
+            expected = former_execute(executors[0], plans[0], QUANTUM_NS,
+                                      budget)
+            result = executors[1].execute(plans[1], QUANTUM_NS, budget)
+            assert_same_result(result, expected)
+            assert executors[1].available_tokens == (
+                executors[0].available_tokens)
+            oracle, scalar = placements
+            np.testing.assert_array_equal(scalar.pages.tier,
+                                          oracle.pages.tier)
+            assert scalar.pages.version == oracle.pages.version
+            for t in range(3):
+                assert scalar.used_bytes(t) == oracle.used_bytes(t)
+
+    def test_empty_plan_accrues_tokens_and_moves_nothing(self):
+        placements = [make_state() for __ in range(2)]
+        executors = [MigrationExecutor(p, limit_bytes_per_quantum=250)
+                     for p in placements]
+        for __ in range(3):
+            expected = former_execute(executors[0], MigrationPlan.empty(),
+                                      QUANTUM_NS)
+            result = executors[1].execute(MigrationPlan.empty(), QUANTUM_NS)
+            assert_same_result(result, expected)
+        assert executors[1].available_tokens == 750
+        plan = MigrationPlan(np.arange(5), np.full(5, 1))
+        assert_same_result(
+            executors[1].execute(plan, QUANTUM_NS),
+            former_execute(executors[0], plan, QUANTUM_NS))

@@ -101,6 +101,85 @@ class TestMove:
             )
 
 
+#: Mixed page sizes for the one-page move oracle; pages 10 and 11 stay
+#: unplaced until a move places them.
+MIXED_SIZES = [100, 300, 100, 200, 100, 300, 200, 100, 100, 300, 200, 100]
+
+
+def mixed_placement() -> PlacementState:
+    placement = PlacementState(PageArray(MIXED_SIZES), [800, 700, 1200])
+    placement.move(np.arange(0, 5), 0)
+    placement.move(np.arange(5, 8), 1)
+    placement.move(np.arange(8, 10), 2)
+    return placement
+
+
+def outcome(action):
+    try:
+        action()
+    except (CapacityError, ConfigurationError) as error:
+        return type(error)
+    return None
+
+
+class TestMovePage:
+    """``move_page`` is ``move([page])`` in Python scalars, checked
+    against ``move`` as the oracle."""
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                              st.integers(min_value=0, max_value=3)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_batch_move(self, moves):
+        oracle = mixed_placement()
+        scalar = mixed_placement()
+        for page, dst in moves:
+            expected = outcome(
+                lambda: oracle.move(np.array([page], dtype=np.int64), dst))
+            got = outcome(lambda: scalar.move_page(page, dst))
+            assert got == expected
+            for tier in range(3):
+                assert scalar.used_bytes(tier) == oracle.used_bytes(tier)
+            np.testing.assert_array_equal(scalar.pages.tier,
+                                          oracle.pages.tier)
+            assert scalar.pages.version == oracle.pages.version
+        for tier in range(3):
+            assert scalar.used_bytes(tier) == (
+                scalar.pages.bytes_in_tier(tier))
+
+    def test_capacity_error_leaves_state_unchanged(self):
+        placement = mixed_placement()  # tier 0 is full
+        version = placement.pages.version
+        tiers = placement.pages.tier.copy()
+        used = [placement.used_bytes(t) for t in range(3)]
+        with pytest.raises(CapacityError):
+            placement.move_page(5, 0)
+        assert placement.pages.version == version
+        np.testing.assert_array_equal(placement.pages.tier, tiers)
+        assert [placement.used_bytes(t) for t in range(3)] == used
+
+    def test_unplaced_source_frees_nothing(self):
+        placement = mixed_placement()
+        used = [placement.used_bytes(t) for t in range(3)]
+        placement.move_page(11, 2)
+        assert placement.pages.tier[11] == 2
+        assert [placement.used_bytes(t) for t in range(3)] == [
+            used[0], used[1], used[2] + 100]
+
+    def test_same_tier_is_a_noop_without_a_version_bump(self):
+        placement = mixed_placement()
+        version = placement.pages.version
+        placement.move_page(0, 0)
+        assert placement.pages.version == version
+
+    def test_rejects_bad_tier(self):
+        placement = mixed_placement()
+        with pytest.raises(ConfigurationError):
+            placement.move_page(0, 3)
+        with pytest.raises(ConfigurationError):
+            placement.move_page(0, -1)
+
+
 class TestProbabilities:
     def test_default_tier_probability(self):
         placement = make_placement()

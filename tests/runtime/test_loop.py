@@ -6,7 +6,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runtime.loop import SimulationLoop
 from repro.tiering.hemem import HememSystem
+from repro.tiering.memorymode import MemoryModeSystem
 from repro.tiering.static import StaticPlacementSystem
+from repro.workloads.dynamic import HotSetShiftWorkload
 from repro.workloads.gups import GupsWorkload
 from tests.conftest import FAST_SCALE
 
@@ -127,3 +129,72 @@ class TestMigrationTrafficSpreading:
         metrics = loop.run(duration_s=4.0)
         assert metrics.p_true[-1] > metrics.p_true[0] - 0.05
         assert metrics.p_true[-10:].mean() > 0.8
+
+
+class TestTierSplitCache:
+    """The loop recomputes a tenant's tier split only when the page table
+    or the workload's distribution changed."""
+
+    @staticmethod
+    def counting_split(placement):
+        """Count calls to ``placement.tier_probabilities``."""
+        calls = []
+        compute = placement.tier_probabilities
+
+        def counted(probs):
+            calls.append(probs)
+            return compute(probs)
+
+        placement.tier_probabilities = counted
+        return calls
+
+    def test_unchanged_state_reuses_the_split(self, small_machine):
+        loop = make_loop(small_machine)
+        calls = self.counting_split(loop.placement)
+        records = [loop.step() for __ in range(5)]
+        assert len(calls) == 1
+        assert len({r.p_true for r in records}) == 1
+
+    def test_in_place_hot_set_shift_recomputes(self, small_machine):
+        """GUPS reshuffles its hot set inside the same array and a static
+        system moves no page: only ``advance()``'s True says the split
+        is stale."""
+        workload = HotSetShiftWorkload(
+            GupsWorkload(scale=FAST_SCALE, seed=3), [0.05])
+        loop = SimulationLoop(machine=small_machine, workload=workload,
+                              system=StaticPlacementSystem(), seed=4)
+        probs = workload.access_probabilities()
+        before = [loop.step().p_true for __ in range(5)]
+        version = loop.placement.pages.version
+        after = loop.step().p_true  # t = 0.05: the shift fires
+        assert workload.access_probabilities() is probs
+        assert loop.placement.pages.version == version
+        assert after == loop.placement.default_tier_probability(probs)
+        assert after != before[-1]
+
+    def test_resize_recomputes(self, small_machine):
+        """A page-table version bump without any move (MEMTIS's
+        split/coalesce bookkeeping resizes pages) recomputes the split."""
+        loop = make_loop(small_machine)
+        calls = self.counting_split(loop.placement)
+        loop.step()
+        pages = loop.placement.pages
+        pages.resize_pages(np.array([0]), [pages.sizes_bytes[0]])
+        loop.step()
+        loop.step()
+        assert len(calls) == 2
+
+    def test_override_applies_while_the_split_is_cached(self, small_machine):
+        """Memory mode never moves a page, so its placement split stays
+        cached, while the split it publishes changes every quantum."""
+        system = MemoryModeSystem()
+        loop = make_loop(small_machine, system=system)
+        calls = self.counting_split(loop.placement)
+        published = [system.traffic_split_override()[0]]
+        p_true = []
+        for __ in range(10):
+            p_true.append(loop.step().p_true)
+            published.append(system.traffic_split_override()[0])
+        assert len(calls) == 1
+        assert p_true == published[:-1]
+        assert len(set(p_true)) > 2
