@@ -69,16 +69,17 @@ class BinnedPageFinder:
             # No samples at all -> no measurable pages -> no candidates.
             probs = counts / total if total > 0 else np.zeros(len(counts))
         sizes = placement.pages.sizes_bytes
-        in_tier = placement.pages.tier == src_tier
-        bins = self.bin_of(counts)
+        # Only the source tier's pages are binned; each bin's candidates
+        # are a subset of them, in ascending page order.
+        in_tier = np.nonzero(placement.pages.tier == src_tier)[0]
+        bins = self.bin_of(counts[in_tier])
         selected: list = []
         acc_p = 0.0
         acc_b = 0
         for b in range(self.n_bins - 1, -1, -1):
-            candidates = in_tier & (bins == b)
+            candidate_idx = in_tier[bins == b]
             if b == 0:
-                candidates &= probs > 0
-            candidate_idx = np.nonzero(candidates)[0]
+                candidate_idx = candidate_idx[probs[candidate_idx] > 0]
             if candidate_idx.size == 0:
                 continue
             chosen = select_pages_by_probability(

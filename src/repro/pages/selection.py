@@ -7,7 +7,7 @@ estimates and a candidate set, select pages whose summed probability stays
 within a budget and whose summed size stays within a byte budget.
 
 :func:`stable_top_k` ranks only the first k pages of a hotness order, for
-plan builders whose byte budget reaches a handful of pages.
+plan builders and selections whose byte budget reaches a handful of pages.
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ def select_pages_by_probability(
     overshoot are skipped (so a small ``dp_budget`` naturally selects
     cooler pages — the behaviour Colloid's binned iteration produces).
 
+    Hottest-first, only a head of the hotness order is ranked (with
+    :func:`stable_top_k`): first as many pages as the byte budget could
+    hold, doubled until the walk over the head provably takes every page
+    the walk over the full order would.
+
     Args:
         prob_estimates: Per-page access-probability estimates (non-negative).
         sizes_bytes: Per-page sizes.
@@ -83,29 +88,60 @@ def select_pages_by_probability(
     cand = np.asarray(candidates, dtype=np.int64)
     if cand.size == 0 or dp_budget == 0 or byte_budget == 0:
         return np.empty(0, dtype=np.int64)
-    if hottest_first:
-        cand = cand[np.argsort(-prob_estimates[cand], kind="stable")]
+    limit_p = dp_budget + 1e-15
     probs = prob_estimates[cand]
     sizes = sizes_bytes[cand]
+    # The running totals only grow (probabilities are non-negative and
+    # float addition is monotone), so a page that does not fit on its
+    # own is never taken. Dropping such pages leaves the walk over the
+    # rest, in the same relative order, unchanged.
+    keep = np.nonzero((probs <= limit_p) & (sizes <= byte_budget))[0]
+    if keep.size < cand.size:
+        cand, probs, sizes = cand[keep], probs[keep], sizes[keep]
+    m = cand.size
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    if not hottest_first:
+        return _greedy(cand, probs, sizes, limit_p, byte_budget)[0]
+    # The walk over the first k pages of the stable hotness order is the
+    # full walk cut off at k. It can stop there once the head is the
+    # whole order, or once no remaining page fits: every one is at least
+    # ``min_size`` bytes and ``min_p`` probability.
+    min_size = int(sizes.min())
+    min_p = float(probs.min())
+    k = min(m, byte_budget // max(min_size, 1))
+    while True:
+        head = stable_top_k(probs, k)
+        chosen, acc_p, acc_b = _greedy(cand[head], probs[head], sizes[head],
+                                       limit_p, byte_budget)
+        if (k == m or byte_budget - acc_b < min_size
+                or acc_p + min_p > limit_p):
+            return chosen
+        k = min(m, 2 * k)
 
+
+def _greedy(cand: np.ndarray, probs: np.ndarray, sizes: np.ndarray,
+            limit_p: float, byte_budget: int):
+    """The greedy walk in the given order: a page is taken iff it fits
+    on top of every page taken before it.
+
+    Returns the taken pages and their summed probability and bytes.
+    """
     # Fast path: the longest prefix that fits both budgets outright; only
     # past the first overshooting page do we fall back to the
     # skip-and-continue scan.
     cum_p = np.cumsum(probs)
     cum_b = np.cumsum(sizes)
-    fits = (cum_p <= dp_budget + 1e-15) & (cum_b <= byte_budget)
+    fits = (cum_p <= limit_p) & (cum_b <= byte_budget)
     if fits.all():
-        return cand
+        return cand, float(cum_p[-1]), int(cum_b[-1])
     prefix = int(np.argmin(fits))  # first index that does not fit
     acc_p = float(cum_p[prefix - 1]) if prefix > 0 else 0.0
     acc_b = int(cum_b[prefix - 1]) if prefix > 0 else 0
-    # Past the prefix, a page is taken iff it fits on top of everything
-    # taken before it. The running totals only grow (probabilities are
-    # non-negative and float addition is monotone), so a page that does
-    # not fit on top of the totals at the first overshoot never fits
-    # later: one vectorized pass drops those pages, and the scan runs
-    # over the survivors only, updating the totals in consideration order.
-    limit_p = dp_budget + 1e-15
+    # Past the prefix, a page that does not fit on top of the totals at
+    # the first overshoot never fits later: one vectorized pass drops
+    # those pages, and the scan runs over the survivors only, updating
+    # the totals in consideration order.
     tail_p = probs[prefix:]
     tail_b = sizes[prefix:]
     keep = np.nonzero((acc_p + tail_p <= limit_p)
@@ -117,4 +153,4 @@ def select_pages_by_probability(
             taken.append(i)
             acc_p += p
             acc_b += b
-    return np.concatenate([cand[:prefix], cand[prefix:][taken]])
+    return np.concatenate([cand[:prefix], cand[prefix:][taken]]), acc_p, acc_b

@@ -75,7 +75,7 @@ class HememSystem(TieringSystem):
         samples = self._sampler.collect(ctx.feed)
         coolings_before = self.counters.coolings
         self.counters.add_samples(samples)
-        self.account("pebs_samples", int(samples.sum()))
+        self.account("pebs_samples", self._sampler.last_samples)
         if ctx.tracer.enabled and self.counters.coolings > coolings_before:
             ctx.tracer.emit(
                 "hemem_cooling",

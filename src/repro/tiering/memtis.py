@@ -116,7 +116,7 @@ class MemtisSystem(TieringSystem):
         samples = self._sampler.collect(ctx.feed)
         self._counts *= self._decay
         self._counts += samples
-        self.account("pebs_samples", int(samples.sum()))
+        self.account("pebs_samples", self._sampler.last_samples)
 
     def hot_threshold(self, placement: PlacementState) -> float:
         """Capacity-fitted hot threshold over the current counts."""

@@ -60,12 +60,15 @@ class CoolingCounters:
         """
         if sample_counts.shape != self._counts.shape:
             raise ConfigurationError("sample count shape mismatch")
-        self._counts += sample_counts
+        # Converted once for both accumulators; exact while counts stay
+        # below 2**53.
+        samples = np.asarray(sample_counts, dtype=np.float64)
+        self._counts += samples
         while self._counts.max(initial=0.0) >= self.cooling_threshold:
             self._counts /= 2.0
             self.coolings += 1
         self._cumulative *= self.estimate_decay
-        self._cumulative += sample_counts
+        self._cumulative += samples
 
     def access_probabilities(self) -> np.ndarray:
         """Estimated per-page access probabilities (§4.1).

@@ -24,11 +24,14 @@ class PebsSampler:
             raise ConfigurationError("sample period must be positive")
         self.sample_period = int(sample_period)
         self.total_samples = 0
+        #: Samples drained by the last :meth:`collect`.
+        self.last_samples = 0
 
     def collect(self, feed: AccessFeed) -> np.ndarray:
         """Drain this quantum's samples into per-page counts."""
         counts = feed.pebs_counts(self.sample_period)
-        self.total_samples += int(counts.sum())
+        self.last_samples = int(counts.sum())
+        self.total_samples += self.last_samples
         return counts
 
 
@@ -54,7 +57,7 @@ class AdaptivePebsSampler(PebsSampler):
 
     def collect(self, feed: AccessFeed) -> np.ndarray:
         counts = feed.pebs_counts(self.sample_period)
-        observed = int(counts.sum())
+        observed = self.last_samples = int(counts.sum())
         self.total_samples += observed
         if observed > 2 * self.target:
             self.sample_period = min(self.max_period, self.sample_period * 2)

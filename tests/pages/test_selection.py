@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.pages.selection as selection
 from repro.errors import ConfigurationError
 from repro.pages.selection import (
     _TOP_K_SORT_MAX_N,
@@ -124,8 +125,9 @@ class TestSelectionProperties:
 
 def _scan_oracle(prob_estimates, sizes_bytes, candidates, dp_budget,
                  byte_budget, hottest_first=True):
-    """The page-by-page scan the vectorized selection must reproduce,
-    kept verbatim from its earlier implementation."""
+    """The page-by-page scan over the fully sorted candidates that the
+    selection must reproduce, kept verbatim from its earlier
+    implementation."""
     if dp_budget < 0 or byte_budget < 0:
         raise ConfigurationError("budgets must be non-negative")
     cand = np.asarray(candidates, dtype=np.int64)
@@ -189,9 +191,58 @@ def _selection_inputs(draw):
     return probs, sizes, candidates, dp_budget, byte_budget
 
 
+@st.composite
+def _ranked_selection_inputs(draw):
+    """Candidate sets on both sides of the full-sort cutoff of
+    :func:`stable_top_k`, with budgets that stop the walk early, late or
+    never, built from a drawn seed so large arrays stay cheap."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=40),
+                       st.integers(min_value=_TOP_K_SORT_MAX_N - 20,
+                                   max_value=3 * _TOP_K_SORT_MAX_N)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["float", "ties", "zeros", "decimal"]))
+    if kind == "float":
+        probs = rng.random(n)
+    elif kind == "ties":
+        probs = rng.integers(0, draw(st.integers(1, 6)), n) / 8.0
+    elif kind == "zeros":
+        probs = np.where(rng.random(n) < 0.7, 0.0, rng.random(n))
+    else:
+        probs = rng.choice([0.0, 0.1, 0.15, 0.2, 0.3], n)
+    probs = probs / max(float(probs.sum()), 1.0)
+    if draw(st.booleans()):
+        sizes = np.full(n, _MIB2, dtype=np.int64)
+    else:
+        sizes = rng.choice([_KIB4, _MIB2], n).astype(np.int64)
+    candidates = np.flatnonzero(rng.random(n) < draw(
+        st.sampled_from([0.3, 0.9, 1.0])))
+    if draw(st.booleans()):
+        candidates = rng.permutation(candidates)
+    hot = np.sort(probs[candidates])[::-1]
+    dp_kind = draw(st.sampled_from(
+        ["zero", "random", "everything", "below_hot", "above_hot"]))
+    if dp_kind == "zero" or hot.size == 0:
+        dp_budget = 0.0
+    elif dp_kind == "random":
+        dp_budget = float(rng.random()) * float(hot.sum())
+    elif dp_kind == "everything":
+        dp_budget = float(hot.sum()) + 1.0
+    else:
+        # Around a hot page's probability, so the walk takes one hot
+        # page and then skips every page that fits alone but not on top
+        # of it: dp runs out before bytes do and the head has to grow.
+        i = min(int(rng.integers(0, 50)), hot.size - 1)
+        dp_budget = float(hot[i]) * (0.4 if dp_kind == "below_hot" else 1.5)
+    byte_budget = draw(st.sampled_from(
+        [0, 1, _KIB4, 4 * _MIB2, 8 * _MIB2, 2**62,
+         int(rng.integers(0, int(sizes.sum()) + 1))]))
+    return probs, sizes, candidates, dp_budget, byte_budget
+
+
 class TestMatchesPageByPageScan:
-    @given(inputs=_selection_inputs(), hottest_first=st.booleans())
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(inputs=st.one_of(_selection_inputs(), _ranked_selection_inputs()),
+           hottest_first=st.booleans())
+    @settings(max_examples=500, deadline=None, derandomize=True)
     def test_same_selection_as_the_scan(self, inputs, hottest_first):
         probs, sizes, candidates, dp_budget, byte_budget = inputs
         expected = _scan_oracle(probs, sizes, candidates, dp_budget,
@@ -224,6 +275,72 @@ class TestMatchesPageByPageScan:
         np.testing.assert_array_equal(chosen, [0, 2, 3])
         np.testing.assert_array_equal(
             chosen, _scan_oracle(probs, sizes, np.arange(5), 0.6, 3 * _MIB2))
+
+
+class TestRankedHead:
+    """Hottest-first selection ranks only a head of the hotness order;
+    the result must be the full-sort scan's, page for page."""
+
+    def test_head_doubles_until_dp_reaches_cool_pages(self, monkeypatch):
+        """Room for 4 pages. The hottest page takes most of dp and the
+        next 3,000 each fit alone but not on top of it, so the head must
+        grow past them to the cool pages that still fit."""
+        n = 4 * _TOP_K_SORT_MAX_N
+        dp = 0.01
+        probs = np.full(n, 1e-6)
+        probs[:3001] = np.linspace(0.9 * dp, 0.6 * dp, 3001)
+        probs = probs[np.random.default_rng(3).permutation(n)]
+        sizes = np.full(n, _MIB2, dtype=np.int64)
+        heads = []
+        real = selection.stable_top_k
+        monkeypatch.setattr(selection, "stable_top_k",
+                            lambda keys, k: heads.append(k) or real(keys, k))
+        chosen = select_pages_by_probability(
+            probs, sizes, np.arange(n), dp, 4 * _MIB2)
+        np.testing.assert_array_equal(
+            chosen, _scan_oracle(probs, sizes, np.arange(n), dp,
+                                 4 * _MIB2))
+        assert probs[chosen].tolist()[0] == 0.9 * dp
+        assert chosen.size == 4
+        assert heads == [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
+                         4096]
+
+    def test_byte_budget_alone_ranks_one_head(self, monkeypatch):
+        n = 3 * _TOP_K_SORT_MAX_N
+        probs = np.random.default_rng(1).random(n)
+        probs /= probs.sum()
+        sizes = np.full(n, _MIB2, dtype=np.int64)
+        heads = []
+        real = selection.stable_top_k
+        monkeypatch.setattr(selection, "stable_top_k",
+                            lambda keys, k: heads.append(k) or real(keys, k))
+        chosen = select_pages_by_probability(
+            probs, sizes, np.arange(n), 1.0, 4 * _MIB2)
+        np.testing.assert_array_equal(
+            chosen, _scan_oracle(probs, sizes, np.arange(n), 1.0,
+                                 4 * _MIB2))
+        assert heads == [4]
+
+
+class TestUnlimitedByteBudget:
+    """``BatmanSystem`` and ``MultiTierColloidSystem`` select with
+    ``byte_budget=2**62``: the head is every candidate at once."""
+
+    def test_dp_skipping_most_of_100k_pages(self):
+        n = 100_000
+        rng = np.random.default_rng(7)
+        probs = rng.pareto(1.5, n)
+        probs /= probs.sum()
+        sizes = np.full(n, _KIB4, dtype=np.int64)
+        candidates = rng.permutation(n)[: n - 1000]
+        # Below the hottest pages' probability: a few pages fill dp and
+        # the walk skips nearly all of the other ~99k.
+        dp = float(np.sort(probs)[n // 2]) * 300
+        chosen = select_pages_by_probability(
+            probs, sizes, candidates, dp, 2**62)
+        expected = _scan_oracle(probs, sizes, candidates, dp, 2**62)
+        np.testing.assert_array_equal(chosen, expected)
+        assert 0 < chosen.size < 100
 
 
 def _top_k_oracle(keys, k):

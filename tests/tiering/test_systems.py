@@ -5,6 +5,7 @@ claims about the baselines: they identify the hot set, pack it into the
 default tier, and keep it there regardless of contention.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.integrate import with_colloid
@@ -117,3 +118,32 @@ class TestWithColloidFactory:
     def test_rejects_unknown_base(self):
         with pytest.raises(ConfigurationError):
             with_colloid("nimble")
+
+
+class TestPebsSampleAccounting:
+    """``pebs_samples`` is the sampler's own count of what it drained,
+    not a second sum over the sample array."""
+
+    @pytest.mark.parametrize("make", [HememSystem, MemtisSystem,
+                                      lambda: with_colloid("hemem")])
+    def test_equals_the_sum_of_the_drained_samples(self, make,
+                                                   small_machine):
+        system = make()
+        sampler = system._sampler
+        drained = []
+        periods = set()
+        collect = sampler.collect
+
+        def recording_collect(feed):
+            periods.add(sampler.sample_period)
+            counts = collect(feed)
+            drained.append(int(np.sum(counts)))
+            return counts
+
+        sampler.collect = recording_collect
+        run(system, small_machine, duration=1.5)
+        assert len(drained) > 100
+        assert system.cpu_work["pebs_samples"] == sum(drained)
+        assert sampler.total_samples == sum(drained)
+        if isinstance(system, MemtisSystem):
+            assert len(periods) > 1  # the adaptive period moved

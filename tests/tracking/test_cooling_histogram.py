@@ -24,6 +24,36 @@ class TestCoolingCounters:
         assert counters.counts[1] == pytest.approx(2.0)
         assert counters.coolings == 1
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           threshold=st.sampled_from([2, 4, 18]),
+           scale=st.sampled_from([1, 3, 50, 10**6]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_the_former_fold_bitwise(self, seed, threshold, scale):
+        """One float64 conversion feeding both accumulators gives the
+        same bits as adding the int64 counts to each, through cascaded
+        cooling too (``scale`` up to a million samples per page)."""
+        rng = np.random.default_rng(seed)
+        n = 50
+        counters = CoolingCounters(n, cooling_threshold=threshold)
+        counts = np.zeros(n)
+        cumulative = np.zeros(n)
+        coolings = 0
+        for _ in range(8):
+            samples = rng.integers(0, scale + 1, n).astype(np.int64)
+            samples[rng.random(n) < 0.3] = 0
+            counters.add_samples(samples)
+            # The fold as it was: the int64 counts added to each array.
+            counts += samples
+            while counts.max(initial=0.0) >= threshold:
+                counts /= 2.0
+                coolings += 1
+            cumulative *= counters.estimate_decay
+            cumulative += samples
+            assert counters.counts.tobytes() == counts.tobytes()
+            assert counters._cumulative.tobytes() == cumulative.tobytes()
+            assert counters.coolings == coolings
+        assert counters.coolings > 0 or scale < threshold
+
     def test_cooling_repeats_until_under_threshold(self):
         counters = CoolingCounters(1, cooling_threshold=4)
         counters.add_samples(np.array([40]))
