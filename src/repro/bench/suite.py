@@ -334,9 +334,6 @@ def run_suite(suite_name: str,
               name: Optional[str] = None,
               reporter=None,
               progress: Optional[Callable[[str], None]] = None,
-              retries: int = 0,
-              retry_backoff_s: float = 0.0,
-              cell_timeout_s: Optional[float] = None,
               journal=None,
               ) -> BenchRecord:
     """Execute a suite and assemble its :class:`BenchRecord`.
@@ -351,11 +348,6 @@ def run_suite(suite_name: str,
         name: Record name (defaults to the suite name).
         reporter: Optional FleetProgress for live per-cell output.
         progress: Optional per-case callback (receives the case name).
-        retries: Per-cell retry budget (see
-            :class:`~repro.exec.runner.Runner`); faults don't change
-            measured results, only whether a long bench survives them.
-        retry_backoff_s: Exponential-backoff base between retries.
-        cell_timeout_s: Per-cell wall-clock budget under ``jobs > 1``.
         journal: Optional :class:`~repro.exec.journal.FleetJournal` so
             an interrupted bench resumes instead of restarting.
     """
@@ -369,8 +361,7 @@ def run_suite(suite_name: str,
 
     config = suite.config()
     runner = Runner(jobs=jobs, cache=cache, reporter=reporter,
-                    retries=retries, retry_backoff_s=retry_backoff_s,
-                    cell_timeout_s=cell_timeout_s, journal=journal)
+                    journal=journal)
     calibration_step_s = measure_calibration_step_s()
     cases = []
     total_start = perf_counter()

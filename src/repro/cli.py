@@ -72,21 +72,6 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-progress", action="store_true",
                         help="disable the live per-cell progress line "
                              "on stderr")
-    parser.add_argument("--retries", type=int, default=0,
-                        metavar="N",
-                        help="retry a failing cell up to N times before "
-                             "quarantining it as a FailedCell (default "
-                             "0: first error fails the cell; results "
-                             "stay bit-identical regardless)")
-    parser.add_argument("--retry-backoff", type=float, default=0.1,
-                        metavar="SECONDS",
-                        help="base of the exponential backoff before "
-                             "retry n (SECONDS * 2^n; default 0.1)")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-cell wall-clock budget under --jobs; "
-                             "a cell past it is killed (pool respawn) "
-                             "and counts as a failed attempt")
     parser.add_argument("--journal", type=str, default=None,
                         metavar="PATH",
                         help="append every completed cell to a JSONL "
@@ -384,9 +369,6 @@ def _build_runner(args):
     _enable_instrumentation(args)
     return Runner(jobs=args.jobs, cache=_build_cache(args),
                   reporter=_build_reporter(args),
-                  retries=args.retries,
-                  retry_backoff_s=args.retry_backoff,
-                  cell_timeout_s=args.cell_timeout,
                   journal=_build_journal(args))
 
 
@@ -765,9 +747,6 @@ def cmd_bench(args) -> int:
             reporter=_build_reporter(args),
             progress=lambda case: print(f"bench case: {case}",
                                         file=sys.stderr),
-            retries=args.retries,
-            retry_backoff_s=args.retry_backoff,
-            cell_timeout_s=args.cell_timeout,
             journal=_build_journal(args),
         )
         out = args.out or f"BENCH_{record.name}.json"

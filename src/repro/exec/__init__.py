@@ -23,28 +23,17 @@ from repro.exec.execute import (
     build_loop,
     execute_cell,
     execute_spec,
-    execute_spec_metered,
     run_spec_steady,
 )
 from repro.exec.factories import base_system_of, make_system
-from repro.exec.faults import (
-    FAULT_ENV_VAR,
-    FaultPlan,
-    InjectedCrash,
-    maybe_inject_fault,
-    parse_fault_plan,
-)
 from repro.exec.journal import JOURNAL_SCHEMA_VERSION, FleetJournal
 from repro.exec.progress import FleetProgress
 from repro.exec.result import CellResult, TraceSeries
 from repro.exec.runner import (
     AggregatedCell,
-    CellTimeoutError,
-    FailedCell,
-    FleetError,
+    CellError,
     Runner,
     RunnerStats,
-    WorkerCrashError,
     aggregate,
     expand_seeds,
 )
@@ -65,16 +54,11 @@ __all__ = [
     "CACHE_DIR_ENV_VAR",
     "CACHE_SCHEMA_VERSION",
     "COLOCATION_SYSTEM",
+    "CellError",
     "CellResult",
-    "CellTimeoutError",
     "DEFAULT_CACHE_DIR",
-    "FAULT_ENV_VAR",
-    "FailedCell",
-    "FaultPlan",
-    "FleetError",
     "FleetJournal",
     "FleetProgress",
-    "InjectedCrash",
     "JOURNAL_SCHEMA_VERSION",
     "MachineSpec",
     "ResultCache",
@@ -84,18 +68,14 @@ __all__ = [
     "SPEC_SCHEMA_VERSION",
     "TenantCellSpec",
     "TraceSeries",
-    "WorkerCrashError",
     "WorkloadSpec",
     "aggregate",
     "base_system_of",
     "build_loop",
     "execute_cell",
     "execute_spec",
-    "execute_spec_metered",
     "expand_seeds",
     "make_system",
-    "maybe_inject_fault",
-    "parse_fault_plan",
     "run_spec_steady",
     "static_contention",
 ]

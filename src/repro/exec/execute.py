@@ -297,40 +297,21 @@ def execute_spec(spec: RunSpec) -> CellResult:
     return result
 
 
-def execute_cell(spec: RunSpec, attempt: int = 0, metered: bool = False):
-    """Pool-worker entry point for one ``(spec, attempt)`` cell.
-
-    Fires any planned fault injection first (``REPRO_FAULT_INJECT`` is
-    inherited from the parent's environment, and the decision is a pure
-    function of the spec hash and attempt number), then executes the
-    spec. With ``metered`` the worker-local metrics registry is reset
-    before and snapshotted after, so the returned ``(result, delta)``
-    can be absorbed by the parent without double-counting; otherwise the
-    snapshot slot is None.
-    """
-    from repro.exec.faults import maybe_inject_fault
-    from repro.obs.metrics import METRICS
-
-    maybe_inject_fault(spec, attempt)
-    if metered:
-        METRICS.reset()
-        result = execute_spec(spec)
-        return result, METRICS.snapshot()
-    return execute_spec(spec), None
-
-
-def execute_spec_metered(spec: RunSpec):
-    """Pool-worker entry point that also returns a metrics delta.
+def execute_cell(spec: RunSpec, metered: bool = False):
+    """Pool-worker entry point: ``(result, metrics delta)`` for one spec.
 
     Each worker process owns its own module-level
-    :data:`~repro.obs.metrics.METRICS` registry; resetting it before the
-    cell makes the returned snapshot a self-contained per-cell delta the
-    parent :class:`~repro.exec.runner.Runner` can absorb without
-    double-counting, keeping the merged fleet view identical to what a
-    serial run would have accumulated in-process.
+    :data:`~repro.obs.metrics.METRICS` registry. With ``metered`` it is
+    reset before the cell, so the returned snapshot is a self-contained
+    per-cell delta the parent :class:`~repro.exec.runner.Runner` can
+    absorb without double-counting, keeping the merged fleet view
+    identical to what a serial run would have accumulated in-process.
+    Otherwise the delta slot is None.
     """
     from repro.obs.metrics import METRICS
 
+    if not metered:
+        return execute_spec(spec), None
     METRICS.reset()
     result = execute_spec(spec)
     return result, METRICS.snapshot()

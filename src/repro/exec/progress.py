@@ -72,7 +72,7 @@ class FleetProgress:
         self._started_at = self._clock()
         self._active = total > 0
 
-    def cell_start(self, label: str, attempt: int = 0) -> None:
+    def cell_start(self, label: str) -> None:
         """A cell began executing (serial and parallel paths alike; the
         Runner reports a pooled cell's start at submission time, which
         coincides with its actual start because the submission window
@@ -85,13 +85,11 @@ class FleetProgress:
                 completed=self._completed,
                 total=self._total,
                 label=label,
-                attempt=attempt,
             )
         if not self._isatty:
             return
-        note = f" (attempt {attempt + 1})" if attempt else ""
         self._render(f"[{self._completed + 1}/{self._total}] "
-                     f"running {label}{note}")
+                     f"running {label}")
 
     def cell_done(self, label: str) -> None:
         """A cell finished; refresh the line and trace the progress."""
@@ -122,53 +120,6 @@ class FleetProgress:
             message += f"  eta {_format_eta(eta_s)}"
         self._render(message, newline=not self._isatty)
 
-    def cell_retried(self, label: str, attempt: int, error,
-                     backoff_s: float = 0.0) -> None:
-        """A cell attempt failed and will be retried.
-
-        Rendered as a durable line of its own (the in-place TTY line is
-        terminated first) so fault history survives the refresh, and
-        mirrored as a ``cell_retried`` trace event.
-        """
-        if not self._active:
-            return
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "cell_retried",
-                label=label,
-                attempt=attempt,
-                error_type=type(error).__name__,
-                error=str(error),
-                backoff_s=backoff_s,
-            )
-        message = (f"retry {label} (attempt {attempt + 1} failed: "
-                   f"{type(error).__name__}: {error})")
-        if backoff_s > 0:
-            message += f" backoff {backoff_s:.2g}s"
-        self._render_durable(message)
-
-    def cell_failed(self, label: str, attempts: int, error) -> None:
-        """A cell exhausted its retries and was quarantined.
-
-        Counts toward batch completion (the cell is resolved, just not
-        successfully), so the progress line still reaches ``total``.
-        """
-        if not self._active:
-            return
-        self._completed += 1
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "cell_failed",
-                label=label,
-                attempts=attempts,
-                error_type=type(error).__name__,
-                error=str(error),
-            )
-        self._render_durable(
-            f"[{self._completed}/{self._total}] FAILED {label} after "
-            f"{attempts} attempt(s): {type(error).__name__}: {error}"
-        )
-
     def finish(self) -> None:
         """Close the batch (terminates the TTY refresh line).
 
@@ -183,19 +134,6 @@ class FleetProgress:
         self._active = False
 
     # -- rendering -------------------------------------------------------
-
-    def _render_durable(self, message: str) -> None:
-        """Write ``message`` as a permanent line: on a TTY the in-place
-        refresh line is cleared first so the durable line does not
-        splice into it; elsewhere it is an ordinary log line."""
-        if self._isatty:
-            if self._last_width:
-                self._stream.write("\r" + " " * self._last_width + "\r")
-                self._last_width = 0
-            self._stream.write(message + "\n")
-            self._stream.flush()
-        else:
-            self._render(message, newline=True)
 
     def _render(self, message: str, newline: bool = False) -> None:
         if self._isatty:

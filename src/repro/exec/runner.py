@@ -6,19 +6,16 @@ batch, consults the optional :class:`~repro.exec.cache.ResultCache` and
 :class:`~repro.exec.journal.FleetJournal`, and executes the remainder
 either inline or over a ``ProcessPoolExecutor`` (``jobs > 1``). Because
 each spec seeds all of its own randomness, parallel results are
-bit-identical to serial ones — regardless of completion order, retries,
-or resumes.
+bit-identical to serial ones — regardless of completion order or
+resumes.
 
-Fan-out is fault-tolerant: cells are submitted individually and consumed
-in completion order, a failing cell is retried with exponential backoff
-(``retries`` / ``retry_backoff_s``), times out individually
-(``cell_timeout_s``), and after exhausting its retry budget is
-quarantined as a structured :class:`FailedCell` instead of poisoning the
-batch. A broken worker pool (OOM kill, segfault) is respawned and only
-the in-flight cells are re-enqueued. When every cell has been resolved,
-a batch with quarantined cells raises :class:`FleetError` — completed
-results are already in the cache/journal, so a re-run only executes the
-failures.
+The pool keeps one cell in flight per worker and consumes results in
+completion order, so a slow cell never holds up the progress line or
+metrics behind it. A cell that raises anything but a
+:class:`~repro.errors.ReproError` stops the batch with a
+:class:`CellError` naming it; a deterministic cell would only fail
+again on a retry, and the cells that completed are already in the
+cache/journal for ``--resume``.
 
 Repetition (the paper's mean-of-3 with min/max bars, Figure 1) is
 first-class: :meth:`Runner.run_grid` expands every repeatable spec into
@@ -28,20 +25,14 @@ seed-varied copies and aggregates them into :class:`AggregatedCell`.
 from __future__ import annotations
 
 import hashlib
-import time
-import traceback as traceback_module
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     Callable,
     Dict,
     Hashable,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -56,7 +47,6 @@ from repro.check.roundtrip import (
 from repro.errors import ConfigurationError, ReproError
 from repro.exec.cache import ResultCache
 from repro.exec.execute import execute_cell, execute_spec
-from repro.exec.faults import maybe_inject_fault
 from repro.exec.journal import FleetJournal
 from repro.exec.progress import FleetProgress
 from repro.exec.result import CellResult
@@ -201,95 +191,37 @@ def aggregate(results: Sequence[CellResult]) -> AggregatedCell:
     )
 
 
-class CellTimeoutError(Exception):
-    """A cell exceeded the per-cell wall-clock budget (``--cell-timeout``).
+class CellError(ReproError):
+    """A cell raised something other than a :class:`ReproError`.
 
-    Deliberately *not* a :class:`~repro.errors.ReproError`: timeouts are
-    fleet faults to retry/quarantine, not configuration bugs to abort on.
-    """
-
-
-class WorkerCrashError(Exception):
-    """The worker pool broke while this cell was in flight.
-
-    A hard worker death (OOM kill, segfault, injected ``kill`` fault)
-    takes the whole ``ProcessPoolExecutor`` down; the executor cannot
-    say *which* in-flight cell caused it, so every in-flight cell is
-    charged one attempt of this error and re-enqueued.
-    """
-
-
-@dataclass(frozen=True)
-class FailedCell:
-    """A cell quarantined after exhausting its retry budget.
+    The batch stops at once: every cell seeds its own randomness, so a
+    retry would only repeat the failure. Cells that completed before it
+    are already in the cache/journal, so ``--resume`` reruns only the
+    rest. A worker that died breaks the whole pool; the
+    ``BrokenProcessPool`` is reported the same way, naming a cell that
+    was in flight or being submitted (the pool cannot say which cell
+    killed it). The original exception is chained as ``__cause__``.
 
     Attributes:
-        spec: The cell that failed.
-        attempts: Attempts consumed (first try plus retries).
-        error_type: Exception class name of the final failure.
-        message: Stringified final exception.
-        traceback: Formatted traceback of the final failure (includes
-            the worker-side remote traceback for pooled cells; empty
-            when the failure left no Python traceback, e.g. a pool
-            breakage).
+        spec: The failing cell.
     """
 
-    spec: RunSpec
-    attempts: int
-    error_type: str
-    message: str
-    traceback: str
-
-    def describe(self) -> str:
-        """One-line summary for error messages and reports."""
-        return (f"{self.spec.describe()}: {self.error_type} after "
-                f"{self.attempts} attempt(s): {self.message}")
+    def __init__(self, spec: RunSpec, error: BaseException) -> None:
+        self.spec = spec
+        super().__init__(f"cell {spec.describe()} failed: "
+                         f"{type(error).__name__}: {error}")
 
 
-class FleetError(ReproError):
-    """A batch finished with quarantined cells.
-
-    Raised only after every cell has been resolved — completed results
-    were already cached/journaled, so nothing is thrown away and a
-    re-run (or ``--resume``) only executes the failures.
-
-    Attributes:
-        failures: The quarantined :class:`FailedCell` records.
-        completed: Cells that did complete in this batch.
-    """
-
-    def __init__(self, failures: Sequence[FailedCell],
-                 completed: int) -> None:
-        self.failures = list(failures)
-        self.completed = completed
-        lines = [
-            f"{len(self.failures)} cell(s) failed after exhausting "
-            f"retries ({completed} completed; completed results are "
-            f"preserved in the cache/journal)"
-        ]
-        for failure in self.failures[:8]:
-            lines.append(f"  {failure.describe()}")
-        if len(self.failures) > 8:
-            lines.append(f"  ... and {len(self.failures) - 8} more")
-        super().__init__("\n".join(lines))
-
-
-@dataclass(frozen=True)
-class _Pending:
-    """A cell waiting for a submission slot (and its backoff, if any)."""
-
-    spec: RunSpec
-    attempt: int
-    not_before: float = 0.0
-
-
-@dataclass(frozen=True)
-class _Flight:
-    """A submitted cell: which attempt, and when it started."""
-
-    spec: RunSpec
-    attempt: int
-    started_at: float
+@contextmanager
+def _cell_errors(spec: RunSpec):
+    """Wrap a cell's non-``ReproError`` failure in a :class:`CellError`;
+    a ``ReproError`` passes through unchanged."""
+    try:
+        yield
+    except ReproError:
+        raise
+    except Exception as error:  # noqa: BLE001 — names the cell
+        raise CellError(spec, error) from error
 
 
 @dataclass
@@ -301,35 +233,16 @@ class RunnerStats:
     cache_misses: int = 0
     deduped: int = 0
     journal_hits: int = 0
-    retried: int = 0
-    failed: int = 0
-    timeouts: int = 0
-    pool_respawns: int = 0
     per_mode: Dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> str:
-        """One-line summary (the CLI prints this after figure runs).
-
-        Fault/resume counters only appear when nonzero, so an unfaulted
-        fleet prints exactly the historical line.
-        """
+        """One-line summary (the CLI prints this after figure runs);
+        journal hits appear only when nonzero."""
         journal = (f"{self.journal_hits} journal hits, "
                    if self.journal_hits else "")
-        text = (f"cells: {self.cache_hits} cache hits, "
+        return (f"cells: {self.cache_hits} cache hits, "
                 f"{self.deduped} deduplicated, {journal}"
                 f"new cells executed: {self.executed}")
-        extras = []
-        if self.retried:
-            extras.append(f"retries: {self.retried}")
-        if self.timeouts:
-            extras.append(f"timeouts: {self.timeouts}")
-        if self.pool_respawns:
-            extras.append(f"pool respawns: {self.pool_respawns}")
-        if self.failed:
-            extras.append(f"failed: {self.failed}")
-        if extras:
-            text += " (" + ", ".join(extras) + ")"
-        return text
 
 
 class Runner:
@@ -338,34 +251,18 @@ class Runner:
     Args:
         jobs: Worker processes; 1 executes inline. Parallel execution
             is deterministic — results are keyed by spec and every spec
-            seeds its own randomness, so completion order, retries and
-            pool respawns cannot change any value.
+            seeds its own randomness, so completion order cannot change
+            any value.
         cache: Optional on-disk result cache (opt-in).
         progress: Optional callback receiving a short message as cells
             complete.
         reporter: Optional :class:`~repro.exec.progress.FleetProgress`
-            receiving per-cell start/finish/retry/failure events (live
-            ETA line and ``run_progress``/``cell_*`` trace events).
-        retries: Failed-cell retry budget (per cell; 0 = fail on the
-            first error). Failures covered: any non-``ReproError``
-            exception, a per-cell timeout, or a pool breakage while the
-            cell was in flight. ``ReproError`` (configuration bugs,
-            invariant violations) always fails fast — it is
-            deterministic and retrying it would only repeat the bug.
-        retry_backoff_s: Base of the exponential backoff before retry
-            ``n`` (``backoff * 2**n`` seconds; 0 retries immediately).
-        cell_timeout_s: Per-cell wall-clock budget. Enforced on the
-            parallel path by killing and respawning the worker pool (a
-            running task cannot be cancelled); innocent in-flight cells
-            are re-enqueued without being charged an attempt. The
-            serial path cannot preempt a hung cell and ignores this.
+            receiving per-cell start/finish events (live ETA line and
+            ``run_progress``/``cell_start`` trace events).
         journal: Optional :class:`~repro.exec.journal.FleetJournal`.
             Every executed result is appended and flushed immediately;
             entries loaded at construction (``resume=True``) satisfy
             cells without re-executing them.
-        allow_failures: When True, a batch with quarantined cells
-            returns the partial result map (failures in
-            :attr:`failures`) instead of raising :class:`FleetError`.
     """
 
     def __init__(self, jobs: int = 1,
@@ -373,31 +270,15 @@ class Runner:
                  progress: Optional[Callable[[str], None]] = None,
                  reporter: Optional[FleetProgress] = None,
                  *,
-                 retries: int = 0,
-                 retry_backoff_s: float = 0.0,
-                 cell_timeout_s: Optional[float] = None,
-                 journal: Optional[FleetJournal] = None,
-                 allow_failures: bool = False) -> None:
+                 journal: Optional[FleetJournal] = None) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        if retries < 0:
-            raise ConfigurationError("retries must be >= 0")
-        if retry_backoff_s < 0:
-            raise ConfigurationError("retry backoff must be >= 0")
-        if cell_timeout_s is not None and cell_timeout_s <= 0:
-            raise ConfigurationError("cell timeout must be positive")
         self.jobs = jobs
         self.cache = cache
         self.progress = progress
         self.reporter = reporter
-        self.retries = retries
-        self.retry_backoff_s = retry_backoff_s
-        self.cell_timeout_s = cell_timeout_s
         self.journal = journal
-        self.allow_failures = allow_failures
         self.stats = RunnerStats()
-        #: Quarantined cells across this Runner's lifetime.
-        self.failures: List[FailedCell] = []
 
     # -- core batch API --------------------------------------------------
 
@@ -405,9 +286,9 @@ class Runner:
         """Execute a batch; returns a result per *distinct* spec.
 
         Raises:
-            FleetError: After the whole batch resolved, if any cell was
-                quarantined (unless ``allow_failures``). Completed
-                results are in the cache/journal by then.
+            CellError: As soon as a cell raises anything but a
+                ``ReproError`` (which propagates unchanged). Cells
+                completed before it are in the cache/journal by then.
         """
         unique = list(dict.fromkeys(specs))
         self.stats.deduped += len(specs) - len(unique)
@@ -427,8 +308,11 @@ class Runner:
                 recorded = self.journal.lookup(spec)
                 if recorded is not None:
                     self.stats.journal_hits += 1
-                    self._count("repro_journal_hits_total",
-                                "cells satisfied by a resumed journal")
+                    if METRICS.enabled:
+                        METRICS.counter(
+                            "repro_journal_hits_total",
+                            help="cells satisfied by a resumed journal",
+                        ).inc()
                     self._note(f"journal hit {spec.describe()}")
                     results[spec] = recorded
                     continue
@@ -437,38 +321,27 @@ class Runner:
         reporter = self.reporter
         if reporter is not None:
             reporter.begin(total)
-        batch_failures: List[FailedCell] = []
         try:
-            index = 0
-            for spec, outcome in self._execute(todo):
-                index += 1
-                if isinstance(outcome, FailedCell):
-                    batch_failures.append(outcome)
-                    self.failures.append(outcome)
-                    self._note(f"[{index}/{total}] FAILED "
-                               f"{spec.describe()}")
-                    continue
+            for index, (spec, result) in enumerate(self._execute(todo), 1):
                 self.stats.executed += 1
                 mode_counts = self.stats.per_mode
                 mode_counts[spec.mode] = mode_counts.get(spec.mode, 0) + 1
                 if self.cache is not None:
-                    self.cache.put(spec, outcome)
+                    self.cache.put(spec, result)
                     if checks_enabled():
-                        check_cache_fidelity(self.cache, spec, outcome)
+                        check_cache_fidelity(self.cache, spec, result)
                 if self.journal is not None:
-                    self.journal.record(spec, outcome)
+                    self.journal.record(spec, result)
                     if checks_enabled():
                         check_journal_fidelity(self.journal, spec,
-                                               outcome)
+                                               result)
                 self._note(f"[{index}/{total}] {spec.describe()}")
                 if reporter is not None:
                     reporter.cell_done(spec.describe())
-                results[spec] = outcome
+                results[spec] = result
         finally:
             if reporter is not None:
                 reporter.finish()
-        if batch_failures and not self.allow_failures:
-            raise FleetError(batch_failures, completed=len(results))
         return results
 
     def run_one(self, spec: RunSpec) -> CellResult:
@@ -503,292 +376,58 @@ class Runner:
     # -- execution engines -----------------------------------------------
 
     def _execute(self, todo):
-        """Yield ``(spec, CellResult | FailedCell)`` in completion order."""
+        """Yield ``(spec, CellResult)`` in completion order."""
         if self.jobs > 1 and len(todo) > 1:
             yield from self._execute_parallel(todo)
-        else:
-            yield from self._execute_serial(todo)
-
-    def _execute_serial(self, todo):
-        """Inline execution with the same retry/quarantine contract.
-
-        A hung cell cannot be preempted without a second process, so
-        ``cell_timeout_s`` only applies to the parallel path.
-        """
+            return
         for spec in todo:
-            attempt = 0
-            while True:
-                self._report_start(spec, attempt)
-                try:
-                    maybe_inject_fault(spec, attempt)
-                    result = execute_spec(spec)
-                except ReproError:
-                    # Deterministic configuration/invariant bug: fail
-                    # fast, a retry would only repeat it.
-                    raise
-                except Exception as error:  # noqa: BLE001 — isolation
-                    backoff = self._after_failure(spec, attempt, error)
-                    if backoff is None:
-                        yield spec, self._quarantine(spec, attempt,
-                                                     error)
-                        break
-                    if backoff > 0:
-                        time.sleep(backoff)
-                    attempt += 1
-                    continue
-                yield spec, result
-                break
+            self._report_start(spec)
+            with _cell_errors(spec):
+                result = execute_spec(spec)
+            yield spec, result
 
     def _execute_parallel(self, todo):
-        """``submit`` + completion-order consumption with fault isolation.
+        """``submit`` + completion-order consumption over a window of
+        ``workers`` in-flight cells.
 
-        The submission window equals the worker count, so every
-        in-flight cell is actually running — which is what makes
-        submit-time a faithful start-time for the per-cell timeout, and
-        keeps the re-enqueue set small when the pool breaks.
+        The window equals the worker count, so every submitted cell is
+        actually running (submission is a faithful start time for
+        ``cell_start``), and a slow cell never head-of-line blocks the
+        cells, progress or metrics behind it.
         """
         workers = min(self.jobs, len(todo))
         metered = METRICS.enabled
-        pending: List[_Pending] = [_Pending(spec, 0) for spec in todo]
+        queue = iter(todo)
         inflight: Dict = {}
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            while pending or inflight:
-                now = time.monotonic()
-                submit_broke = False
-                while pending and len(inflight) < workers:
-                    item = self._next_ready(pending, now)
-                    if item is None:
-                        break
-                    try:
-                        future = pool.submit(execute_cell, item.spec,
-                                             item.attempt, metered)
-                    except BrokenExecutor:
-                        # Pool died between batches of completions; the
-                        # cell never started, so no attempt is charged.
-                        pending.append(item)
-                        submit_broke = True
-                        break
-                    inflight[future] = _Flight(item.spec, item.attempt,
-                                               time.monotonic())
-                    self._report_start(item.spec, item.attempt)
-                if submit_broke:
-                    pool = self._respawn(pool, workers)
-                    victims = list(inflight.values())
-                    inflight.clear()
-                    yield from self._requeue_victims(pending, victims)
-                    continue
-                if not inflight:
-                    # Everything left is waiting out a retry backoff.
-                    delay = min(p.not_before for p in pending) - now
-                    if delay > 0:
-                        time.sleep(min(delay, 0.1))
-                    continue
-                done, __ = wait(list(inflight),
-                                timeout=self._wait_timeout(
-                                    pending, inflight, workers),
-                                return_when=FIRST_COMPLETED)
-                if not done:
-                    expired = self._expired_flights(inflight)
-                    if expired:
-                        # A running pool task cannot be cancelled: kill
-                        # the workers, respawn, and re-enqueue. Only the
-                        # timed-out cells are charged an attempt —
-                        # bystanders were killed through no fault of
-                        # their own (and re-running them is free of
-                        # side effects: cells are pure).
-                        pool = self._respawn(pool, workers)
-                        flights = list(inflight.values())
-                        inflight.clear()
-                        for flight in flights:
-                            if flight in expired:
-                                yield from self._resolve_failure(
-                                    pending, flight,
-                                    self._timeout_error(flight))
-                            else:
-                                pending.append(_Pending(flight.spec,
-                                                        flight.attempt))
-                    continue
-                broken: List[_Flight] = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+
+            def submit(spec: RunSpec) -> None:
+                # A pool broken by a worker that died refuses new work.
+                with _cell_errors(spec):
+                    future = pool.submit(execute_cell, spec, metered)
+                inflight[future] = spec
+                self._report_start(spec)
+
+            for spec in islice(queue, workers):
+                submit(spec)
+            while inflight:
+                done, __ = wait(inflight, return_when=FIRST_COMPLETED)
                 for future in done:
-                    flight = inflight.pop(future)
-                    try:
+                    spec = inflight.pop(future)
+                    with _cell_errors(spec):
                         result, snapshot = future.result()
-                    except BrokenExecutor:
-                        broken.append(flight)
-                    except ReproError:
-                        raise
-                    except Exception as error:  # noqa: BLE001
-                        yield from self._resolve_failure(pending, flight,
-                                                         error)
-                    else:
-                        if snapshot is not None:
-                            # Fold the worker's per-cell metrics delta as
-                            # soon as the cell lands, so the fleet view
-                            # (and ETA/throughput) never head-of-line
-                            # blocks behind a slow earlier cell.
-                            METRICS.absorb(snapshot)
-                        yield flight.spec, result
-                if broken:
-                    pool = self._respawn(pool, workers)
-                    victims = broken + list(inflight.values())
-                    inflight.clear()
-                    yield from self._requeue_victims(pending, victims)
-        finally:
-            self._shutdown_pool(pool)
-
-    # -- fault handling --------------------------------------------------
-
-    def _resolve_failure(self, pending, flight, error):
-        """Retry (append to ``pending``) or quarantine one failure.
-
-        A generator so quarantines can be yielded from the engine loop.
-        """
-        if isinstance(error, CellTimeoutError):
-            self.stats.timeouts += 1
-            self._count("repro_cell_timeouts_total",
-                        "cells killed by the per-cell timeout")
-        backoff = self._after_failure(flight.spec, flight.attempt, error)
-        if backoff is None:
-            yield flight.spec, self._quarantine(flight.spec,
-                                                flight.attempt, error)
-        else:
-            pending.append(_Pending(flight.spec, flight.attempt + 1,
-                                    time.monotonic() + backoff))
-
-    def _requeue_victims(self, pending, victims):
-        """Handle every cell that was in flight when the pool broke.
-
-        The executor cannot attribute the breakage, so each victim is
-        charged one :class:`WorkerCrashError` attempt — the actual
-        killer (if deterministic) keeps failing until quarantined, and
-        bystanders succeed on their re-run.
-        """
-        for flight in victims:
-            error = WorkerCrashError(
-                "worker pool broke while the cell was in flight "
-                f"(attempt {flight.attempt})"
-            )
-            yield from self._resolve_failure(pending, flight, error)
-
-    def _after_failure(self, spec, attempt, error) -> Optional[float]:
-        """Account one failed attempt.
-
-        Returns the backoff (seconds) before the next attempt, or None
-        when the retry budget is spent and the cell must be quarantined.
-        """
-        if attempt >= self.retries:
-            return None
-        backoff = self._backoff_s(attempt)
-        self.stats.retried += 1
-        self._count("repro_cell_retries_total", "cell attempts retried")
-        if self.reporter is not None:
-            self.reporter.cell_retried(spec.describe(), attempt=attempt,
-                                       error=error, backoff_s=backoff)
-        return backoff
-
-    def _quarantine(self, spec, attempt, error) -> FailedCell:
-        """Record a cell's final failure as a structured quarantine."""
-        self.stats.failed += 1
-        self._count("repro_cell_failures_total",
-                    "cells quarantined after exhausting retries")
-        if self.reporter is not None:
-            self.reporter.cell_failed(spec.describe(),
-                                      attempts=attempt + 1, error=error)
-        trace = ""
-        if error.__traceback__ is not None or error.__cause__ is not None:
-            trace = "".join(traceback_module.format_exception(
-                type(error), error, error.__traceback__))
-        return FailedCell(
-            spec=spec,
-            attempts=attempt + 1,
-            error_type=type(error).__name__,
-            message=str(error),
-            traceback=trace,
-        )
-
-    def _backoff_s(self, attempt: int) -> float:
-        """Exponential backoff before retry ``attempt + 1``."""
-        if self.retry_backoff_s <= 0:
-            return 0.0
-        return self.retry_backoff_s * (2.0 ** attempt)
-
-    def _timeout_error(self, flight: _Flight) -> CellTimeoutError:
-        return CellTimeoutError(
-            f"exceeded --cell-timeout ({self.cell_timeout_s:g}s) on "
-            f"attempt {flight.attempt}"
-        )
-
-    # -- pool plumbing ---------------------------------------------------
-
-    def _next_ready(self, pending: List[_Pending],
-                    now: float) -> Optional[_Pending]:
-        """Pop the first cell whose backoff has elapsed (FIFO for fresh
-        cells; requeued cells become eligible as their delay passes)."""
-        for i, item in enumerate(pending):
-            if item.not_before <= now:
-                return pending.pop(i)
-        return None
-
-    def _wait_timeout(self, pending, inflight, workers):
-        """How long ``wait`` may block: until the nearest cell deadline
-        or pending backoff expiry, or indefinitely when neither exists
-        (a completion is then the only possible wake-up)."""
-        now = time.monotonic()
-        candidates = []
-        if self.cell_timeout_s is not None:
-            candidates.extend(
-                flight.started_at + self.cell_timeout_s - now
-                for flight in inflight.values()
-            )
-        if pending and len(inflight) < workers:
-            candidates.append(
-                min(p.not_before for p in pending) - now
-            )
-        if not candidates:
-            return None
-        # Small slack so an expiry check just after the wake-up sees
-        # the deadline as passed.
-        return max(0.0, min(candidates)) + 0.01
-
-    def _expired_flights(self, inflight) -> set:
-        """In-flight cells past their wall-clock budget."""
-        if self.cell_timeout_s is None:
-            return set()
-        now = time.monotonic()
-        return {
-            flight for flight in inflight.values()
-            if now - flight.started_at >= self.cell_timeout_s
-        }
-
-    def _respawn(self, pool, workers: int) -> ProcessPoolExecutor:
-        """Kill a broken/stalled pool and hand back a fresh one."""
-        self._shutdown_pool(pool)
-        self.stats.pool_respawns += 1
-        self._count("repro_pool_respawns_total",
-                    "worker pools killed and respawned")
-        return ProcessPoolExecutor(max_workers=workers)
-
-    def _shutdown_pool(self, pool) -> None:
-        """Best-effort teardown that also reaps hung workers."""
-        processes = getattr(pool, "_processes", None)
-        procs = list(processes.values()) if processes else []
-        pool.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            proc.join(timeout=1.0)
+                    following = next(queue, None)
+                    if following is not None:
+                        submit(following)
+                    if snapshot is not None:
+                        METRICS.absorb(snapshot)
+                    yield spec, result
 
     # -- reporting -------------------------------------------------------
 
-    def _report_start(self, spec: RunSpec, attempt: int) -> None:
+    def _report_start(self, spec: RunSpec) -> None:
         if self.reporter is not None:
-            self.reporter.cell_start(spec.describe(), attempt=attempt)
-
-    def _count(self, name: str, help_text: str) -> None:
-        if METRICS.enabled:
-            METRICS.counter(name, help=help_text).inc()
+            self.reporter.cell_start(spec.describe())
 
     def _note(self, message: str) -> None:
         if self.progress is not None:

@@ -111,21 +111,6 @@ EVENT_SCHEMAS: Dict[str, Dict[str, str]] = {
         "completed": "fleet cells finished when this start was observed",
         "total": "cells scheduled for execution in this batch",
         "label": "short description of the cell that started",
-        "attempt": "0-based attempt index (retries increment it)",
-    },
-    "cell_retried": {
-        "label": "short description of the cell being retried",
-        "attempt": "0-based attempt index that just failed",
-        "error_type": "exception class name of the failed attempt",
-        "error": "stringified exception of the failed attempt",
-        "backoff_s": "exponential-backoff delay before the next attempt",
-    },
-    "cell_failed": {
-        "label": "short description of the quarantined cell",
-        "attempts": "attempts consumed before quarantine (first try "
-                    "plus retries)",
-        "error_type": "exception class name of the final failure",
-        "error": "stringified final exception",
     },
     "phase_timing": {
         "phases": "mapping of loop phase name -> wall-clock nanoseconds",

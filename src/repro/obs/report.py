@@ -52,15 +52,11 @@ class TraceSummary:
         fleet_progress: The last ``run_progress`` event's fields —
             completed/total cells, wall time, completion throughput —
             for fleet-level traces (None otherwise).
-        cell_retries: Total ``cell_retried`` events — failed cell
-            attempts the fleet retried instead of aborting on.
-        cell_failures: ``cell_failed`` events — cells quarantined after
-            exhausting their retry budget (each with label, attempts
-            and the final error).
         unknown_event_counts: Events whose kind is absent from
             :data:`~repro.obs.events.EVENT_SCHEMAS` — traces written by
-            newer code must still summarize, so these are counted and
-            skipped, never fatal.
+            newer code, or by older code with since-retired kinds, must
+            still summarize, so these are counted and skipped, never
+            fatal.
         malformed_events: Events of a known kind whose payload could not
             be folded (e.g. ``phase_timing`` without a ``phases``
             mapping) — also skip-and-count.
@@ -89,8 +85,6 @@ class TraceSummary:
     invariant_violations: List[Dict] = field(default_factory=list)
     runtime_counters: Dict[str, int] = field(default_factory=dict)
     fleet_progress: Optional[Dict] = None
-    cell_retries: int = 0
-    cell_failures: List[Dict] = field(default_factory=list)
     unknown_event_counts: Dict[str, int] = field(default_factory=dict)
     malformed_events: int = 0
     n_promoted: int = 0
@@ -200,14 +194,6 @@ def summarize_events(events: List[dict]) -> TraceSummary:
             k: v for k, v in last.items() if k not in ("type", "time_s")
         }
 
-    summary.cell_retries = sum(
-        1 for __ in iter_events(events, "cell_retried")
-    )
-    summary.cell_failures = [
-        {k: v for k, v in event.items() if k not in ("type", "time_s")}
-        for event in iter_events(events, "cell_failed")
-    ]
-
     # Tolerate malformed phase_timing payloads: a report must always
     # render, so fold what parses and count the rest.
     well_formed = []
@@ -254,8 +240,8 @@ def format_summary(summary: TraceSummary) -> str:
         )
         lines.append(
             f"unknown kinds : {sum(summary.unknown_event_counts.values())}"
-            f" event(s) skipped ({skipped}) — recorded by a newer "
-            f"schema?"
+            f" event(s) skipped ({skipped}) — recorded by another "
+            f"schema version?"
         )
     if summary.malformed_events:
         lines.append(
@@ -364,18 +350,6 @@ def format_summary(summary: TraceSummary) -> str:
             f"{float(progress.get('wall_elapsed_s', 0.0)):.1f} s wall "
             f"({float(progress.get('cells_per_s', 0.0)):.2f} cells/s)"
         )
-
-    if summary.cell_retries or summary.cell_failures:
-        lines.append("-- fleet faults --")
-        lines.append(f"cell retries  : {summary.cell_retries}")
-        lines.append(f"cells failed  : {len(summary.cell_failures)}")
-        for failure in summary.cell_failures:
-            lines.append(
-                f"  {failure.get('label', '?')}: "
-                f"{failure.get('error_type', '?')} after "
-                f"{failure.get('attempts', '?')} attempt(s): "
-                f"{failure.get('error', '')}"
-            )
 
     if summary.runtime_counters:
         lines.append("-- runtime counters --")

@@ -118,71 +118,20 @@ class TestTraceEvents:
         assert events[1]["eta_s"] == 0.0
 
 
-class TestFaultReporting:
+class TestCellStart:
     def test_cell_start_emits_trace_event(self):
         tracer = Tracer()
         progress = FleetProgress(stream=io.StringIO(), tracer=tracer,
                                  clock=FakeClock())
         progress.begin(2)
         progress.cell_start("a")
-        progress.cell_start("a", attempt=1)
+        progress.cell_done("a")
+        progress.cell_start("b")
         progress.finish()
         events = tracer.events("cell_start")
-        assert [e["attempt"] for e in events] == [0, 1]
-        assert all(e["label"] == "a" for e in events)
-
-    def test_retry_renders_durable_line_without_advancing(self):
-        stream = io.StringIO()
-        tracer = Tracer()
-        progress = FleetProgress(stream=stream, tracer=tracer,
-                                 clock=FakeClock())
-        progress.begin(1)
-        progress.cell_retried("cell-a", attempt=0,
-                              error=RuntimeError("boom"), backoff_s=0.5)
-        progress.cell_done("cell-a")
-        progress.finish()
-        lines = stream.getvalue().splitlines()
-        assert lines[0].startswith("retry cell-a")
-        assert "RuntimeError: boom" in lines[0]
-        assert "backoff 0.5s" in lines[0]
-        # The retry did not consume a completion slot.
-        assert lines[1].startswith("[1/1] 100%")
-        (event,) = tracer.events("cell_retried")
-        assert event["attempt"] == 0
-        assert event["error_type"] == "RuntimeError"
-        assert event["backoff_s"] == 0.5
-
-    def test_failure_counts_toward_completion(self):
-        stream = io.StringIO()
-        tracer = Tracer()
-        progress = FleetProgress(stream=stream, tracer=tracer,
-                                 clock=FakeClock())
-        progress.begin(2)
-        progress.cell_failed("cell-a", attempts=3,
-                             error=RuntimeError("boom"))
-        progress.cell_done("cell-b")
-        progress.finish()
-        lines = stream.getvalue().splitlines()
-        assert lines[0].startswith("[1/2] FAILED cell-a after 3")
-        assert lines[1].startswith("[2/2] 100%")
-        (event,) = tracer.events("cell_failed")
-        assert event["attempts"] == 3
-        assert event["error_type"] == "RuntimeError"
-
-    def test_tty_durable_line_clears_refresh_line_first(self):
-        stream = TtyStream()
-        progress = FleetProgress(stream=stream, clock=FakeClock())
-        progress.begin(2)
-        progress.cell_done("a-long-running-label")
-        in_place = stream.getvalue().split("\r")[-1]
-        progress.cell_retried("b", attempt=0, error=RuntimeError("x"))
-        output = stream.getvalue()
-        # The in-place line is blanked out, then the durable retry line
-        # lands on a terminated line of its own.
-        assert "\r" + " " * len(in_place) + "\r" in output
-        assert any(line.startswith("retry b")
-                   for line in output.splitlines())
-        assert output.endswith("\n")
+        assert [e["label"] for e in events] == ["a", "b"]
+        assert [e["completed"] for e in events] == [0, 1]
+        assert all(e["total"] == 2 for e in events)
 
 
 class TestFinish:
