@@ -227,10 +227,10 @@ class TestRunEndAndProgress:
         assert "runtime counters" not in text
         assert "fleet progress" not in text
 
-    def test_retired_fleet_fault_events_still_report(self):
+    def test_fleet_faults_parsed_and_rendered(self):
         # Traces written before fleet retries were retired carry
-        # cell_retried/cell_failed events; they count as unknown kinds
-        # and the report still renders.
+        # cell_retried/cell_failed events; they parse as unknown kinds
+        # and the report still renders, without a fleet-faults section.
         events = [
             META,
             {"type": "cell_retried", "time_s": 0.0, "label": "hemem i0",
@@ -249,6 +249,13 @@ class TestRunEndAndProgress:
         text = format_summary(summary)
         assert "unknown kinds : 3 event(s) skipped" in text
         assert "fleet faults" not in text
+
+    def test_no_faults_section_absent(self):
+        summary = summarize_events([META])
+        assert summary.unknown_event_counts == {}
+        text = format_summary(summary)
+        assert "fleet faults" not in text
+        assert "unknown kinds" not in text
 
     def test_loop_emit_run_end(self, small_machine):
         from repro.obs.tracer import Tracer
