@@ -174,21 +174,30 @@ class ColloidController:
                         promotions: MigrationPlan,
                         coldness: np.ndarray) -> MigrationPlan:
         """Prepend coldest-page demotions so promotions have capacity."""
-        sizes = placement.pages.sizes_bytes
-        need = int(sizes[promotions.page_indices].sum())
-        need -= placement.free_bytes(0)
+        pages = placement.pages
+        sizes = pages.sizes_bytes
+        promoted = promotions.page_indices
+        need = int(sizes[promoted].sum()) - placement.free_bytes(0)
         if need <= 0:
             return promotions
-        in_default = placement.pages.tier == 0
-        in_default[promotions.page_indices] = False
-        default_pages = np.nonzero(in_default)[0]
+        in_default = pages.tier == 0
+        in_default[promoted] = False
+        default_pages = in_default.nonzero()[0]
         if default_pages.size == 0:
             return promotions
         # Every page holds at least the smallest page size, so the
-        # coldest ceil(need / min size) pages always cover ``need``.
-        k = -(-need // placement.pages.min_page_bytes)
+        # coldest ceil(need / min size) pages always cover ``need``;
+        # only that head of the coldness order is ranked.
+        k = -(-need // pages.min_page_bytes)
         order = default_pages[stable_top_k(-coldness[default_pages], k)]
-        cum = np.cumsum(sizes[order])
-        n = min(int(np.searchsorted(cum, need, side="left")) + 1, len(order))
+        # Demote the shortest prefix that covers ``need`` (all of the
+        # head if it falls short).
+        n = 0
+        freed = 0
+        for size in sizes[order].tolist():
+            n += 1
+            freed += size
+            if freed >= need:
+                break
         demotions = MigrationPlan(order[:n], np.ones(n, dtype=np.int64))
         return interleave_plans(demotions, promotions)

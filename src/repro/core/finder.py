@@ -27,7 +27,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.pages.placement import PlacementState
-from repro.pages.selection import select_pages_by_probability
+from repro.pages.selection import (
+    select_pages_by_probability,
+    walk_hottest_first,
+)
 
 
 class BinnedPageFinder:
@@ -64,38 +67,63 @@ class BinnedPageFinder:
             probs: Per-page probability estimates; derived from the
                 counts when omitted.
         """
+        if dp < 0 or byte_budget < 0:
+            raise ConfigurationError("budgets must be non-negative")
+        empty = np.empty(0, dtype=np.int64)
+        if dp == 0 or byte_budget == 0:
+            return empty
         if probs is None:
             total = counts.sum()
             # No samples at all -> no measurable pages -> no candidates.
             probs = counts / total if total > 0 else np.zeros(len(counts))
-        sizes = placement.pages.sizes_bytes
-        # Only the source tier's pages are binned; each bin's candidates
-        # are a subset of them, in ascending page order.
-        in_tier = np.nonzero(placement.pages.tier == src_tier)[0]
-        bins = self.bin_of(counts[in_tier])
+        pages = placement.pages
+        sizes = pages.sizes_bytes
+        # One mask over the pages forms the candidates: the source
+        # tier's pages that fit both budgets on their own. A later bin
+        # walks under smaller budgets, so no page dropped here could be
+        # taken there; pages kept that no longer fit are skipped by the
+        # walk.
+        mask = (pages.tier == src_tier) & (probs <= dp + 1e-15)
+        if pages.max_page_bytes > byte_budget:
+            mask &= sizes <= byte_budget
+        cand = mask.nonzero()[0]
+        cand_p = probs[cand]
+        bins = self.bin_of(counts[cand])
+        # Bin 0 holds only the sampled pages.
+        measurable = (cand_p > 0) | (bins > 0)
+        if not measurable.all():
+            cand = cand[measurable]
+            cand_p = cand_p[measurable]
+            bins = bins[measurable]
+        if cand.size == 0:
+            return empty
+        cand_sizes = sizes[cand]
+        top, low = int(bins.max()), int(bins.min())
         selected: list = []
         acc_p = 0.0
         acc_b = 0
-        for b in range(self.n_bins - 1, -1, -1):
-            candidate_idx = in_tier[bins == b]
-            if b == 0:
-                candidate_idx = candidate_idx[probs[candidate_idx] > 0]
-            if candidate_idx.size == 0:
-                continue
-            chosen = select_pages_by_probability(
-                probs, sizes, candidate_idx,
-                dp_budget=dp - acc_p,
-                byte_budget=byte_budget - acc_b,
-                hottest_first=True,
-            )
-            if chosen.size:
-                selected.append(chosen)
-                acc_p += float(probs[chosen].sum())
-                acc_b += int(sizes[chosen].sum())
+        # Hottest bin first, from the hottest holding a candidate down to
+        # the coldest; most quanta find every candidate in one bin.
+        for b in range(top, low - 1, -1):
+            if top == low:
+                bin_pages, bin_p, bin_sizes = cand, cand_p, cand_sizes
+            else:
+                in_bin = (bins == b).nonzero()[0]
+                if in_bin.size == 0:
+                    continue
+                bin_pages = cand[in_bin]
+                bin_p = cand_p[in_bin]
+                bin_sizes = cand_sizes[in_bin]
+            pos = walk_hottest_first(bin_p, bin_sizes, (dp - acc_p) + 1e-15,
+                                     byte_budget - acc_b)
+            if pos.size:
+                selected.append(bin_pages[pos])
+                acc_p += float(bin_p[pos].sum())
+                acc_b += int(bin_sizes[pos].sum())
             if acc_p >= dp or acc_b >= byte_budget:
                 break
-        if not selected:
-            return np.empty(0, dtype=np.int64)
+        if len(selected) < 2:
+            return selected[0] if selected else empty
         return np.concatenate(selected)
 
 

@@ -25,6 +25,9 @@ seed-varied copies and aggregates them into :class:`AggregatedCell`.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -52,6 +55,30 @@ from repro.exec.progress import FleetProgress
 from repro.exec.result import CellResult
 from repro.exec.spec import RunSpec
 from repro.obs.metrics import METRICS
+
+#: How often a pool worker checks that the process that started it is
+#: still there.
+_PARENT_POLL_S = 0.25
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: end the worker once its parent is gone.
+
+    A fleet killed with SIGKILL cannot shut its pool down; its idle
+    workers would block on the call queue forever and keep the fleet's
+    stdout open. A daemon thread watches ``os.getppid()``, which changes
+    when the parent dies and the worker is re-parented, and then exits
+    the worker, mid-cell or idle.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch",
+                     daemon=True).start()
 
 
 def derive_run_seed(spec: RunSpec, run_index: int) -> int:
@@ -399,7 +426,8 @@ class Runner:
         metered = METRICS.enabled
         queue = iter(todo)
         inflight: Dict = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_exit_with_parent) as pool:
 
             def submit(spec: RunSpec) -> None:
                 # A pool broken by a worker that died refuses new work.

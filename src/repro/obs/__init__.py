@@ -13,83 +13,48 @@ On top of recorded traces sits the run-health diagnostics engine:
 reset-storm / thrash detectors (``repro diagnose trace.jsonl``), and
 :mod:`repro.obs.chrometrace` exports the same timeline as Chrome Trace
 Event Format JSON for ``chrome://tracing`` / Perfetto.
+
+Names are exported lazily (PEP 562): importing :mod:`repro.obs.tracer`
+or :mod:`repro.obs.metrics` from the simulation loop loads neither the
+diagnostics engine nor the report and export modules.
 """
 
-from repro.obs.chrometrace import export_chrome_trace
-from repro.obs.diagnose import (
-    DiagnosticsSummary,
-    diagnose_events,
-    diagnose_timeline,
-    format_diagnostics,
-)
-from repro.obs.events import (
-    EVENT_SCHEMAS,
-    TRACE_SCHEMA_VERSION,
-    describe_schema,
-)
-from repro.obs.metrics import (
-    METRICS,
-    METRICS_ENV_VAR,
-    METRICS_SCHEMA_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    disable_metrics,
-    enable_metrics,
-    merge_snapshots,
-    metrics_enabled,
-)
-from repro.obs.profile import Counters, PhaseProfiler, merge_phase_events
-from repro.obs.report import (
-    TraceSummary,
-    format_summary,
-    report_from_file,
-    summarize_events,
-)
-from repro.obs.timeline import Timeline, build_timeline
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    iter_events,
-    load_events,
-)
+from __future__ import annotations
 
-__all__ = [
-    "Counter",
-    "Counters",
-    "EVENT_SCHEMAS",
-    "Gauge",
-    "Histogram",
-    "METRICS",
-    "METRICS_ENV_VAR",
-    "METRICS_SCHEMA_VERSION",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "DiagnosticsSummary",
-    "NULL_TRACER",
-    "NullTracer",
-    "PhaseProfiler",
-    "TRACE_SCHEMA_VERSION",
-    "Timeline",
-    "TraceSummary",
-    "Tracer",
-    "build_timeline",
-    "describe_schema",
-    "diagnose_events",
-    "diagnose_timeline",
-    "disable_metrics",
-    "enable_metrics",
-    "export_chrome_trace",
-    "format_diagnostics",
-    "format_summary",
-    "iter_events",
-    "load_events",
-    "merge_phase_events",
-    "merge_snapshots",
-    "metrics_enabled",
-    "report_from_file",
-    "summarize_events",
-]
+import importlib
+
+#: Exported names by the submodule that defines them.
+_EXPORTS = {
+    "chrometrace": ("export_chrome_trace",),
+    "diagnose": ("DiagnosticsSummary", "diagnose_events",
+                 "diagnose_timeline", "format_diagnostics"),
+    "events": ("EVENT_SCHEMAS", "TRACE_SCHEMA_VERSION", "describe_schema"),
+    "metrics": ("METRICS", "METRICS_ENV_VAR", "METRICS_SCHEMA_VERSION",
+                "Counter", "Gauge", "Histogram", "MetricsRegistry",
+                "MetricsSnapshot", "disable_metrics", "enable_metrics",
+                "merge_snapshots", "metrics_enabled"),
+    "profile": ("Counters", "PhaseProfiler", "merge_phase_events"),
+    "report": ("TraceSummary", "format_summary", "report_from_file",
+               "summarize_events"),
+    "timeline": ("Timeline", "build_timeline"),
+    "tracer": ("NULL_TRACER", "NullTracer", "Tracer", "iter_events",
+               "load_events"),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -133,12 +133,12 @@ class MigrationPlan:
     @property
     def page_indices(self) -> np.ndarray:
         """Every move's page, in plan order (materializes the plan)."""
-        return self.head(self._len)[0]
+        return (self._full or self.head(self._len))[0]
 
     @property
     def dst_tiers(self) -> np.ndarray:
         """Every move's destination tier (materializes the plan)."""
-        return self.head(self._len)[1]
+        return (self._full or self.head(self._len))[1]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ plan builders and selections whose byte budget reaches a handful of pages.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -21,18 +20,32 @@ from repro.errors import ConfigurationError
 #: partitioning, so :func:`stable_top_k` just sorts.
 _TOP_K_SORT_MAX_N = 1024
 
+#: Up to this many picks, :func:`stable_top_k` finds each float key with
+#: one ``argmax`` pass instead of sorting.
+_TOP_K_SCAN_MAX_K = 4
+
+#: Heads up to this long are walked one page at a time in plain Python;
+#: longer ones take the cumulative-sum prefix first.
+_SCALAR_WALK_MAX_N = 16
+
 
 def stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest keys, largest first, ties by index.
 
     Exactly ``np.argsort(-keys, kind="stable")[:k]``, but only the first
-    ``k`` positions are sorted: ``np.partition`` finds the k-th key, every
-    strictly larger key is taken, then the tied ones in index order, and
-    only those are stable-sorted.
+    ``k`` positions are sorted. A handful of float keys are picked by
+    repeated ``argmax`` (which returns the first of tied maxima).
+    Otherwise ``np.partition`` finds the k-th key, every strictly larger
+    key is taken, then the tied ones in index order, and only those are
+    stable-sorted.
     """
     keys = np.asarray(keys)
     n = keys.size
     k = max(0, min(int(k), n))
+    if 0 < k <= _TOP_K_SCAN_MAX_K and k < n and keys.dtype.kind == "f":
+        head = _scan_top_k(keys, k)
+        if head is not None:
+            return head
     neg = -keys
     if k == n or n <= _TOP_K_SORT_MAX_N:
         return np.argsort(neg, kind="stable")[:k]
@@ -48,6 +61,25 @@ def stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
     # breaks ties by index.
     chosen = np.concatenate([better, tied])
     return chosen[np.argsort(neg[chosen], kind="stable")]
+
+
+def _scan_top_k(keys: np.ndarray, k: int):
+    """The first ``k`` of the stable descending order by repeated
+    ``argmax``, or None once a NaN or ``-inf`` key comes up: a taken key
+    is masked with ``-inf``, and a stable sort ranks NaN last where
+    ``argmax`` finds it first."""
+    work = keys
+    picked = []
+    while True:
+        i = int(work.argmax())
+        if not work[i] > -np.inf:
+            return None
+        picked.append(i)
+        if len(picked) == k:
+            return np.array(picked, dtype=np.intp)
+        if work is keys:
+            work = keys.copy()
+        work[i] = -np.inf
 
 
 def select_pages_by_probability(
@@ -66,10 +98,8 @@ def select_pages_by_probability(
     overshoot are skipped (so a small ``dp_budget`` naturally selects
     cooler pages — the behaviour Colloid's binned iteration produces).
 
-    Hottest-first, only a head of the hotness order is ranked (with
-    :func:`stable_top_k`): first as many pages as the byte budget could
-    hold, doubled until the walk over the head provably takes every page
-    the walk over the full order would.
+    Hottest-first, only a head of the hotness order is ranked (see
+    :func:`walk_hottest_first`).
 
     Args:
         prob_estimates: Per-page access-probability estimates (non-negative).
@@ -95,46 +125,78 @@ def select_pages_by_probability(
     # float addition is monotone), so a page that does not fit on its
     # own is never taken. Dropping such pages leaves the walk over the
     # rest, in the same relative order, unchanged.
-    keep = np.nonzero((probs <= limit_p) & (sizes <= byte_budget))[0]
+    keep = ((probs <= limit_p) & (sizes <= byte_budget)).nonzero()[0]
     if keep.size < cand.size:
         cand, probs, sizes = cand[keep], probs[keep], sizes[keep]
-    m = cand.size
-    if m == 0:
+    if cand.size == 0:
         return np.empty(0, dtype=np.int64)
     if not hottest_first:
-        return _greedy(cand, probs, sizes, limit_p, byte_budget)[0]
+        return cand[_greedy(probs, sizes, limit_p, byte_budget)[0]]
+    return cand[walk_hottest_first(probs, sizes, limit_p, byte_budget)]
+
+
+def walk_hottest_first(probs: np.ndarray, sizes: np.ndarray,
+                       limit_p: float, byte_budget: int) -> np.ndarray:
+    """Positions the greedy walk takes over the stable hotness order.
+
+    The walk visits ``probs`` largest first, ties by position, and takes
+    a page iff it fits on top of every page taken before it: summed
+    probability at most ``limit_p`` and summed size at most
+    ``byte_budget``. Only a head of the order is ranked
+    (:func:`stable_top_k`): first as many pages as the byte budget could
+    hold, doubled until the walk over the head provably takes every page
+    the walk over the full order would. Pages that cannot fit on their
+    own may be left in; they are never taken.
+    """
     # The walk over the first k pages of the stable hotness order is the
     # full walk cut off at k. It can stop there once the head is the
     # whole order, or once no remaining page fits: every one is at least
     # ``min_size`` bytes and ``min_p`` probability.
+    m = probs.size
+    if m == 0:
+        return np.empty(0, dtype=np.intp)
     min_size = int(sizes.min())
-    min_p = float(probs.min())
     k = min(m, byte_budget // max(min_size, 1))
+    min_p = None
     while True:
         head = stable_top_k(probs, k)
-        chosen, acc_p, acc_b = _greedy(cand[head], probs[head], sizes[head],
-                                       limit_p, byte_budget)
-        if (k == m or byte_budget - acc_b < min_size
-                or acc_p + min_p > limit_p):
-            return chosen
+        taken, acc_p, acc_b = _greedy(probs[head], sizes[head], limit_p,
+                                      byte_budget)
+        if k == m or byte_budget - acc_b < min_size:
+            return head[taken]
+        if min_p is None:
+            min_p = float(probs.min())
+        if acc_p + min_p > limit_p:
+            return head[taken]
         k = min(m, 2 * k)
 
 
-def _greedy(cand: np.ndarray, probs: np.ndarray, sizes: np.ndarray,
-            limit_p: float, byte_budget: int):
+def _greedy(probs: np.ndarray, sizes: np.ndarray, limit_p: float,
+            byte_budget: int):
     """The greedy walk in the given order: a page is taken iff it fits
     on top of every page taken before it.
 
-    Returns the taken pages and their summed probability and bytes.
+    Returns the taken positions and their summed probability and bytes,
+    summed in walk order.
     """
-    # Fast path: the longest prefix that fits both budgets outright; only
-    # past the first overshooting page do we fall back to the
-    # skip-and-continue scan.
+    if probs.size <= _SCALAR_WALK_MAX_N:
+        taken = []
+        acc_p = 0.0
+        acc_b = 0
+        for i, (p, b) in enumerate(zip(probs.tolist(), sizes.tolist())):
+            if acc_p + p <= limit_p and acc_b + b <= byte_budget:
+                taken.append(i)
+                acc_p += p
+                acc_b += b
+        return np.array(taken, dtype=np.intp), acc_p, acc_b
+    # The longest prefix that fits both budgets outright; only past the
+    # first overshooting page do we fall back to the skip-and-continue
+    # scan.
     cum_p = np.cumsum(probs)
     cum_b = np.cumsum(sizes)
     fits = (cum_p <= limit_p) & (cum_b <= byte_budget)
     if fits.all():
-        return cand, float(cum_p[-1]), int(cum_b[-1])
+        return np.arange(probs.size), float(cum_p[-1]), int(cum_b[-1])
     prefix = int(np.argmin(fits))  # first index that does not fit
     acc_p = float(cum_p[prefix - 1]) if prefix > 0 else 0.0
     acc_b = int(cum_b[prefix - 1]) if prefix > 0 else 0
@@ -150,7 +212,9 @@ def _greedy(cand: np.ndarray, probs: np.ndarray, sizes: np.ndarray,
     for i, p, b in zip(keep.tolist(), tail_p[keep].tolist(),
                        tail_b[keep].tolist()):
         if acc_p + p <= limit_p and acc_b + b <= byte_budget:
-            taken.append(i)
+            taken.append(prefix + i)
             acc_p += p
             acc_b += b
-    return np.concatenate([cand[:prefix], cand[prefix:][taken]]), acc_p, acc_b
+    positions = np.concatenate([np.arange(prefix),
+                                np.array(taken, dtype=np.intp)])
+    return positions, acc_p, acc_b

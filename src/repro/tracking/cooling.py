@@ -64,8 +64,15 @@ class CoolingCounters:
         # below 2**53.
         samples = np.asarray(sample_counts, dtype=np.float64)
         self._counts += samples
-        while self._counts.max(initial=0.0) >= self.cooling_threshold:
+        # The maximum is read once and halved alongside the array:
+        # rounding is monotone, so the largest halved count is the halved
+        # largest count, bit for bit, subnormals included. Each cooling
+        # stays one ``/= 2.0`` (one ldexp by the total would round
+        # subnormals differently).
+        peak = float(self._counts.max(initial=0.0))
+        while peak >= self.cooling_threshold:
             self._counts /= 2.0
+            peak /= 2.0
             self.coolings += 1
         self._cumulative *= self.estimate_decay
         self._cumulative += samples

@@ -175,3 +175,99 @@ class TestDecide:
         assert decision.mode == "hold"
         assert decision.dp == 0.0
         assert decision.p == 0.4
+
+
+_PAGE = 2 << 20
+
+
+def _former_with_make_room(placement, promotions, coldness):
+    """``ColloidController._with_make_room`` as it was: the default
+    tier ranked coldest first by a full stable sort, the shortest prefix
+    covering the need demoted, and the two plans alternated."""
+    sizes = placement.pages.sizes_bytes
+    promoted = promotions.page_indices
+    need = int(sizes[promoted].sum()) - placement.free_bytes(0)
+    if need <= 0:
+        return promotions
+    in_default = placement.pages.tier == 0
+    in_default[promoted] = False
+    default_pages = np.nonzero(in_default)[0]
+    if default_pages.size == 0:
+        return promotions
+    keys = -coldness[default_pages]
+    order = default_pages[np.argsort(-keys, kind="stable")]
+    cum = np.cumsum(sizes[order])
+    n = min(int(np.searchsorted(cum, need, side="left")) + 1, len(order))
+    demoted = order[:n].tolist()
+    pages, dsts = [], []
+    for i in range(max(n, len(promoted))):
+        if i < n:
+            pages.append(demoted[i])
+            dsts.append(1)
+        if i < len(promoted):
+            pages.append(int(promoted[i]))
+            dsts.append(int(promotions.dst_tiers[i]))
+    return MigrationPlan(np.array(pages, dtype=np.int64),
+                         np.array(dsts, dtype=np.int64))
+
+
+def _make_room_case(seed, n_promoted):
+    """A default tier near full of 2 MiB and 32 MiB pages whose coldness
+    ties often, and ``n_promoted`` alternate-tier pages to promote."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([4, 30, 700]))
+    sizes = np.where(rng.random(n) < 0.15, 16 * _PAGE, _PAGE)
+    tiers = rng.integers(0, 2, n)
+    tiers[: min(n_promoted, n)] = 1  # enough pages to promote
+    default_bytes = int(sizes[tiers == 0].sum())
+    slack = int(rng.choice([0, _PAGE // 2, 3 * _PAGE, 64 * _PAGE]))
+    placement = PlacementState(PageArray(sizes),
+                               [default_bytes + slack, int(sizes.sum())])
+    for t in (0, 1):
+        placement.move(np.nonzero(tiers == t)[0], t)
+    coldness = rng.choice([0.0, 0.0, 1e-4, 3e-4, 1e-3], n)
+    if rng.random() < 0.3:
+        coldness = rng.random(n)
+    alternate = np.nonzero(tiers == 1)[0]
+    promoted = rng.permutation(alternate)[:n_promoted]
+    promotions = MigrationPlan(promoted,
+                               np.zeros(len(promoted), dtype=np.int64))
+    return placement, promotions, coldness
+
+
+class TestMakeRoomMatchesTheFullSort:
+    """Make-room ranks only the head of the default tier's coldness
+    order that the need reaches; the demotions and the interleaved plan
+    must be the full stable sort's, move for move."""
+
+    @pytest.mark.parametrize("n_promoted", range(1, 9))
+    @pytest.mark.parametrize("seed", range(16))
+    def test_same_plan(self, seed, n_promoted):
+        placement, promotions, coldness = _make_room_case(seed, n_promoted)
+        plan = make_controller()._with_make_room(placement, promotions,
+                                                 coldness)
+        expected = _former_with_make_room(placement, promotions, coldness)
+        np.testing.assert_array_equal(plan.page_indices,
+                                      expected.page_indices)
+        np.testing.assert_array_equal(plan.dst_tiers, expected.dst_tiers)
+
+    def test_empty_default_tier_keeps_the_promotions(self):
+        pages = PageArray.uniform(3, 100)
+        placement = PlacementState(pages, [0, 300])
+        placement.move(np.arange(3), 1)
+        promotions = MigrationPlan(np.array([2]), np.array([0]))
+        plan = make_controller()._with_make_room(placement, promotions,
+                                                 np.zeros(3))
+        assert plan is promotions
+
+    def test_tied_coldness_demotes_in_page_order(self):
+        pages = PageArray.uniform(6, 100)
+        placement = PlacementState(pages, [400, 600])
+        placement.move(np.array([0, 1, 2, 3]), 0)
+        placement.move(np.array([4, 5]), 1)
+        coldness = np.array([0.2, 0.0, 0.1, 0.0, 0.5, 0.5])
+        promotions = MigrationPlan(np.array([4, 5]), np.array([0, 0]))
+        plan = make_controller()._with_make_room(placement, promotions,
+                                                 coldness)
+        assert plan.page_indices.tolist() == [1, 4, 3, 5]
+        assert plan.dst_tiers.tolist() == [1, 0, 1, 0]

@@ -269,3 +269,94 @@ class TestFindersMatchFormerImplementations:
             expected = _former_hot_list_find(counts, hot_threshold,
                                              placement, src, dp, budget)
             np.testing.assert_array_equal(chosen, expected)
+
+
+_PAGE = 2 << 20
+
+
+def _small_budget_case(seed):
+    """Cooled counts and probabilities drawn from a few values, so keys
+    tie within and across bins; 2 MiB pages mixed with pages larger than
+    any budget of up to 8 pages."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([3, 40, 600]))
+    counts = rng.integers(0, 18, n) / float(rng.choice([1.0, 2.0, 8.0]))
+    counts[rng.random(n) < 0.4] = 0.0
+    sizes = np.full(n, _PAGE, dtype=np.int64)
+    sizes[rng.random(n) < 0.2] = 16 * _PAGE
+    pages = PageArray(sizes)
+    placement = PlacementState(pages, [int(sizes.sum())] * 2)
+    tiers = rng.integers(0, 2, n)
+    for t in (0, 1):
+        placement.move(np.nonzero(tiers == t)[0], t)
+    probs = None
+    if rng.random() < 0.7:
+        probs = rng.choice([1.0, 2.0, 5.0], n) * (counts > 0)
+        # Some sampled pages estimated at zero: only bin 0 drops them.
+        probs[rng.random(n) < 0.1] = 0.0
+        probs /= max(probs.sum(), 1.0)
+    dp = float(rng.choice([2e-3, 0.01, 0.05, 0.3, 1.0]))
+    return counts, placement, probs, dp
+
+
+class TestBinnedFinderOnSmallBudgets:
+    """Byte budgets of one to eight pages, as Colloid's quanta grant
+    them: the pages chosen and their order must be those of the full
+    stable sort, ``np.argsort(-probs, kind="stable")`` per bin."""
+
+    @pytest.mark.parametrize("n_pages", range(1, 9))
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_the_full_sort(self, seed, n_pages):
+        counts, placement, probs, dp = _small_budget_case(seed)
+        finder = BinnedPageFinder(cooling_threshold=18.0)
+        for budget in (n_pages * _PAGE, n_pages * _PAGE + _PAGE // 2):
+            for src in (0, 1):
+                chosen = finder.find(counts, placement, src, dp, budget,
+                                     probs=probs)
+                expected = _former_binned_find(finder, counts, placement,
+                                               src, dp, budget, probs=probs)
+                assert chosen.dtype == np.int64
+                np.testing.assert_array_equal(chosen, expected)
+
+    def test_pages_larger_than_the_budget_are_never_taken(self):
+        counts = np.array([17.0, 17.0, 9.0, 1.0])
+        sizes = np.array([16 * _PAGE, _PAGE, 16 * _PAGE, _PAGE])
+        placement = PlacementState(PageArray(sizes),
+                                   [int(sizes.sum())] * 2)
+        placement.move(np.arange(4), 1)
+        chosen = BinnedPageFinder(cooling_threshold=18.0).find(
+            counts, placement, 1, 1.0, 2 * _PAGE)
+        np.testing.assert_array_equal(chosen, [1, 3])
+
+    def test_empty_source_tier_selects_nothing(self):
+        counts = np.array([10.0, 5.0, 1.0])
+        placement = make_placement([0, 0, 0])
+        chosen = BinnedPageFinder(cooling_threshold=18.0).find(
+            counts, placement, 1, 0.5, 10_000)
+        assert chosen.dtype == np.int64
+        assert chosen.size == 0
+
+    def test_only_unsampled_pages_select_nothing(self):
+        counts = np.array([10.0, 0.0, 0.0])
+        placement = make_placement([0, 1, 1])
+        chosen = BinnedPageFinder(cooling_threshold=18.0).find(
+            counts, placement, 1, 0.5, 10_000)
+        assert chosen.size == 0
+
+    def test_single_bin_keeps_only_sampled_pages(self):
+        counts = np.array([0.0, 40.0, 3.0, 0.0])
+        placement = make_placement([1, 1, 1, 1])
+        finder = BinnedPageFinder(cooling_threshold=18.0, n_bins=1)
+        chosen = finder.find(counts, placement, 1, 1.0, 10_000)
+        np.testing.assert_array_equal(chosen, [1, 2])
+        np.testing.assert_array_equal(
+            chosen, _former_binned_find(finder, counts, placement, 1, 1.0,
+                                        10_000))
+
+    def test_negative_budgets_are_rejected(self):
+        placement = make_placement([1, 1])
+        finder = BinnedPageFinder(cooling_threshold=18.0)
+        with pytest.raises(ConfigurationError):
+            finder.find(np.ones(2), placement, 1, -0.1, 100)
+        with pytest.raises(ConfigurationError):
+            finder.find(np.ones(2), placement, 1, 0.1, -1)

@@ -400,6 +400,19 @@ class TestStableTopK:
             np.testing.assert_array_equal(stable_top_k(keys, k),
                                           _top_k_oracle(keys, k))
 
+    def test_infinite_and_nan_keys_in_a_small_head(self):
+        """A head of a few float keys is picked by ``argmax``, which
+        masks taken keys with -inf and finds NaN first; the result must
+        still be the stable sort's."""
+        for keys in ([-np.inf, 1.0, -np.inf, 2.0, np.inf, -np.inf],
+                     [np.nan, 1.0, -np.inf, np.nan, 1.0, 0.5],
+                     [-np.inf] * 5,
+                     [0.0, -0.0, 0.0, np.inf, np.inf]):
+            keys = np.array(keys)
+            for k in range(len(keys) + 1):
+                np.testing.assert_array_equal(stable_top_k(keys, k),
+                                              _top_k_oracle(keys, k))
+
     def test_k_outside_zero_to_n_is_clamped(self):
         keys = np.arange(5.0)
         assert stable_top_k(keys, -2).size == 0

@@ -31,18 +31,22 @@ class TestCoolingCounters:
     def test_matches_the_former_fold_bitwise(self, seed, threshold, scale):
         """One float64 conversion feeding both accumulators gives the
         same bits as adding the int64 counts to each, through cascaded
-        cooling too (``scale`` up to a million samples per page)."""
+        cooling too (``scale`` up to a million samples per page). The
+        maximum read once per fold and halved as a scalar cools exactly
+        as often as reducing it again after every halving, subnormals
+        included."""
         rng = np.random.default_rng(seed)
         n = 50
         counters = CoolingCounters(n, cooling_threshold=threshold)
         counts = np.zeros(n)
         cumulative = np.zeros(n)
         coolings = 0
-        for _ in range(8):
-            samples = rng.integers(0, scale + 1, n).astype(np.int64)
-            samples[rng.random(n) < 0.3] = 0
+
+        def fold(samples):
+            nonlocal coolings, counts, cumulative
             counters.add_samples(samples)
-            # The fold as it was: the int64 counts added to each array.
+            # The fold as it was: the int64 counts added to each array,
+            # and the maximum reduced again after every halving.
             counts += samples
             while counts.max(initial=0.0) >= threshold:
                 counts /= 2.0
@@ -52,7 +56,28 @@ class TestCoolingCounters:
             assert counters.counts.tobytes() == counts.tobytes()
             assert counters._cumulative.tobytes() == cumulative.tobytes()
             assert counters.coolings == coolings
+
+        for _ in range(8):
+            samples = rng.integers(0, scale + 1, n).astype(np.int64)
+            samples[rng.random(n) < 0.3] = 0
+            fold(samples)
         assert counters.coolings > 0 or scale < threshold
+        # A long unsampled stretch: one page takes 2**10 to 2**20 samples
+        # a quantum and the other pages none, so theirs halve through
+        # the subnormals (10 to 20 coolings a quantum, against 52
+        # subnormal binades) down to zero, over 1,100 coolings.
+        start = counters.coolings
+        cooled = counts[1:].any()
+        saw_subnormal = False
+        while counters.coolings - start < 1100:
+            samples = np.zeros(n, dtype=np.int64)
+            samples[0] = rng.integers(2**10, 2**20)
+            fold(samples)
+            rest = counts[1:]
+            saw_subnormal |= bool(
+                ((rest > 0) & (rest < np.finfo(float).tiny)).any())
+        assert saw_subnormal == cooled
+        assert not counts[1:].any()
 
     def test_cooling_repeats_until_under_threshold(self):
         counters = CoolingCounters(1, cooling_threshold=4)
