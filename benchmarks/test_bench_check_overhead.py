@@ -2,9 +2,9 @@
 
 Two budgets, mirroring ``test_bench_obs_overhead.py``:
 
-1. *Disabled cost*: with checking off the loop holds the shared
-   ``NULL_CHECKER`` and each of the three check sites costs one
-   ``enabled`` attribute read — the same contract the null tracer makes.
+1. *Disabled cost*: with checking off the loop builds no invariant
+   observer (its ``checker`` is the shared ``NULL_CHECKER``), so a
+   quantum pays nothing for the checks it skips.
 2. *Enabled cost*: a ``--check`` run may spend at most 10% of step wall
    time in the checker (the ISSUE's budget). Measured directly: the
    per-step cost of the four checker operations against a live loop's
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from repro.check import NULL_CHECKER, Checker
+from repro.check import NULL_CHECKER
 from repro.experiments.common import scaled_machine
+from repro.options import RunOptions
 from repro.runtime.loop import SimulationLoop
 from repro.tiering.hemem import HememSystem
 from repro.workloads.gups import GupsWorkload
@@ -27,19 +28,19 @@ MAX_CHECK_OVERHEAD_FRACTION = 0.10
 _SCALE = 0.03
 
 
-def _make_loop(checker) -> SimulationLoop:
+def _make_loop(check: bool) -> SimulationLoop:
     return SimulationLoop(
         machine=scaled_machine(_SCALE),
         workload=GupsWorkload(scale=_SCALE, seed=21),
         system=HememSystem(),
         contention=1,
         seed=21,
-        checker=checker,
+        options=RunOptions(check=check),
     )
 
 
-def _measure_step_seconds(checker, n_steps: int = 40) -> float:
-    loop = _make_loop(checker)
+def _measure_step_seconds(check: bool, n_steps: int = 40) -> float:
+    loop = _make_loop(check)
     for __ in range(5):  # warm caches and the solver
         loop.step()
     start = perf_counter()
@@ -51,7 +52,7 @@ def _measure_step_seconds(checker, n_steps: int = 40) -> float:
 def _measure_check_seconds(n_rounds: int = 300) -> float:
     """Mean per-step checker cost: the four operations the loop adds
     per quantum, run against real post-step loop state."""
-    loop = _make_loop(Checker())
+    loop = _make_loop(True)
     record = loop.step()
     checker = loop.checker
     placement = loop.placement
@@ -78,7 +79,7 @@ def _measure_check_seconds(n_rounds: int = 300) -> float:
 
 class TestCheckerOverhead:
     def test_enabled_checks_fit_the_overhead_budget(self):
-        step_s = min(_measure_step_seconds(NULL_CHECKER)
+        step_s = min(_measure_step_seconds(False)
                      for __ in range(3))
         check_s = min(_measure_check_seconds() for __ in range(3))
         overhead = check_s / step_s
@@ -97,8 +98,10 @@ class TestCheckerOverhead:
                                             None) is None
 
     def test_checked_and_unchecked_steps_agree(self):
-        checked = _make_loop(Checker())
-        unchecked = _make_loop(NULL_CHECKER)
+        checked = _make_loop(True)
+        unchecked = _make_loop(False)
+        assert unchecked.checker is NULL_CHECKER
+        assert not unchecked.observers
         for __ in range(10):
             a = checked.step()
             b = unchecked.step()

@@ -26,14 +26,14 @@ of flaking the timing assertion.
 from __future__ import annotations
 
 import gc
-import os
 from time import perf_counter
 
 from repro.core.integrate import HememColloidSystem
 from repro.experiments.common import scaled_machine
-from repro.obs.placement import PLACEMENT_AUDIT_ENV_VAR
 from repro.obs.tracer import Tracer
+from repro.options import RunOptions
 from repro.runtime.loop import SimulationLoop
+from repro.runtime.observers import PlacementAudit
 from repro.workloads.gups import GupsWorkload
 
 #: The ISSUE's budget: audited-run overhead versus the same traced run.
@@ -49,37 +49,33 @@ _CHUNKS = 40
 
 
 def _make_loop(audit_period: int | None) -> SimulationLoop:
-    saved = os.environ.get(PLACEMENT_AUDIT_ENV_VAR)
-    try:
-        if audit_period is None:
-            os.environ.pop(PLACEMENT_AUDIT_ENV_VAR, None)
-        else:
-            os.environ[PLACEMENT_AUDIT_ENV_VAR] = str(audit_period)
-        return SimulationLoop(
-            machine=scaled_machine(_SCALE),
-            workload=GupsWorkload(scale=_SCALE, seed=21),
-            system=HememColloidSystem(),
-            contention=1,
-            seed=21,
-            tracer=Tracer(ring_size=16384),
-        )
-    finally:
-        if saved is None:
-            os.environ.pop(PLACEMENT_AUDIT_ENV_VAR, None)
-        else:
-            os.environ[PLACEMENT_AUDIT_ENV_VAR] = saved
+    return SimulationLoop(
+        machine=scaled_machine(_SCALE),
+        workload=GupsWorkload(scale=_SCALE, seed=21),
+        system=HememColloidSystem(),
+        contention=1,
+        seed=21,
+        tracer=Tracer(ring_size=16384),
+        options=RunOptions(placement_audit=audit_period),
+    )
+
+
+def _audit(loop: SimulationLoop) -> PlacementAudit | None:
+    """The loop's placement-audit observer, if it has one."""
+    return next((o for o in loop.observers
+                 if isinstance(o, PlacementAudit)), None)
 
 
 class TestPlacementAuditOverhead:
     def test_audited_run_fits_the_overhead_budget(self):
         plain = _make_loop(None)
         audited = _make_loop(_AUDIT_PERIOD)
-        assert plain._tenants[0].placement_obs is None
-        assert audited._tenants[0].placement_obs is not None
+        assert _audit(plain) is None
+        assert _audit(audited) is not None
         for __ in range(_WARMUP_STEPS):
             plain.step()
             audited.step()
-        assert audited._tenants[0].placement_obs.audits_run > 0
+        assert _audit(audited).observers[0].audits_run > 0
 
         plain_s = audited_s = 0.0
         gc.collect()
@@ -114,12 +110,13 @@ class TestPlacementAuditOverhead:
         loop = _make_loop(_AUDIT_PERIOD)
         for __ in range(_WARMUP_STEPS):
             loop.step()
-        solver = loop._audit_solver
+        audit = _audit(loop)
+        solver = audit.solver
         hits = solver.cache_hits
         misses = solver.cache_misses
-        audits_before = loop._tenants[0].placement_obs.audits_run
+        audits_before = audit.observers[0].audits_run
         for __ in range(10 * _AUDIT_PERIOD):
             loop.step()
-        assert loop._tenants[0].placement_obs.audits_run >= audits_before + 10
+        assert audit.observers[0].audits_run >= audits_before + 10
         assert solver.cache_hits == hits
         assert solver.cache_misses == misses

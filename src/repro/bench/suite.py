@@ -20,6 +20,7 @@ from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.runner import Runner
 from repro.experiments.common import ExperimentConfig
+from repro.options import RunOptions
 
 from repro.bench.record import (
     BenchRecord,
@@ -160,6 +161,7 @@ def _colocation_micro_case(duration_s: float = 2.0) -> BenchCase:
             contention=2,
             migration_limit_bytes=config.resolved_migration_limit(),
             seed=config.seed,
+            options=runner.options,
         )
         loop.run(duration_s=duration_s)
         return None
@@ -171,41 +173,32 @@ def _placement_audit_case(duration_s: float = 2.0) -> BenchCase:
     """Direct benchmark of a placement-audited contention-step run.
 
     The same representative ``hemem+colloid`` loop the diagnostics
-    record uses, traced with ``REPRO_PLACEMENT_AUDIT`` on — so its wall
+    record uses, traced with the placement audit on — so its wall
     time tracks what the occupancy ledger, flow tracker, and periodic
     misplacement-gap audit add on top of plain tracing, and ``bench
     compare`` catches the audit getting more expensive over time.
     """
 
     def run(config: ExperimentConfig, runner: Runner):
-        import os
+        from dataclasses import replace
 
         from repro.experiments.common import make_system, scaled_machine
-        from repro.obs.placement import PLACEMENT_AUDIT_ENV_VAR
         from repro.obs.tracer import Tracer
         from repro.runtime.loop import SimulationLoop
         from repro.workloads.gups import GupsWorkload
 
         quanta = int(duration_s * 1000.0 / 10.0)
         step_time = duration_s / 2.0
-        saved = os.environ.get(PLACEMENT_AUDIT_ENV_VAR)
-        os.environ[PLACEMENT_AUDIT_ENV_VAR] = "10"
-        try:
-            loop = SimulationLoop(
-                machine=scaled_machine(config.scale),
-                workload=GupsWorkload(scale=config.scale,
-                                      seed=config.seed),
-                system=make_system("hemem+colloid"),
-                contention=lambda t: 0 if t < step_time else 2,
-                seed=config.seed,
-                tracer=Tracer(ring_size=max(4096, quanta * 16)),
-            )
-            loop.run(duration_s=duration_s)
-        finally:
-            if saved is None:
-                os.environ.pop(PLACEMENT_AUDIT_ENV_VAR, None)
-            else:
-                os.environ[PLACEMENT_AUDIT_ENV_VAR] = saved
+        loop = SimulationLoop(
+            machine=scaled_machine(config.scale),
+            workload=GupsWorkload(scale=config.scale, seed=config.seed),
+            system=make_system("hemem+colloid"),
+            contention=lambda t: 0 if t < step_time else 2,
+            seed=config.seed,
+            tracer=Tracer(ring_size=max(4096, quanta * 16)),
+            options=replace(runner.options, placement_audit=10),
+        )
+        loop.run(duration_s=duration_s)
         return None
 
     return BenchCase(name="placement-audit", run=run)
@@ -269,8 +262,8 @@ SUITES: Dict[str, BenchSuite] = {
 }
 
 
-def _diagnostics_summary(config: ExperimentConfig,
-                         duration_s: float) -> dict:
+def _diagnostics_summary(config: ExperimentConfig, duration_s: float,
+                         options: RunOptions) -> dict:
     """Diagnose one traced representative colloid run.
 
     The behavioral companion to the phase profile: a short
@@ -301,14 +294,15 @@ def _diagnostics_summary(config: ExperimentConfig,
         contention=lambda t: 0 if t < step_time else 2,
         seed=config.seed,
         tracer=tracer,
+        options=options,
     )
     loop.run(duration_s=duration_s)
     loop.emit_run_end()
     return diagnose_events(tracer.events()).summary.to_dict()
 
 
-def _profiled_phase_totals(config: ExperimentConfig,
-                           duration_s: float) -> Dict[str, int]:
+def _profiled_phase_totals(config: ExperimentConfig, duration_s: float,
+                           options: RunOptions) -> Dict[str, int]:
     """Run one profiled representative loop; return per-phase totals."""
     from repro.experiments.common import scaled_machine
     from repro.runtime.loop import SimulationLoop
@@ -323,6 +317,7 @@ def _profiled_phase_totals(config: ExperimentConfig,
         migration_limit_bytes=config.resolved_migration_limit(),
         seed=config.seed,
         profile=True,
+        options=options,
     )
     loop.run(duration_s=duration_s)
     return {name: int(ns) for name, ns in loop.profiler.phases.items()}
@@ -335,6 +330,7 @@ def run_suite(suite_name: str,
               reporter=None,
               progress: Optional[Callable[[str], None]] = None,
               journal=None,
+              options: Optional[RunOptions] = None,
               ) -> BenchRecord:
     """Execute a suite and assemble its :class:`BenchRecord`.
 
@@ -350,6 +346,8 @@ def run_suite(suite_name: str,
         progress: Optional per-case callback (receives the case name).
         journal: Optional :class:`~repro.exec.journal.FleetJournal` so
             an interrupted bench resumes instead of restarting.
+        options: What every run observes; None takes the environment
+            defaults.
     """
     suite = SUITES.get(suite_name)
     if suite is None:
@@ -361,7 +359,7 @@ def run_suite(suite_name: str,
 
     config = suite.config()
     runner = Runner(jobs=jobs, cache=cache, reporter=reporter,
-                    journal=journal)
+                    journal=journal, options=options)
     calibration_step_s = measure_calibration_step_s()
     cases = []
     total_start = perf_counter()
@@ -382,7 +380,8 @@ def run_suite(suite_name: str,
         progress("loop-profile")
     phase_start = perf_counter()
     phase_totals = _profiled_phase_totals(config,
-                                          suite.profile_duration_s)
+                                          suite.profile_duration_s,
+                                          runner.options)
     cases.append(CaseTiming(
         name="loop-profile",
         wall_s=perf_counter() - phase_start,
@@ -393,7 +392,7 @@ def run_suite(suite_name: str,
         progress("diagnostics-rep")
     diag_start = perf_counter()
     diagnostics = _diagnostics_summary(
-        config, max(3.0, suite.profile_duration_s))
+        config, max(3.0, suite.profile_duration_s), runner.options)
     cases.append(CaseTiming(
         name="diagnostics-rep",
         wall_s=perf_counter() - diag_start,
@@ -420,7 +419,7 @@ def run_suite(suite_name: str,
         python=platform.python_version(),
         machine=BenchRecord.platform_id(),
         metrics=(METRICS.snapshot().to_dict()
-                 if METRICS.enabled else None),
+                 if runner.options.metrics else None),
         diagnostics=diagnostics,
     )
 

@@ -7,33 +7,28 @@ dynamic migration cap ``min(dp * (R_D + R_A), M)`` — but nothing
 enforced them at runtime, so a bug could silently skew every figure.
 This package is the enforcement layer:
 
-* :class:`Checker` — pluggable invariant checks the simulation loop
-  invokes each quantum when enabled. Violations raise a structured
-  :class:`~repro.errors.InvariantViolation` carrying the offending
-  quantum and are also emitted as ``invariant_violation`` trace events
-  so ``repro report`` can surface them.
-* :class:`NullChecker` / :data:`NULL_CHECKER` — the disabled path,
-  mirroring the tracer's design: instrumentation sites guard with
-  ``if checker.enabled:`` and a run without checking pays one
-  attribute read per site.
-* :func:`enable_checks` / :func:`checks_enabled` — process-global
-  enablement via the ``REPRO_CHECK`` environment variable, so
-  ``--check`` propagates into process-pool workers automatically.
+* :class:`Checker` — pluggable invariant checks the simulation loop's
+  invariant observer invokes each quantum. Violations raise a
+  structured :class:`~repro.errors.InvariantViolation` carrying the
+  offending quantum and are also emitted as ``invariant_violation``
+  trace events so ``repro report`` can surface them.
+* :class:`NullChecker` / :data:`NULL_CHECKER` — the disabled checker an
+  unchecked loop holds as ``loop.checker``.
 * :mod:`repro.check.roundtrip` — exec-layer self-checks: spec →
   dict → spec hash stability and cache entry ↔ result fidelity.
 
-Enabled via ``--check`` on ``repro run`` / ``repro figure``, and
-always-on in the test suite (see ``tests/conftest.py``).
+Checking is the ``check`` field of :class:`~repro.options.RunOptions`:
+``--check`` on ``repro run`` / ``repro figure`` sets it, the options are
+pickled with each cell to ``--jobs`` workers, and the environment only
+supplies the default where no options are passed (see
+:mod:`repro.options`) — which keeps checking always-on in the test
+suite (see ``tests/conftest.py``).
 """
 
 from repro.check.invariants import (
-    CHECK_ENV_VAR,
     NULL_CHECKER,
     Checker,
     NullChecker,
-    checks_enabled,
-    disable_checks,
-    enable_checks,
 )
 from repro.check.roundtrip import (
     check_cache_fidelity,
@@ -44,7 +39,6 @@ from repro.check.roundtrip import (
 from repro.errors import InvariantViolation
 
 __all__ = [
-    "CHECK_ENV_VAR",
     "Checker",
     "InvariantViolation",
     "NULL_CHECKER",
@@ -53,7 +47,4 @@ __all__ = [
     "check_journal_fidelity",
     "check_result_roundtrip",
     "check_spec_roundtrip",
-    "checks_enabled",
-    "disable_checks",
-    "enable_checks",
 ]

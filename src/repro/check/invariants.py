@@ -6,7 +6,8 @@ recording the violation and (when a tracer is attached) emitting an
 ``invariant_violation`` event — so a trace of a failed ``--check`` run
 documents exactly what broke and when.
 
-The checks, and where the loop invokes them:
+The loop's :class:`~repro.runtime.observers.InvariantObserver` invokes
+the checks when the run's options say ``check``:
 
 ========================  =====================================================
 ``check_equilibrium``     latencies out of the solver are finite and positive,
@@ -37,36 +38,12 @@ The checks, and where the loop invokes them:
 from __future__ import annotations
 
 import math
-import os
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import InvariantViolation
 from repro.obs.tracer import NULL_TRACER
-
-#: Environment variable that switches invariant checking on process-wide
-#: (the CLI's ``--check`` sets it so process-pool workers inherit it).
-CHECK_ENV_VAR = "REPRO_CHECK"
-
-#: Values of :data:`CHECK_ENV_VAR` treated as "off".
-_FALSEY = ("", "0", "false", "no", "off")
-
-
-def checks_enabled() -> bool:
-    """Whether invariant checking is enabled process-wide."""
-    return os.environ.get(CHECK_ENV_VAR, "").lower() not in _FALSEY
-
-
-def enable_checks() -> None:
-    """Enable invariant checking process-wide (and in child processes)."""
-    os.environ[CHECK_ENV_VAR] = "1"
-
-
-def disable_checks() -> None:
-    """Disable process-wide invariant checking."""
-    os.environ.pop(CHECK_ENV_VAR, None)
-
 
 class NullChecker:
     """Disabled checker: every operation is a no-op.
@@ -459,12 +436,8 @@ def find_shift_computer(system) -> Optional[object]:
 
 
 __all__ = [
-    "CHECK_ENV_VAR",
     "Checker",
     "NULL_CHECKER",
     "NullChecker",
-    "checks_enabled",
-    "disable_checks",
-    "enable_checks",
     "find_shift_computer",
 ]

@@ -6,7 +6,7 @@ with its content hash intact (the cache key and dedup unit), and a
 :class:`~repro.exec.result.CellResult` written to the on-disk cache
 reads back equal to what was computed. Both are checked here; the
 Runner and :func:`~repro.exec.execute.execute_spec` invoke them when
-checking is enabled (:func:`repro.check.checks_enabled`).
+their :class:`~repro.options.RunOptions` say ``check``.
 """
 
 from __future__ import annotations

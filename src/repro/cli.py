@@ -33,6 +33,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
+from repro.options import DEFAULT_AUDIT_PERIOD_QUANTA
 
 FIGURES = ("fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8",
            "fig9", "fig10", "fig11", "overheads", "sensitivity",
@@ -60,14 +61,12 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
                         help="drop all cached results first (implies "
                              "--cache)")
     parser.add_argument("--check", action="store_true",
-                        help="enforce runtime invariants in every cell "
-                             "(propagates to --jobs workers); violations "
-                             "abort with a structured error")
+                        help="enforce runtime invariants in every cell; "
+                             "violations abort with a structured error")
     parser.add_argument("--metrics", type=str, default=None,
                         metavar="PATH",
                         help="collect fleet metrics (counters, gauges, "
-                             "latency histograms; propagates to --jobs "
-                             "workers) and export them to PATH "
+                             "latency histograms) and export them to PATH "
                              "(Prometheus text, or JSON for *.json)")
     parser.add_argument("--no-progress", action="store_true",
                         help="disable the live per-cell progress line "
@@ -84,24 +83,20 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
                              "missing ones execute; new completions "
                              "are appended to the same file")
     parser.add_argument("--no-solver-cache", action="store_true",
-                        help="disable equilibrium-solve memoization "
-                             "(propagates to --jobs workers via "
-                             "REPRO_SOLVER_CACHE=0); solves are then "
-                             "always computed fresh")
+                        help="disable equilibrium-solve memoization; "
+                             "solves are then always computed fresh")
     parser.add_argument("--diagnose", action="store_true",
                         help="run the run-health detectors over every "
-                             "simulated cell (propagates to --jobs "
-                             "workers via REPRO_DIAGNOSE) and attach a "
-                             "diagnostics summary to its result")
+                             "simulated cell and attach a diagnostics "
+                             "summary to its result")
     parser.add_argument("--placement-audit", type=int, nargs="?",
-                        const=-1, default=None, metavar="QUANTA",
+                        const=DEFAULT_AUDIT_PERIOD_QUANTA, default=None,
+                        metavar="QUANTA",
                         help="record per-quantum placement observability "
                              "(occupancy ledger, migration flows) and "
                              "audit the misplacement gap every QUANTA "
-                             "quanta (default 10; propagates to --jobs "
-                             "workers via REPRO_PLACEMENT_AUDIT); "
-                             "attaches a placement summary to every "
-                             "cell result")
+                             "quanta (default 10); attaches a placement "
+                             "summary to every cell result")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,15 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "to PATH (Prometheus text, or JSON for "
                           "*.json)")
     run.add_argument("--no-solver-cache", action="store_true",
-                     help="disable equilibrium-solve memoization "
-                          "(REPRO_SOLVER_CACHE=0)")
+                     help="disable equilibrium-solve memoization")
     run.add_argument("--hotset-shift", type=float, action="append",
                      default=None, metavar="TIME_S",
                      help="reshuffle the workload's hot set at this "
                           "simulated time (repeatable; gups only) — "
                           "the §5.2 dynamic-workload methodology")
     run.add_argument("--placement-audit", type=int, nargs="?",
-                     const=-1, default=None, metavar="QUANTA",
+                     const=DEFAULT_AUDIT_PERIOD_QUANTA, default=None,
+                     metavar="QUANTA",
                      help="record per-quantum placement observability "
                           "(occupancy ledger, migration flows, ping-pong "
                           "churn) into the trace and audit the "
@@ -294,39 +289,25 @@ def _build_reporter(args):
     return FleetProgress()
 
 
-def _enable_instrumentation(args) -> None:
-    """Turn on checks/metrics per flags (both propagate to workers via
-    the environment)."""
-    if getattr(args, "check", False):
-        from repro.check import enable_checks
+def _run_options(args):
+    """The run's :class:`~repro.options.RunOptions`: the flags given,
+    over the ``REPRO_*`` environment defaults. Switches the process's
+    metrics registry to match."""
+    from repro.obs.metrics import METRICS
+    from repro.options import RunOptions
 
-        # Sets REPRO_CHECK in the environment, so process-pool workers
-        # inherit checking along with the parent.
-        enable_checks()
-    if getattr(args, "metrics", None):
-        from repro.obs.metrics import enable_metrics
-
-        enable_metrics()
-    if getattr(args, "no_solver_cache", False):
-        from repro.memhw.fixedpoint import disable_solver_cache
-
-        # Sets REPRO_SOLVER_CACHE=0, so process-pool workers inherit
-        # the setting along with the parent.
-        disable_solver_cache()
-    if getattr(args, "diagnose", False):
-        from repro.obs.diagnose import enable_diagnostics
-
-        # Sets REPRO_DIAGNOSE, so process-pool workers diagnose their
-        # own cells and return the summary with the result.
-        enable_diagnostics()
+    env = RunOptions.from_env()
     audit = getattr(args, "placement_audit", None)
-    if audit is not None:
-        from repro.obs.placement import enable_placement_audit
-
-        # Sets REPRO_PLACEMENT_AUDIT, so process-pool workers observe
-        # placement and attach the summary to their cell results. The
-        # bare-flag sentinel (-1) means "default audit period".
-        enable_placement_audit(None if audit < 1 else audit)
+    options = RunOptions(
+        check=env.check or getattr(args, "check", False),
+        metrics=env.metrics or bool(getattr(args, "metrics", None)),
+        diagnose=env.diagnose or getattr(args, "diagnose", False),
+        placement_audit=env.placement_audit if audit is None else audit,
+        solver_cache=(env.solver_cache
+                      and not getattr(args, "no_solver_cache", False)),
+    )
+    METRICS.enabled = options.metrics
+    return options
 
 
 def _export_metrics(args) -> None:
@@ -366,10 +347,10 @@ def _build_runner(args):
     """Build the batch Runner from ``figure``/``report`` flags."""
     from repro.exec.runner import Runner
 
-    _enable_instrumentation(args)
     return Runner(jobs=args.jobs, cache=_build_cache(args),
                   reporter=_build_reporter(args),
-                  journal=_build_journal(args))
+                  journal=_build_journal(args),
+                  options=_run_options(args))
 
 
 def _make_workload(kind: str, scale: float, seed: int,
@@ -468,15 +449,14 @@ def _contention_schedule(args):
 
 
 def _run_loop(args, build):
-    """Build the loop with ``build(tracer)``, run it for ``--duration``
-    and emit its ``run_end``; returns ``(loop, metrics, tracer)``."""
+    """Build the loop with ``build(tracer, options)``, run it for
+    ``--duration`` and emit its ``run_end``; returns ``(loop, metrics,
+    tracer)``."""
     from repro.obs.tracer import Tracer
 
+    options = _run_options(args)
     tracer = Tracer(jsonl_path=args.trace) if args.trace else None
-    # Before loop construction: the loop registers its histograms only
-    # when metrics are already enabled.
-    _enable_instrumentation(args)
-    loop = build(tracer)
+    loop = build(tracer, options)
     try:
         metrics = loop.run(duration_s=args.duration)
         loop.emit_run_end()
@@ -526,14 +506,16 @@ def cmd_run_colocated(args) -> int:
         )
         for i, (name, kind, system) in enumerate(parsed)
     ]
-    loop, metrics, tracer = _run_loop(args, lambda tracer: ColocatedLoop(
-        machine=scaled_machine(scale),
-        tenants=tenants,
-        contention=_contention_schedule(args),
-        seed=args.seed,
-        tracer=tracer,
-        profile=args.profile,
-    ))
+    loop, metrics, tracer = _run_loop(
+        args, lambda tracer, options: ColocatedLoop(
+            machine=scaled_machine(scale),
+            tenants=tenants,
+            contention=_contention_schedule(args),
+            seed=args.seed,
+            tracer=tracer,
+            profile=args.profile,
+            options=options,
+        ))
     tail = max(1, len(metrics) // 4)
     latency = metrics.latencies_ns[-tail:].mean(axis=0)
     print("tenants       : " + ", ".join(
@@ -574,15 +556,17 @@ def cmd_run(args) -> int:
                 "--hotset-shift is only defined for the gups workload"
             )
         workload = HotSetShiftWorkload(workload, args.hotset_shift)
-    loop, metrics, tracer = _run_loop(args, lambda tracer: SimulationLoop(
-        machine=scaled_machine(scale),
-        workload=workload,
-        system=_build_system(args.system),
-        contention=_contention_schedule(args),
-        seed=args.seed,
-        tracer=tracer,
-        profile=args.profile,
-    ))
+    loop, metrics, tracer = _run_loop(
+        args, lambda tracer, options: SimulationLoop(
+            machine=scaled_machine(scale),
+            workload=workload,
+            system=_build_system(args.system),
+            contention=_contention_schedule(args),
+            seed=args.seed,
+            tracer=tracer,
+            profile=args.profile,
+            options=options,
+        ))
     tail = max(1, len(metrics) // 4)
     latency = metrics.latencies_ns[-tail:].mean(axis=0)
     print(f"system        : {args.system}")
@@ -738,9 +722,9 @@ def cmd_bench(args) -> int:
     if args.bench_command == "run":
         from repro.bench import run_suite
 
-        _enable_instrumentation(args)
         record = run_suite(
             args.suite,
+            options=_run_options(args),
             jobs=args.jobs,
             cache=_build_cache(args),
             name=args.name,

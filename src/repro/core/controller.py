@@ -141,6 +141,10 @@ class ColloidController:
 
         src_tier = 1 if mode == "promotion" else 0
         dst_tier = 0 if mode == "promotion" else 1
+        # An empty source tier has nothing to find (finders draw no
+        # randomness and emit nothing, so holding here changes no run).
+        if ctx.placement.used_bytes(src_tier) == 0:
+            return ColloidDecision.hold(p, l_d, l_a)
         # In promotion mode half the byte budget pays for the make-room
         # demotions, so find at most half a budget's worth of promotions.
         find_budget = budget // 2 if mode == "promotion" else budget

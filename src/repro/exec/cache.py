@@ -88,14 +88,6 @@ class ResultCache:
 
     def get(self, spec: RunSpec) -> Optional[CellResult]:
         """The cached result for ``spec``, or None on miss/corruption."""
-        result = self._read(spec)
-        if METRICS.enabled:
-            name = ("repro_cache_hits_total" if result is not None
-                    else "repro_cache_misses_total")
-            METRICS.counter(name, help="result-cache lookups").inc()
-        return result
-
-    def _read(self, spec: RunSpec) -> Optional[CellResult]:
         path = self.path_for(spec)
         try:
             payload = json.loads(path.read_text())

@@ -2,17 +2,18 @@
 
 :func:`execute_spec` turns one :class:`~repro.exec.spec.RunSpec` into a
 :class:`~repro.exec.result.CellResult`. It is a module-level function of
-one picklable argument so the :class:`~repro.exec.runner.Runner` can
-fan it out over a :class:`concurrent.futures.ProcessPoolExecutor`; all
-randomness is seeded from the spec, so a cell's result is a pure
-function of the spec regardless of which process (or how many
-neighbors) computed it.
+picklable arguments — the spec and the
+:class:`~repro.options.RunOptions` saying what the cell observes — so
+the :class:`~repro.exec.runner.Runner` can fan it out over a
+:class:`concurrent.futures.ProcessPoolExecutor`; all randomness is
+seeded from the spec, so a cell's result is a pure function of the spec
+regardless of which process (or how many neighbors) computed it.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from repro.exec.spec import RunSpec
 from repro.memhw.antagonist import antagonist_core_group
 from repro.memhw.fixedpoint import EquilibriumSolver
 from repro.memhw.topology import Machine
+from repro.options import RunOptions
 from repro.pages.oracle import BestCaseResult, best_case_sweep
 from repro.runtime.experiment import SteadyStateResult, run_steady_state
 from repro.runtime.colocation import ColocatedLoop
@@ -29,12 +31,14 @@ from repro.runtime.loop import SimulationLoop, TenantSpec
 from repro.workloads.base import Workload
 
 
-def build_loop(spec: RunSpec, tracer=None):
+def build_loop(spec: RunSpec, tracer=None,
+               options: Optional[RunOptions] = None):
     """Construct the loop a spec describes: a
     :class:`~repro.runtime.loop.SimulationLoop`, or a
     :class:`~repro.runtime.colocation.ColocatedLoop` when the spec
     declares tenants."""
     common = dict(
+        options=options,
         quantum_ms=spec.quantum_ms,
         contention=spec.contention_input(),
         cha_noise_sigma=spec.cha_noise_sigma,
@@ -63,16 +67,12 @@ def build_loop(spec: RunSpec, tracer=None):
                          tenants=tenants, **common)
 
 
-def _cell_tracer(spec: RunSpec):
-    """An in-memory tracer sized to hold the whole cell, when any
-    per-cell trace consumer is enabled — diagnostics (``REPRO_DIAGNOSE``
-    / ``--diagnose``) or the placement audit (``REPRO_PLACEMENT_AUDIT``
-    / ``--placement-audit``)."""
-    from repro.obs.diagnose import diagnostics_enabled
-    from repro.obs.placement import placement_audit_enabled
+def _cell_tracer(spec: RunSpec, options: RunOptions):
+    """An in-memory tracer sized to hold the whole cell, when a per-cell
+    trace consumer (diagnostics or the placement audit) is on."""
     from repro.obs.tracer import DEFAULT_RING_SIZE, Tracer
 
-    if not (diagnostics_enabled() or placement_audit_enabled()):
+    if not (options.diagnose or options.placement_audit is not None):
         return None
     duration_s = spec.duration_s or spec.max_duration_s or 10.0
     quanta = duration_s * 1000.0 / spec.quantum_ms
@@ -83,25 +83,23 @@ def _cell_tracer(spec: RunSpec):
 def _finalize_cell(loop, tracer) -> "Tuple[dict | None, dict | None]":
     """Distill the cell's trace into its opt-in payloads.
 
-    Returns ``(diagnostics, placement)`` — each None when the
-    corresponding switch is off or the trace is empty.
+    Returns ``(diagnostics, placement)`` — each None when the loop's
+    options leave it off or the trace is empty.
     """
     if tracer is None:
         return None, None
-    from repro.obs.diagnose import diagnose_events, diagnostics_enabled
-    from repro.obs.placement import (
-        placement_audit_enabled,
-        placement_payload,
-    )
+    from repro.obs.diagnose import diagnose_events
+    from repro.obs.placement import placement_payload
 
     loop.emit_run_end()
     events = tracer.events()
     if not events:
         return None, None
+    options = loop.options
     diagnostics = (diagnose_events(events).summary.to_dict()
-                   if diagnostics_enabled() else None)
+                   if options.diagnose else None)
     placement = (placement_payload(events)
-                 if placement_audit_enabled() else None)
+                 if options.placement_audit is not None else None)
     return diagnostics, placement
 
 
@@ -117,14 +115,17 @@ def run_spec_steady(spec: RunSpec) -> SteadyStateResult:
 
 
 def best_case_result(workload: Workload, machine: Machine,
-                     intensity: int, seed: int) -> BestCaseResult:
+                     intensity: int, seed: int,
+                     options: Optional[RunOptions] = None
+                     ) -> BestCaseResult:
     """The paper's §2.2 best-case sweep for one contention level.
 
     The sweep chains warm starts across placement points (the solver is
     fresh per cell, so memoization never crosses cell boundaries and
     parallel fan-out stays bit-identical to serial).
     """
-    solver = EquilibriumSolver(machine.tiers)
+    solver = EquilibriumSolver(
+        machine.tiers, use_cache=RunOptions.resolve(options).solver_cache)
     antagonist = antagonist_core_group(intensity, machine.antagonist)
     return best_case_sweep(
         solver=solver,
@@ -187,11 +188,11 @@ def _tenant_payload(spec: RunSpec, loop) -> "dict | None":
     return payload
 
 
-def _execute_best_case(spec: RunSpec) -> CellResult:
+def _execute_best_case(spec: RunSpec, options: RunOptions) -> CellResult:
     workload = spec.workload.build()
     machine = spec.machine.build(workload)
     best = best_case_result(workload, machine, spec.initial_contention(),
-                            spec.seed)
+                            spec.seed, options)
     rates = best.best.equilibrium.apps[0].tier_read_rate
     total = float(rates.sum())
     share = float(rates[0]) / total if total else 0.0
@@ -206,83 +207,66 @@ def _execute_best_case(spec: RunSpec) -> CellResult:
     )
 
 
-def _execute_steady(spec: RunSpec) -> CellResult:
-    tracer = _cell_tracer(spec)
-    loop = build_loop(spec, tracer=tracer)
-    result = run_steady_state(
-        loop,
-        min_duration_s=spec.resolved_min_duration_s(),
-        max_duration_s=spec.max_duration_s,
-    )
-    latencies, share = _tail_stats(result.metrics)
-    diagnostics, placement = _finalize_cell(loop, tracer)
-    return CellResult(
-        mode=spec.mode,
-        throughput=float(result.throughput),
-        converged=bool(result.converged),
-        duration_s=float(result.duration_s),
-        tail_latencies_ns=latencies,
-        tail_default_share=share,
-        cpu_work=_loop_cpu_work(spec, loop),
-        diagnostics=diagnostics,
-        tenants=_tenant_payload(spec, loop),
-        placement=placement,
-    )
-
-
-def _execute_trace(spec: RunSpec) -> CellResult:
-    tracer = _cell_tracer(spec)
-    loop = build_loop(spec, tracer=tracer)
-    metrics = loop.run(duration_s=spec.duration_s)
+def _execute_loop(spec: RunSpec, options: RunOptions) -> CellResult:
+    """A steady-mode (run until settled) or trace-mode (fixed duration,
+    with its time series) cell."""
+    tracer = _cell_tracer(spec, options)
+    loop = build_loop(spec, tracer=tracer, options=options)
+    if spec.mode == "steady":
+        steady = run_steady_state(
+            loop,
+            min_duration_s=spec.resolved_min_duration_s(),
+            max_duration_s=spec.max_duration_s,
+        )
+        metrics = steady.metrics
+        outcome = dict(throughput=float(steady.throughput),
+                       converged=bool(steady.converged),
+                       duration_s=float(steady.duration_s))
+    else:
+        metrics = loop.run(duration_s=spec.duration_s)
+        tail = max(1, len(metrics) // 4)
+        outcome = dict(throughput=float(metrics.throughput[-tail:].mean()),
+                       converged=None,
+                       duration_s=float(spec.duration_s),
+                       series=TraceSeries.from_metrics(metrics))
     latencies, share = _tail_stats(metrics)
-    tail = max(1, len(metrics) // 4)
     diagnostics, placement = _finalize_cell(loop, tracer)
     return CellResult(
         mode=spec.mode,
-        throughput=float(metrics.throughput[-tail:].mean()),
-        converged=None,
-        duration_s=float(spec.duration_s),
         tail_latencies_ns=latencies,
         tail_default_share=share,
         cpu_work=_loop_cpu_work(spec, loop),
-        series=TraceSeries.from_metrics(metrics),
         diagnostics=diagnostics,
         tenants=_tenant_payload(spec, loop),
         placement=placement,
+        **outcome,
     )
 
 
-def execute_spec(spec: RunSpec) -> CellResult:
+def execute_spec(spec: RunSpec,
+                 options: Optional[RunOptions] = None) -> CellResult:
     """Execute one spec to completion (the Runner's worker function).
 
-    With invariant checking enabled (``REPRO_CHECK`` / ``--check``) the
-    spec's serialization round-trip is verified before the run — the
-    content hash is the cache key and the dedup unit, so a lossy
-    ``to_dict`` would silently cross results between cells — and the
-    result's round-trip after, since the JSON form is what the cache
-    persists. The simulation itself is checked by the loop's
-    :class:`~repro.check.Checker`.
+    ``options`` (None: the environment defaults) say what the cell
+    observes. With ``check`` the spec's serialization round-trip is
+    verified before the run — the content hash is the cache key and the
+    dedup unit, so a lossy ``to_dict`` would silently cross results
+    between cells — and the result's round-trip after, since the JSON
+    form is what the cache persists. The simulation itself is checked
+    by the loop's :class:`~repro.check.Checker`.
     """
-    from repro.check import (
-        check_result_roundtrip,
-        check_spec_roundtrip,
-        checks_enabled,
-    )
+    from repro.check import check_result_roundtrip, check_spec_roundtrip
     from repro.obs.metrics import METRICS
 
-    checking = checks_enabled()
-    if checking:
+    options = RunOptions.resolve(options)
+    if options.check:
         check_spec_roundtrip(spec)
-    metered = METRICS.enabled
-    if metered:
-        wall_start = perf_counter()
+    wall_start = perf_counter()
     if spec.mode == "best_case":
-        result = _execute_best_case(spec)
-    elif spec.mode == "steady":
-        result = _execute_steady(spec)
+        result = _execute_best_case(spec, options)
     else:
-        result = _execute_trace(spec)
-    if metered:
+        result = _execute_loop(spec, options)
+    if options.metrics:
         wall_s = perf_counter() - wall_start
         METRICS.counter(
             f"repro_cells_{spec.mode}_total",
@@ -292,26 +276,28 @@ def execute_spec(spec: RunSpec) -> CellResult:
             "repro_cell_wall_seconds", start=1e-4, factor=4.0,
             n_buckets=12, help="wall-clock seconds per executed cell",
         ).observe(wall_s)
-    if checking:
+    if options.check:
         check_result_roundtrip(spec, result)
     return result
 
 
-def execute_cell(spec: RunSpec, metered: bool = False):
+def execute_cell(spec: RunSpec, options: RunOptions):
     """Pool-worker entry point: ``(result, metrics delta)`` for one spec.
 
     Each worker process owns its own module-level
-    :data:`~repro.obs.metrics.METRICS` registry. With ``metered`` it is
-    reset before the cell, so the returned snapshot is a self-contained
-    per-cell delta the parent :class:`~repro.exec.runner.Runner` can
-    absorb without double-counting, keeping the merged fleet view
-    identical to what a serial run would have accumulated in-process.
-    Otherwise the delta slot is None.
+    :data:`~repro.obs.metrics.METRICS` registry, switched by the cell's
+    ``options``. With ``metrics`` it is reset before the cell, so the
+    returned snapshot is a self-contained per-cell delta the parent
+    :class:`~repro.exec.runner.Runner` can absorb without
+    double-counting, keeping the merged fleet view identical to what a
+    serial run would have accumulated in-process. Otherwise the delta
+    slot is None.
     """
     from repro.obs.metrics import METRICS
 
-    if not metered:
-        return execute_spec(spec), None
+    METRICS.enabled = options.metrics
+    if not options.metrics:
+        return execute_spec(spec, options), None
     METRICS.reset()
-    result = execute_spec(spec)
+    result = execute_spec(spec, options)
     return result, METRICS.snapshot()

@@ -89,8 +89,8 @@ class CellResult:
         series: Trace-mode time series (None otherwise).
         diagnostics: Run-health summary dict
             (:meth:`repro.obs.diagnose.DiagnosticsSummary.to_dict`) when
-            per-cell diagnostics were enabled via ``REPRO_DIAGNOSE`` /
-            ``--diagnose``; None otherwise. Results written before the
+            the cell's options said ``diagnose`` (``--diagnose``); None
+            otherwise. Results written before the
             field existed load as None.
         tenants: For colocated cells, per-tenant summaries keyed by
             tenant name — each a dict with ``throughput``,
@@ -99,8 +99,8 @@ class CellResult:
             (and for results written before the field existed).
         placement: Placement-observability summary
             (:func:`repro.obs.placement.placement_payload`) when the
-            audit was enabled via ``REPRO_PLACEMENT_AUDIT`` /
-            ``--placement-audit``; None otherwise — and, like
+            cell's options set ``placement_audit``
+            (``--placement-audit``); None otherwise — and, like
             ``diagnostics``, omitted from the serialized form so cache
             shapes and golden fixtures are untouched.
     """

@@ -7,7 +7,10 @@ batch, consults the optional :class:`~repro.exec.cache.ResultCache` and
 either inline or over a ``ProcessPoolExecutor`` (``jobs > 1``). Because
 each spec seeds all of its own randomness, parallel results are
 bit-identical to serial ones — regardless of completion order or
-resumes.
+resumes. The Runner's :class:`~repro.options.RunOptions` travel to every
+cell with its spec; a cached or journaled result that lacks a payload
+they ask for (diagnostics, the placement summary) is a miss, and the
+cell runs again.
 
 The pool keeps one cell in flight per worker and consumes results in
 completion order, so a slow cell never holds up the progress line or
@@ -42,7 +45,6 @@ from typing import (
     Tuple,
 )
 
-from repro.check.invariants import checks_enabled
 from repro.check.roundtrip import (
     check_cache_fidelity,
     check_journal_fidelity,
@@ -55,6 +57,7 @@ from repro.exec.progress import FleetProgress
 from repro.exec.result import CellResult
 from repro.exec.spec import RunSpec
 from repro.obs.metrics import METRICS
+from repro.options import RunOptions
 
 #: How often a pool worker checks that the process that started it is
 #: still there.
@@ -79,6 +82,17 @@ def _exit_with_parent() -> None:
 
     threading.Thread(target=watch, name="repro-parent-watch",
                      daemon=True).start()
+
+
+def _serves(result: CellResult, spec: RunSpec,
+            options: RunOptions) -> bool:
+    """Whether a stored result carries every payload ``options`` ask
+    for (best-case cells never carry any)."""
+    if spec.mode == "best_case":
+        return True
+    return not ((options.diagnose and result.diagnostics is None)
+                or (options.placement_audit is not None
+                    and result.placement is None))
 
 
 def derive_run_seed(spec: RunSpec, run_index: int) -> int:
@@ -290,6 +304,8 @@ class Runner:
             Every executed result is appended and flushed immediately;
             entries loaded at construction (``resume=True``) satisfy
             cells without re-executing them.
+        options: What every cell observes, pickled with it to pool
+            workers; None takes the environment defaults.
     """
 
     def __init__(self, jobs: int = 1,
@@ -297,7 +313,8 @@ class Runner:
                  progress: Optional[Callable[[str], None]] = None,
                  reporter: Optional[FleetProgress] = None,
                  *,
-                 journal: Optional[FleetJournal] = None) -> None:
+                 journal: Optional[FleetJournal] = None,
+                 options: Optional[RunOptions] = None) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
         self.jobs = jobs
@@ -305,6 +322,7 @@ class Runner:
         self.progress = progress
         self.reporter = reporter
         self.journal = journal
+        self.options = RunOptions.resolve(options)
         self.stats = RunnerStats()
 
     # -- core batch API --------------------------------------------------
@@ -319,12 +337,19 @@ class Runner:
         """
         unique = list(dict.fromkeys(specs))
         self.stats.deduped += len(specs) - len(unique)
+        options = self.options
         results: Dict[RunSpec, CellResult] = {}
         todo = []
         for spec in unique:
             cached = (self.cache.get(spec)
                       if self.cache is not None else None)
-            if cached is not None:
+            hit = cached is not None and _serves(cached, spec, options)
+            if self.cache is not None and options.metrics:
+                METRICS.counter(
+                    "repro_cache_hits_total" if hit
+                    else "repro_cache_misses_total",
+                    help="result-cache lookups").inc()
+            if hit:
                 self.stats.cache_hits += 1
                 self._note(f"cache hit  {spec.describe()}")
                 results[spec] = cached
@@ -333,9 +358,10 @@ class Runner:
                 self.stats.cache_misses += 1
             if self.journal is not None:
                 recorded = self.journal.lookup(spec)
-                if recorded is not None:
+                if (recorded is not None
+                        and _serves(recorded, spec, options)):
                     self.stats.journal_hits += 1
-                    if METRICS.enabled:
+                    if options.metrics:
                         METRICS.counter(
                             "repro_journal_hits_total",
                             help="cells satisfied by a resumed journal",
@@ -355,11 +381,11 @@ class Runner:
                 mode_counts[spec.mode] = mode_counts.get(spec.mode, 0) + 1
                 if self.cache is not None:
                     self.cache.put(spec, result)
-                    if checks_enabled():
+                    if options.check:
                         check_cache_fidelity(self.cache, spec, result)
                 if self.journal is not None:
                     self.journal.record(spec, result)
-                    if checks_enabled():
+                    if options.check:
                         check_journal_fidelity(self.journal, spec,
                                                result)
                 self._note(f"[{index}/{total}] {spec.describe()}")
@@ -410,7 +436,7 @@ class Runner:
         for spec in todo:
             self._report_start(spec)
             with _cell_errors(spec):
-                result = execute_spec(spec)
+                result = execute_spec(spec, self.options)
             yield spec, result
 
     def _execute_parallel(self, todo):
@@ -423,7 +449,6 @@ class Runner:
         cells, progress or metrics behind it.
         """
         workers = min(self.jobs, len(todo))
-        metered = METRICS.enabled
         queue = iter(todo)
         inflight: Dict = {}
         with ProcessPoolExecutor(max_workers=workers,
@@ -432,7 +457,7 @@ class Runner:
             def submit(spec: RunSpec) -> None:
                 # A pool broken by a worker that died refuses new work.
                 with _cell_errors(spec):
-                    future = pool.submit(execute_cell, spec, metered)
+                    future = pool.submit(execute_cell, spec, self.options)
                 inflight[future] = spec
                 self._report_start(spec)
 

@@ -49,9 +49,8 @@ state between quanta):
   re-poses the identical system (same app groups, splits, pinned
   groups, and extra traffic; the tier specs are fixed per solver
   instance). Cached results are shared objects: treat an equilibrium as
-  immutable. Disable with ``--no-solver-cache`` / ``REPRO_SOLVER_CACHE=0``
-  (mirroring ``REPRO_CHECK`` / ``REPRO_METRICS``, so pool workers
-  inherit the setting).
+  immutable. Disable with ``--no-solver-cache`` (the ``solver_cache``
+  field of :class:`~repro.options.RunOptions`).
 * **A scalar sweep** — per-solve constants (traffic-class aggregates,
   core-group demand coefficients, tier mix efficiencies) are hoisted
   into Python floats once per solve, and each sweep is a short loop over
@@ -66,7 +65,6 @@ state between quanta):
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import mul
@@ -78,6 +76,7 @@ from repro.errors import ConfigurationError, ConvergenceError
 from repro.memhw.corestate import CoreGroup
 from repro.memhw.latency import LatencyCurve, TrafficClass
 from repro.memhw.tier import MemoryTierSpec
+from repro.options import RunOptions
 from repro.units import CACHELINE_BYTES
 
 #: Sweep budget of one solve, Jacobian probes included.
@@ -93,30 +92,6 @@ _JACOBIAN_STEP = 1e-7
 
 #: Default capacity of the per-solver memoization cache (solves).
 DEFAULT_SOLVE_CACHE_SIZE = 512
-
-#: Environment variable that switches solve memoization off process-wide
-#: (the CLI's ``--no-solver-cache`` sets it to "0" so process-pool
-#: workers inherit the setting). Unset means enabled.
-SOLVER_CACHE_ENV_VAR = "REPRO_SOLVER_CACHE"
-
-_FALSEY = ("", "0", "false", "no", "off")
-
-
-def solver_cache_enabled() -> bool:
-    """Whether solve memoization is enabled process-wide (default on)."""
-    return os.environ.get(SOLVER_CACHE_ENV_VAR,
-                          "1").lower() not in _FALSEY
-
-
-def enable_solver_cache() -> None:
-    """Enable solve memoization process-wide (and in child processes)."""
-    os.environ[SOLVER_CACHE_ENV_VAR] = "1"
-
-
-def disable_solver_cache() -> None:
-    """Disable solve memoization process-wide (and in child processes)."""
-    os.environ[SOLVER_CACHE_ENV_VAR] = "0"
-
 
 @dataclass(frozen=True)
 class AppEquilibrium:
@@ -282,9 +257,9 @@ class EquilibriumSolver:
             are therefore not part of the memoization key).
         cache_size: LRU capacity of the solve memoization cache.
         use_cache: Explicitly enable/disable memoization; ``None``
-            (default) resolves the process-wide ``REPRO_SOLVER_CACHE``
-            switch at construction, so pool workers inherit the CLI's
-            ``--no-solver-cache``.
+            (default) takes the environment default
+            (:meth:`repro.options.RunOptions.from_env`). Solvers a cell
+            builds pass the cell's option.
         validate_cache_hits: When True, every cache hit re-evaluates one
             fixed-point sweep at the cached latencies and records the
             residual in :attr:`last_hit_residual` — the invariant
@@ -319,8 +294,9 @@ class EquilibriumSolver:
         # MultiEquilibrium entries, keyed by the normalized inputs.
         self._cache: "OrderedDict[tuple, object]" = OrderedDict()
         self._cache_size = int(cache_size)
-        self._cache_enabled = (solver_cache_enabled() if use_cache is None
-                               else bool(use_cache))
+        if use_cache is None:
+            use_cache = RunOptions.from_env().solver_cache
+        self._cache_enabled = bool(use_cache)
         self._validate_cache_hits = bool(validate_cache_hits)
         #: Whether the most recent :meth:`solve` was served from the cache.
         self.last_was_cache_hit = False

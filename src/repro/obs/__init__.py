@@ -29,10 +29,9 @@ _EXPORTS = {
     "diagnose": ("DiagnosticsSummary", "diagnose_events",
                  "diagnose_timeline", "format_diagnostics"),
     "events": ("EVENT_SCHEMAS", "TRACE_SCHEMA_VERSION", "describe_schema"),
-    "metrics": ("METRICS", "METRICS_ENV_VAR", "METRICS_SCHEMA_VERSION",
-                "Counter", "Gauge", "Histogram", "MetricsRegistry",
-                "MetricsSnapshot", "disable_metrics", "enable_metrics",
-                "merge_snapshots", "metrics_enabled"),
+    "metrics": ("METRICS", "METRICS_SCHEMA_VERSION", "Counter", "Gauge",
+                "Histogram", "MetricsRegistry", "MetricsSnapshot",
+                "merge_snapshots"),
     "profile": ("Counters", "PhaseProfiler", "merge_phase_events"),
     "report": ("TraceSummary", "format_summary", "report_from_file",
                "summarize_events"),

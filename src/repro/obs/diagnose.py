@@ -19,7 +19,6 @@ bench records track: convergence quanta per epoch, an oscillation score
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -27,26 +26,6 @@ from repro.obs.timeline import Epoch, Timeline, build_timeline
 
 #: Ordered from benign to fatal; CLI exit codes key off ``critical``.
 SEVERITIES = ("info", "warning", "critical")
-
-#: Environment switch for per-cell diagnostics in the exec layer
-#: (mirrors REPRO_CHECK / REPRO_METRICS so --jobs workers inherit it).
-DIAGNOSE_ENV_VAR = "REPRO_DIAGNOSE"
-
-
-def diagnostics_enabled() -> bool:
-    """Whether per-cell diagnostics are requested via the environment."""
-    return os.environ.get(DIAGNOSE_ENV_VAR, "") not in ("", "0")
-
-
-def enable_diagnostics() -> None:
-    """Turn on per-cell diagnostics for this process and its workers."""
-    os.environ[DIAGNOSE_ENV_VAR] = "1"
-
-
-def disable_diagnostics() -> None:
-    """Turn per-cell diagnostics back off."""
-    os.environ.pop(DIAGNOSE_ENV_VAR, None)
-
 
 def _severity_rank(severity: str) -> int:
     return SEVERITIES.index(severity) if severity in SEVERITIES else 0
@@ -965,7 +944,6 @@ def with_overrides(config: DiagnosticsConfig,
 __all__ = [
     "DEFAULT_CONFIG",
     "DETECTORS",
-    "DIAGNOSE_ENV_VAR",
     "DiagnosticsConfig",
     "DiagnosticsSummary",
     "Finding",
@@ -973,9 +951,6 @@ __all__ = [
     "SEVERITIES",
     "diagnose_events",
     "diagnose_timeline",
-    "diagnostics_enabled",
-    "disable_diagnostics",
-    "enable_diagnostics",
     "format_diagnostics",
     "with_overrides",
 ]

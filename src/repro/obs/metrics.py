@@ -12,18 +12,19 @@ into one fleet view with :meth:`MetricsSnapshot.merge`, which is
 associative and commutative by construction (counter sums, gauge
 maxima, bucket-wise histogram sums).
 
-Enablement mirrors :mod:`repro.check`: the ``REPRO_METRICS`` environment
-variable switches collection on process-wide, so pool workers inherit
-the parent's setting; the CLI's ``--metrics`` flag sets it. Disabled,
-every instrumentation site costs one attribute check on the module-level
-:data:`METRICS` registry, the same contract the null tracer makes.
+Collection is the ``metrics`` field of :class:`~repro.options.RunOptions`.
+The loop and the exec layer record when their options say so; components
+below them (solver, executor, cache, placement observer) record when the
+module-level :data:`METRICS` registry is enabled, which the CLI and each
+``--jobs`` worker switch from the options. Disabled, every such site
+costs one attribute check on the registry, the same contract the null
+tracer makes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -31,30 +32,6 @@ from repro.errors import ConfigurationError
 #: Bumped whenever the snapshot payload layout changes (the JSON export
 #: and the bench records embed snapshots).
 METRICS_SCHEMA_VERSION = 1
-
-#: Environment variable that switches metrics collection on process-wide
-#: (the CLI's ``--metrics`` sets it so process-pool workers inherit it).
-METRICS_ENV_VAR = "REPRO_METRICS"
-
-_FALSEY = ("", "0", "false", "no", "off")
-
-
-def metrics_enabled() -> bool:
-    """Whether metrics collection is enabled process-wide."""
-    return os.environ.get(METRICS_ENV_VAR, "").lower() not in _FALSEY
-
-
-def enable_metrics() -> None:
-    """Enable metrics collection process-wide (and in child processes)."""
-    os.environ[METRICS_ENV_VAR] = "1"
-    METRICS.enabled = True
-
-
-def disable_metrics() -> None:
-    """Disable process-wide metrics collection."""
-    os.environ.pop(METRICS_ENV_VAR, None)
-    METRICS.enabled = False
-
 
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyz"
                "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:")
@@ -483,9 +460,9 @@ class MetricsRegistry:
             hist.count = 0
 
 
-#: Process-wide registry. ``enabled`` is resolved from ``REPRO_METRICS``
-#: at import so pool workers come up with the parent's setting.
-METRICS = MetricsRegistry(enabled=metrics_enabled())
+#: Process-wide registry, disabled until the CLI or a pool worker
+#: switches it from the run's options.
+METRICS = MetricsRegistry()
 
 
 __all__ = [
@@ -493,12 +470,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "METRICS",
-    "METRICS_ENV_VAR",
     "METRICS_SCHEMA_VERSION",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "disable_metrics",
-    "enable_metrics",
     "merge_snapshots",
-    "metrics_enabled",
 ]

@@ -28,32 +28,20 @@ the events. The audit is strictly read-only: it uses a private
 equilibrium solver and private warm-start state supplied by the loop, so
 an audited run is bit-identical to an unaudited one.
 
-Enablement mirrors :mod:`repro.check`: the ``REPRO_PLACEMENT_AUDIT``
-environment variable switches the audit on process-wide (so ``--jobs``
-pool workers inherit it); the CLI's ``--placement-audit`` flag sets it.
-A value > 1 is the audit period in quanta.
+The audit is the ``placement_audit`` field of
+:class:`~repro.options.RunOptions` (the audit period in quanta, or None
+for off); the CLI's ``--placement-audit`` sets it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import METRICS
-
-#: Environment variable that switches the placement audit on
-#: process-wide (the CLI's ``--placement-audit`` sets it so process-pool
-#: workers inherit it). A value > 1 is the audit period in quanta.
-PLACEMENT_AUDIT_ENV_VAR = "REPRO_PLACEMENT_AUDIT"
-
-_FALSEY = ("", "0", "false", "no", "off")
-
-#: How often (in quanta) the misplacement-gap audit solves the reference
-#: placements. The ledger and flow tracker sample every quantum.
-DEFAULT_AUDIT_PERIOD_QUANTA = 10
+from repro.options import DEFAULT_AUDIT_PERIOD_QUANTA
 
 #: Number of hotness buckets in the occupancy ledger.
 N_HOTNESS_DECILES = 10
@@ -64,44 +52,6 @@ DEFAULT_CHURN_WINDOW_QUANTA = 50
 
 #: Reversals inside the window that make a page a ping-pong page.
 PING_PONG_MIN_REVERSALS = 2
-
-
-def placement_audit_enabled() -> bool:
-    """Whether the placement audit is enabled process-wide."""
-    value = os.environ.get(PLACEMENT_AUDIT_ENV_VAR, "").lower()
-    return value not in _FALSEY
-
-
-def placement_audit_period() -> int:
-    """The configured audit period in quanta (>= 1)."""
-    value = os.environ.get(PLACEMENT_AUDIT_ENV_VAR, "")
-    try:
-        period = int(value)
-    except ValueError:
-        return DEFAULT_AUDIT_PERIOD_QUANTA
-    if period <= 1:
-        return DEFAULT_AUDIT_PERIOD_QUANTA
-    return period
-
-
-def enable_placement_audit(period: Optional[int] = None) -> None:
-    """Enable the placement audit process-wide (and in child processes).
-
-    Args:
-        period: Audit period in quanta; None keeps the default.
-    """
-    if period is None:
-        os.environ[PLACEMENT_AUDIT_ENV_VAR] = "1"
-        return
-    period = int(period)
-    if period < 1:
-        raise ConfigurationError("placement-audit period must be >= 1")
-    os.environ[PLACEMENT_AUDIT_ENV_VAR] = str(period)
-
-
-def disable_placement_audit() -> None:
-    """Disable the process-wide placement audit."""
-    os.environ.pop(PLACEMENT_AUDIT_ENV_VAR, None)
 
 
 # -- occupancy ledger ------------------------------------------------------
@@ -349,15 +299,14 @@ class PlacementObserver:
         self,
         n_tiers: int,
         tracer,
-        audit_period: Optional[int] = None,
+        audit_period: int = DEFAULT_AUDIT_PERIOD_QUANTA,
         churn_window_quanta: int = DEFAULT_CHURN_WINDOW_QUANTA,
     ) -> None:
         if n_tiers < 1:
             raise ConfigurationError("need at least one tier")
         self.n_tiers = int(n_tiers)
         self.tracer = tracer
-        self.audit_period = (placement_audit_period()
-                             if audit_period is None else int(audit_period))
+        self.audit_period = int(audit_period)
         if self.audit_period < 1:
             raise ConfigurationError("audit period must be >= 1")
         self.flows = FlowTracker(window_quanta=churn_window_quanta)
@@ -658,17 +607,12 @@ __all__ = [
     "FlowTracker",
     "N_HOTNESS_DECILES",
     "PING_PONG_MIN_REVERSALS",
-    "PLACEMENT_AUDIT_ENV_VAR",
     "PlacementObserver",
     "balance_p",
-    "disable_placement_audit",
-    "enable_placement_audit",
     "flow_matrix",
     "hotness_deciles",
     "occupancy_ledger",
     "pack_hottest_p",
-    "placement_audit_enabled",
-    "placement_audit_period",
     "placement_payload",
     "summarize_placement_events",
 ]

@@ -24,14 +24,14 @@ real co-runners instead of the antagonist). What the constructor adds:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.check.invariants import NULL_CHECKER, Checker
 from repro.errors import ConfigurationError
 from repro.memhw.topology import Machine
 from repro.obs.tracer import TenantTracer
+from repro.options import RunOptions
 from repro.pages.pagestate import PageArray
 from repro.pages.placement import (
     CapacityArbiter,
@@ -72,8 +72,9 @@ class ColocatedLoop(QuantumLoop):
             labeled via :class:`~repro.obs.tracer.TenantTracer`.
         profile: Enable the phase profiler (phases aggregate across
             tenants).
-        checker: Optional machine-level checker override; per-tenant
-            checkers follow its enabled state.
+        options: What the run observes
+            (:class:`~repro.options.RunOptions`); None takes the
+            environment defaults.
     """
 
     def __init__(
@@ -87,7 +88,7 @@ class ColocatedLoop(QuantumLoop):
         seed: int = 1234,
         tracer=None,
         profile: bool = False,
-        checker=None,
+        options: Optional[RunOptions] = None,
     ) -> None:
         if not tenants:
             raise ConfigurationError("need at least one tenant")
@@ -102,7 +103,7 @@ class ColocatedLoop(QuantumLoop):
                 "tenants must not share tiering-system instances"
             )
         self._setup(machine, quantum_ms, contention, cha_noise_sigma,
-                    migration_limit_bytes, tracer, profile, checker)
+                    migration_limit_bytes, tracer, profile, options)
 
         # Arbitrate the shared capacity once, up front: grants are the
         # tenants' placement capacities for the whole run.
@@ -130,8 +131,6 @@ class ColocatedLoop(QuantumLoop):
             fill_default_first(placement)
             self._add_tenant(
                 spec, placement, tenant_tracer,
-                (Checker(tracer=tenant_tracer) if self.checker.enabled
-                 else NULL_CHECKER),
                 rng=np.random.default_rng([seed, i]),
                 cha_rng=np.random.default_rng([seed + 1, i]),
             )

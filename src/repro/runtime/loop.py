@@ -26,17 +26,11 @@ application traffic of quantum k+1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.check.invariants import (
-    NULL_CHECKER,
-    Checker,
-    checks_enabled,
-    find_shift_computer,
-)
+from repro.check.invariants import NULL_CHECKER, Checker
 from repro.errors import ConfigurationError
 from repro.memhw.antagonist import antagonist_core_group
 from repro.memhw.cha import ChaCounters
@@ -46,14 +40,14 @@ from repro.memhw.latency import TrafficClass
 from repro.memhw.mbm import MbmMonitor
 from repro.memhw.topology import Machine
 from repro.obs.events import TRACE_SCHEMA_VERSION
-from repro.obs.metrics import METRICS
-from repro.obs.placement import PlacementObserver, placement_audit_enabled
-from repro.obs.profile import Counters, PhaseProfiler
+from repro.obs.profile import PhaseProfiler
 from repro.obs.tracer import NULL_TRACER
+from repro.options import RunOptions
 from repro.pages.migration import MigrationExecutor
 from repro.pages.pagestate import PageArray
 from repro.pages.placement import PlacementState, fill_default_first
 from repro.runtime.metrics import MetricsRecorder, QuantumRecord
+from repro.runtime.observers import RunCounters, build_observers
 from repro.tiering.base import QuantumContext, TieringSystem
 from repro.tracking.feed import AccessFeed
 from repro.units import mib, ms_to_ns
@@ -125,13 +119,14 @@ class _Tenant:
     """Runtime state of one tenant (private to the loop).
 
     Besides the tenant's components it holds what the loop caches across
-    quanta (see :meth:`tier_split` and :meth:`app_core_group`) and the
-    copy debt, per tier, as Python floats.
+    quanta (see :meth:`tier_split` and :meth:`app_core_group`), the copy
+    debt, per tier, as Python floats, and this quantum's inputs for the
+    loop's observers.
     """
 
     spec: TenantSpec
+    index: int
     tracer: object
-    checker: object
     rng: np.random.Generator
     cha: ChaCounters
     mbm: MbmMonitor
@@ -140,8 +135,12 @@ class _Tenant:
     copy_read_debt: List[float]
     copy_write_debt: List[float]
     metrics: MetricsRecorder = field(default_factory=MetricsRecorder)
-    placement_obs: Optional[PlacementObserver] = None
-    audit_warm: Optional[np.ndarray] = None
+    # This quantum's access probabilities, tier split (as solved), whether
+    # the distribution shifted, and the copy bytes charged.
+    probs: Optional[np.ndarray] = None
+    split: Optional[np.ndarray] = None
+    shifted: bool = False
+    charged: int = 0
     # Tier-split cache: the split, and the page-table version and the
     # very probability array it was computed from.
     _split: Optional[np.ndarray] = field(default=None, init=False)
@@ -288,49 +287,27 @@ class QuantumLoop:
       shared latencies, demand-weighted default-tier share); with one
       tenant it is that tenant's record. Per-tenant series live in
       :attr:`tenant_metrics`.
+    * What the run watches — invariant checks, the placement audit,
+      metrics, ``run_end`` counters — is the tuple :attr:`observers`,
+      built once from :attr:`options` and the tracer
+      (:mod:`repro.runtime.observers`); the phase profiler stays a lap
+      timer between their hooks.
     """
 
     def _setup(self, machine: Machine, quantum_ms: float,
                contention: ContentionSchedule, cha_noise_sigma: float,
                migration_limit_bytes: int, tracer, profile: bool,
-               checker) -> None:
+               options: Optional[RunOptions]) -> None:
         """State every constructor shares, before tenants are added."""
         if quantum_ms <= 0:
             raise ConfigurationError("quantum must be positive")
         self.machine = machine
         self.tracer = NULL_TRACER if tracer is None else tracer
-        # Invariant checking: an explicit checker wins; otherwise honor
-        # the process-wide REPRO_CHECK switch (the CLI's --check).
-        if checker is None:
-            checker = (Checker(tracer=self.tracer) if checks_enabled()
-                       else NULL_CHECKER)
-        self.checker = checker
+        self.options = options = RunOptions.resolve(options)
+        #: The machine-level invariant checker (NULL_CHECKER unchecked).
+        self.checker = (Checker(tracer=self.tracer) if options.check
+                        else NULL_CHECKER)
         self.profiler = PhaseProfiler(enabled=profile)
-        self.counters = Counters()
-        # Fleet metrics (REPRO_METRICS / --metrics). Metric handles are
-        # resolved once here; the per-step cost when disabled is a
-        # single attribute check on the module-level registry.
-        if METRICS.enabled:
-            self._m_quantum_wall = METRICS.histogram(
-                "repro_quantum_wall_ns", start=1e3, factor=2.0,
-                n_buckets=24,
-                help="wall-clock nanoseconds per simulation quantum",
-            )
-            self._m_tier_latency = [
-                METRICS.histogram(
-                    f"repro_tier{i}_loaded_latency_ns", start=50.0,
-                    factor=1.5, n_buckets=24,
-                    help=f"CPU-observed loaded latency of tier {i} (ns)",
-                )
-                for i in range(len(machine.tiers))
-            ]
-            self._m_quanta = METRICS.counter(
-                "repro_quanta_total", help="simulation quanta executed")
-            self._m_migrated = METRICS.counter(
-                "repro_migrated_bytes_total",
-                help="bytes charged to the hardware model as migration "
-                     "traffic",
-            )
         self.quantum_ns = ms_to_ns(quantum_ms)
         self.quantum_s = quantum_ms / 1e3
         if callable(contention):
@@ -339,7 +316,8 @@ class QuantumLoop:
             level = coerce_intensity(contention)
             self._contention = lambda _t: level
         self.solver = EquilibriumSolver(
-            machine.tiers, validate_cache_hits=self.checker.enabled
+            machine.tiers, use_cache=options.solver_cache,
+            validate_cache_hits=options.check,
         )
         # Warm start: the previous quantum's solved latencies seed the
         # next solve (the system sits at a steady state between quanta).
@@ -349,7 +327,6 @@ class QuantumLoop:
         self._cha_noise_sigma = cha_noise_sigma
         self._migration_limit_bytes = migration_limit_bytes
         self._tenants: List[_Tenant] = []
-        self._audit_solver: Optional[EquilibriumSolver] = None
         self.metrics = MetricsRecorder()
         self.time_s = 0.0
         self._epoch = 0
@@ -360,7 +337,7 @@ class QuantumLoop:
         self._antagonist: Optional[CoreGroup] = None
 
     def _add_tenant(self, spec: TenantSpec, placement: PlacementState,
-                    tracer, checker, rng: np.random.Generator,
+                    tracer, rng: np.random.Generator,
                     cha_rng: np.random.Generator) -> _Tenant:
         """Build one tenant's runtime state and attach its system."""
         n_tiers = len(self._capacities)
@@ -372,8 +349,8 @@ class QuantumLoop:
             burst_quanta = 2
         tenant = _Tenant(
             spec=spec,
+            index=len(self._tenants),
             tracer=tracer,
-            checker=checker,
             rng=rng,
             cha=ChaCounters(n_tiers=n_tiers,
                             noise_sigma=self._cha_noise_sigma, rng=cha_rng),
@@ -397,20 +374,14 @@ class QuantumLoop:
         return tenant
 
     def _start(self, system: str, workload: str, **run_start) -> None:
-        """Finish construction: placement observers and ``run_start``."""
+        """Finish construction: the observers and ``run_start``."""
         n_tiers = len(self._capacities)
-        # Placement observability (REPRO_PLACEMENT_AUDIT /
-        # --placement-audit): one observer per tenant (samples go through
-        # the tenant's tracer) sharing one private audit solver — the
-        # probe solves never touch the loop's solver or warm-start
-        # state, so audited runs are bit-identical to unaudited ones.
-        if placement_audit_enabled() and self.tracer.enabled:
-            for tenant in self._tenants:
-                tenant.placement_obs = PlacementObserver(
-                    n_tiers=n_tiers, tracer=tenant.tracer,
-                )
-            if n_tiers == 2:
-                self._audit_solver = EquilibriumSolver(self.machine.tiers)
+        self.observers = build_observers(self)
+        # This quantum's (core group, split) per tenant, set by step.
+        self._apps: list = []
+        #: The ``run_end`` counters (None without a tracer).
+        self.counters = next((o.counters for o in self.observers
+                              if isinstance(o, RunCounters)), None)
         if self.tracer.enabled:
             self.tracer.emit(
                 "run_start",
@@ -455,51 +426,18 @@ class QuantumLoop:
 
     # -- per-quantum cycle ------------------------------------------------
 
-    def _audit_evaluate(self, index: int, apps, antagonist,
-                        tenant: _Tenant):
-        """Misplacement-audit callback for one tenant.
-
-        Varies only tenant ``index``'s split while holding every other
-        tenant's current split (and the antagonist) fixed — the audit
-        asks "given everybody else's behavior this quantum, where should
-        *this* tenant's pages sit?". Solved on the private audit solver
-        with per-tenant warm-start chaining; the loop's solver, cache,
-        and warm latencies are never touched.
-        """
-        solver = self._audit_solver
-
-        def evaluate(p: float):
-            probe = [
-                (group, [p, 1.0 - p] if j == index else split)
-                for j, (group, split) in enumerate(apps)
-            ]
-            eq = _solve_apps(
-                solver, probe, pinned=[(antagonist, 0)],
-                initial_latencies=tenant.audit_warm,
-            )
-            tenant.audit_warm = eq.latencies_ns
-            return eq.latencies_ns, eq.apps[index].read_rate
-
-        return evaluate
-
     def step(self) -> QuantumRecord:
         """Advance every tenant by one quantum; returns the aggregate."""
         t = self.time_s
         tracer = self.tracer
         profiler = self.profiler
-        counters = self.counters
+        observers = self.observers
         tenants = self._tenants
-        metered = METRICS.enabled
-        if metered:
-            wall_start = perf_counter_ns()
         if tracer.enabled:
             tracer.time_s = t
         profiler.start()
 
         # 1. Advance workloads and the antagonist schedule.
-        tenant_probs = []
-        tenant_splits = []
-        tenant_shifted = []
         for tenant in tenants:
             shifted = bool(tenant.spec.workload.advance(t))
             if shifted:
@@ -522,9 +460,9 @@ class QuantumLoop:
                 override = override_fn()
                 if override is not None:
                     split = override
-            tenant_probs.append(probs)
-            tenant_splits.append(split)
-            tenant_shifted.append(shifted)
+            tenant.probs = probs
+            tenant.split = split
+            tenant.shifted = shifted
         intensity = coerce_intensity(self._contention(t), time_s=t)
         if intensity != self._last_intensity:
             self._antagonist = antagonist_core_group(
@@ -545,18 +483,16 @@ class QuantumLoop:
         # 2. One shared solve over every tenant's demand plus the summed
         # migration traffic (tenant order keeps the sum deterministic).
         combined_traffic = None
-        tenant_charged = []
         for tenant in tenants:
-            traffic, charged = tenant.drain_copy_debt(
+            traffic, tenant.charged = tenant.drain_copy_debt(
                 self._migration_limit_bytes, self.quantum_ns)
-            tenant_charged.append(charged)
             if combined_traffic is None:
                 combined_traffic = traffic
             elif traffic is not None:
                 for tier, classes in enumerate(traffic):
                     combined_traffic[tier].extend(classes)
-        apps = [(tenant.app_core_group(), split)
-                for tenant, split in zip(tenants, tenant_splits)]
+        self._apps = apps = [(tenant.app_core_group(), tenant.split)
+                             for tenant in tenants]
         equilibrium = _solve_apps(
             self.solver, apps,
             pinned=[(antagonist, 0)],
@@ -567,15 +503,8 @@ class QuantumLoop:
         for tenant, app_eq in zip(tenants, equilibrium.apps):
             tenant.cha.observe(equilibrium, self.quantum_ns)
             tenant.mbm.observe_rates(app_eq.tier_read_rate, self.quantum_ns)
-        if self.checker.enabled:
-            self.checker.check_equilibrium(
-                t, equilibrium.latencies_ns, equilibrium.total_read_rate,
-                equilibrium.measured_p,
-            )
-            if self.solver.last_was_cache_hit:
-                self.checker.check_solver_cache(
-                    t, self.solver.last_hit_residual
-                )
+        for observer in observers:
+            observer.post_solve(t, equilibrium, self.solver)
         dt_solve = profiler.lap("equilibrium_solve")
         if tracer.enabled:
             tracer.emit(
@@ -586,22 +515,16 @@ class QuantumLoop:
                 measured_p=equilibrium.measured_p,
                 cached=self.solver.last_was_cache_hit,
             )
-        counters.inc("quanta")
-        if self.solver.last_was_cache_hit:
-            counters.inc("solver_cache_hits")
-        else:
-            counters.inc("solver_cache_misses")
-            counters.inc("solver_iterations", equilibrium.iterations)
         latencies_ns = equilibrium.latencies_ns + self.machine.cpu_to_cha_ns
 
         # 3. Per-tenant observe/decide/migrate with tenant-scoped state.
         dt_decide = 0
         dt_migrate = 0
         records = []
-        for i, tenant in enumerate(tenants):
-            app_eq = equilibrium.apps[i]
+        for tenant, app_eq, (group, __) in zip(tenants, equilibrium.apps,
+                                               apps):
             feed = AccessFeed(
-                access_probs=tenant_probs[i],
+                access_probs=tenant.probs,
                 request_rate=app_eq.read_rate / 64.0,
                 quantum_ns=self.quantum_ns,
                 rng=tenant.rng,
@@ -618,96 +541,35 @@ class QuantumLoop:
             )
             decision = tenant.spec.system.quantum(ctx)
             dt_decide += profiler.lap("tiering_decision")
-            checker = tenant.checker
-            if checker.enabled:
-                shift = find_shift_computer(tenant.spec.system)
-                if shift is not None:
-                    checker.check_shift(t, shift)
-                # Snapshot after the decision: systems may legitimately
-                # reshape the page table (MEMTIS hugepage splits); only
-                # the executor's moves must conserve pages.
-                snapshot = checker.placement_snapshot(tenant.placement)
+            for observer in observers:
+                observer.post_decision(t, tenant)
             result = tenant.executor.execute(
                 decision.plan, self.quantum_ns, decision.budget_bytes
             )
-            if checker.enabled:
-                checker.check_migration(
-                    t, tenant.placement, result, decision.budget_bytes,
-                    snapshot,
-                )
-                checker.check_placement_flows(
-                    t, tenant.placement, result, snapshot
-                )
             if result.bytes_moved > 0:
                 tenant.add_copy_debt(result)
             dt_migrate += profiler.lap("migration_execute")
-            if tenant.placement_obs is not None:
-                evaluate = None
-                audit_key = None
-                if (self._audit_solver is not None
-                        and tenant.placement_obs.audit_due()):
-                    evaluate = self._audit_evaluate(i, apps, antagonist,
-                                                    tenant)
-                    # The probe equilibrium holds every *other* tenant's
-                    # split fixed; the audited tenant's own split is the
-                    # probe variable and must stay out of the key.
-                    audit_key = (
-                        tuple(
-                            (group,
-                             None if j == i else tuple(map(float, split)))
-                            for j, (group, split) in enumerate(apps)
-                        ),
-                        antagonist,
-                    )
-                tenant.placement_obs.observe_quantum(
-                    access_probs=tenant_probs[i],
-                    placement=tenant.placement,
-                    result=result,
-                    p_actual=float(tenant_splits[i][0]),
-                    evaluate=evaluate,
-                    probs_changed=tenant_shifted[i],
-                    audit_key=audit_key,
-                )
-                # Placement observation belongs to no phase.
-                profiler.start()
+            for observer in observers:
+                observer.post_execute(t, tenant, decision, result)
+            # Observation belongs to no phase.
+            profiler.start()
 
             record = QuantumRecord(
                 time_s=t,
                 throughput=app_eq.read_rate,
                 latencies_ns=latencies_ns,
-                p_true=float(tenant_splits[i][0]),
+                p_true=float(tenant.split[0]),
                 p_measured=equilibrium.measured_p,
                 app_tier_bandwidth=(
-                    app_eq.tier_read_rate * apps[i][0].traffic_multiplier()
+                    app_eq.tier_read_rate * group.traffic_multiplier()
                 ),
-                migration_bytes=tenant_charged[i],
+                migration_bytes=tenant.charged,
                 antagonist_intensity=intensity,
             )
             tenant.metrics.record(record)
             records.append(record)
-            counters.inc("migrated_bytes", tenant_charged[i])
-            counters.inc("moves_applied", result.moves_applied)
-            counters.inc("moves_deferred", result.moves_deferred)
-            counters.inc("moves_skipped", result.moves_skipped)
 
-        # 4. Cross-tenant conservation: the machine-level invariant.
-        if self.checker.enabled:
-            self.checker.check_colocation(
-                t, self._capacities,
-                [(tenant.name, tenant.placement) for tenant in tenants],
-            )
-        if profiler.enabled and tracer.enabled:
-            tracer.emit(
-                "phase_timing",
-                phases={
-                    "workload_advance": dt_workload,
-                    "equilibrium_solve": dt_solve,
-                    "tiering_decision": dt_decide,
-                    "migration_execute": dt_migrate,
-                },
-            )
-
-        # 5. Aggregate record: summed throughput/bandwidth, shared
+        # 4. Aggregate record: summed throughput/bandwidth, shared
         # latencies, demand-weighted true default-tier share. One
         # tenant's record is its own aggregate.
         if len(records) == 1:
@@ -727,16 +589,22 @@ class QuantumLoop:
                 p_measured=equilibrium.measured_p,
                 app_tier_bandwidth=sum(r.app_tier_bandwidth
                                        for r in records),
-                migration_bytes=sum(tenant_charged),
+                migration_bytes=sum(r.migration_bytes for r in records),
                 antagonist_intensity=intensity,
             )
+        for observer in observers:
+            observer.end_of_quantum(t, aggregate)
+        if profiler.enabled and tracer.enabled:
+            tracer.emit(
+                "phase_timing",
+                phases={
+                    "workload_advance": dt_workload,
+                    "equilibrium_solve": dt_solve,
+                    "tiering_decision": dt_decide,
+                    "migration_execute": dt_migrate,
+                },
+            )
         self.metrics.record(aggregate)
-        if metered:
-            self._m_quantum_wall.observe(perf_counter_ns() - wall_start)
-            for tier, hist in enumerate(self._m_tier_latency):
-                hist.observe(float(latencies_ns[tier]))
-            self._m_quanta.inc()
-            self._m_migrated.inc(aggregate.migration_bytes)
         self.time_s = t + self.quantum_s
         return aggregate
 
@@ -793,10 +661,10 @@ class SimulationLoop(QuantumLoop):
         seed: int = 1234,
         tracer=None,
         profile: bool = False,
-        checker=None,
+        options: Optional[RunOptions] = None,
     ) -> None:
         self._setup(machine, quantum_ms, contention, cha_noise_sigma,
-                    migration_limit_bytes, tracer, profile, checker)
+                    migration_limit_bytes, tracer, profile, options)
         pages = PageArray.uniform(workload.n_pages, workload.page_bytes)
         placement = PlacementState(pages, self._capacities)
         if initial_placement is None:
@@ -810,7 +678,7 @@ class SimulationLoop(QuantumLoop):
         tenant = self._add_tenant(
             TenantSpec(name=workload.name, workload=workload,
                        system=system),
-            placement, self.tracer, self.checker,
+            placement, self.tracer,
             rng=np.random.default_rng(seed),
             cha_rng=np.random.default_rng(seed + 1),
         )

@@ -3,19 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.check import (
-    CHECK_ENV_VAR,
-    NULL_CHECKER,
-    Checker,
-    InvariantViolation,
-    checks_enabled,
-)
+from repro.check import NULL_CHECKER, Checker, InvariantViolation
 from repro.check.invariants import find_shift_computer
 from repro.core.integrate import HememColloidSystem
 from repro.core.shift import ShiftComputer
 from repro.errors import ReproError
 from repro.obs.report import format_summary, summarize_events
 from repro.obs.tracer import Tracer
+from repro.options import CHECK_ENV_VAR, RunOptions
 from repro.pages.pagestate import PageArray
 from repro.pages.placement import PlacementState, fill_default_first
 from repro.runtime.loop import SimulationLoop
@@ -25,7 +20,7 @@ from repro.workloads.gups import GupsWorkload
 SCALE = 0.03
 
 
-def make_loop(checker=None, tracer=None, system=None, seed=11):
+def make_loop(options=None, tracer=None, system=None, seed=11):
     from repro.experiments.common import scaled_machine
 
     return SimulationLoop(
@@ -34,33 +29,35 @@ def make_loop(checker=None, tracer=None, system=None, seed=11):
         system=system if system is not None else HememColloidSystem(),
         contention=1,
         seed=seed,
-        checker=checker,
+        options=options,
         tracer=tracer,
     )
 
 
 class TestEnablement:
     def test_suite_runs_with_checks_always_on(self):
-        # tests/conftest.py sets REPRO_CHECK for the whole suite.
-        assert checks_enabled()
+        # tests/conftest.py sets the check default for the whole suite.
+        assert RunOptions.from_env().check
 
     def test_loop_defaults_to_env_driven_checker(self):
-        assert make_loop().checker.enabled
+        loop = make_loop()
+        assert loop.options.check and loop.checker.enabled
 
     def test_env_off_means_null_checker(self, monkeypatch):
         monkeypatch.delenv(CHECK_ENV_VAR, raising=False)
-        assert not checks_enabled()
+        assert not RunOptions.from_env().check
         assert make_loop().checker is NULL_CHECKER
 
     def test_falsey_values_disable(self, monkeypatch):
         for value in ("0", "false", "off", ""):
             monkeypatch.setenv(CHECK_ENV_VAR, value)
-            assert not checks_enabled()
+            assert not RunOptions.from_env().check
 
     def test_explicit_checker_wins_over_env(self, monkeypatch):
         monkeypatch.delenv(CHECK_ENV_VAR, raising=False)
-        checker = Checker()
-        assert make_loop(checker=checker).checker is checker
+        assert make_loop(options=RunOptions(check=True)).checker.enabled
+        monkeypatch.setenv(CHECK_ENV_VAR, "1")
+        assert make_loop(options=RunOptions()).checker is NULL_CHECKER
 
 
 class TestViolationStructure:
@@ -238,21 +235,6 @@ class TestLoopIntegration:
         assert loop.checker.violations == []
         # equilibrium + shift + migration checks each quantum.
         assert loop.checker.checks_run >= 3 * 50
-
-    def test_checked_run_bit_identical_to_unchecked(self, monkeypatch):
-        checked = make_loop(checker=Checker())
-        monkeypatch.delenv(CHECK_ENV_VAR, raising=False)
-        unchecked = make_loop()
-        assert unchecked.checker is NULL_CHECKER
-        for __ in range(30):
-            checked.step()
-            unchecked.step()
-        assert np.array_equal(checked.metrics.throughput,
-                              unchecked.metrics.throughput)
-        assert np.array_equal(checked.metrics.latencies_ns,
-                              unchecked.metrics.latencies_ns)
-        assert np.array_equal(checked.metrics.migration_bytes,
-                              unchecked.metrics.migration_bytes)
 
     def test_baseline_system_checked_without_shift(self):
         loop = make_loop(system=HememSystem())

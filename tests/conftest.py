@@ -12,11 +12,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.check import CHECK_ENV_VAR
 from repro.experiments.common import ExperimentConfig, scaled_machine
 from repro.memhw.corestate import CoreGroup
 from repro.memhw.fixedpoint import EquilibriumSolver
 from repro.memhw.topology import Machine, paper_testbed
+from repro.options import CHECK_ENV_VAR
 from repro.workloads.gups import GupsWorkload
 
 #: Scale used by most integration-ish tests.

@@ -165,6 +165,30 @@ class TestDecide:
         )
         assert decision.mode == "hold"
 
+    @pytest.mark.parametrize("tiers, occupancy", [
+        ([0, 0, 0, 0], [70.0, 60.0]),  # promotion, alternate tier empty
+        ([1, 1, 1, 1], [300.0, 28.0]),  # demotion, default tier empty
+    ])
+    def test_empty_source_tier_holds_without_finding(self, tiers,
+                                                     occupancy):
+        def spy(src_tier, dp, budget):
+            raise AssertionError("finder called on an empty source tier")
+
+        decisions = []
+        for finder in (spy, take_all_finder([])):
+            controller = make_controller()
+            ctx = make_ctx(make_placement(tiers), occupancy=occupancy,
+                           rate=[1.0, 0.2])
+            controller.observe(ctx)
+            decisions.append(controller.decide(
+                ctx, finder, coldness=np.full(4, 0.25)))
+        held, found_nothing = decisions
+        assert held.mode == found_nothing.mode == "hold"
+        assert held.p == found_nothing.p
+        assert held.latency_default_ns == found_nothing.latency_default_ns
+        assert (held.latency_alternate_ns
+                == found_nothing.latency_alternate_ns)
+
     def test_rejects_nonpositive_static_limit(self):
         monitor = LatencyMonitor([65.0, 130.0])
         with pytest.raises(ConfigurationError):

@@ -31,10 +31,10 @@ def on_cell(monkeypatch, victim, action):
     in the parent (serial path) and in forked workers alike."""
     original = execute.execute_spec
 
-    def patched(spec):
+    def patched(spec, options=None):
         if spec == victim:
             action()
-        return original(spec)
+        return original(spec, options)
 
     monkeypatch.setattr("repro.exec.runner.execute_spec", patched)
     monkeypatch.setattr("repro.exec.execute.execute_spec", patched)

@@ -4,8 +4,13 @@ import pytest
 
 from repro.exec.cache import ResultCache
 from repro.exec.runner import Runner
-from repro.experiments.common import ExperimentConfig, best_case_spec
-from repro.obs.metrics import METRICS, METRICS_ENV_VAR
+from repro.experiments.common import (
+    ExperimentConfig,
+    best_case_spec,
+    steady_cell_spec,
+)
+from repro.obs.metrics import METRICS
+from repro.options import METRICS_ENV_VAR, RunOptions
 
 TINY = ExperimentConfig(scale=0.03, seed=7)
 
@@ -43,6 +48,18 @@ class TestSerialSampling:
         assert counters(fleet_metrics)["repro_cache_puts_total"] == 2
         Runner(cache=ResultCache(tmp_path)).run(specs)
         assert counters(fleet_metrics)["repro_cache_hits_total"] == 2
+
+    def test_entry_without_requested_payload_counts_as_a_miss(
+            self, fleet_metrics, tmp_path):
+        spec = steady_cell_spec("hemem+colloid", 1, TINY,
+                                max_duration_s=4.0)
+        Runner(cache=ResultCache(tmp_path)).run([spec])
+        diagnosed = Runner(cache=ResultCache(tmp_path),
+                           options=RunOptions(metrics=True, diagnose=True))
+        diagnosed.run([spec])
+        assert "repro_cache_hits_total" not in counters(fleet_metrics)
+        assert counters(fleet_metrics)["repro_cache_misses_total"] == 2
+        assert diagnosed.stats.cache_misses == 1
 
     def test_disabled_registry_records_nothing(self):
         assert not METRICS.enabled  # tests run with metrics off

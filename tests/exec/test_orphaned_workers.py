@@ -29,7 +29,7 @@ FLEET = textwrap.dedent("""
 
     pid_dir = Path(sys.argv[1])
 
-    def report_and_hang(spec):
+    def report_and_hang(spec, options=None):
         (pid_dir / str(os.getpid())).touch()
         time.sleep(600)
 

@@ -156,7 +156,7 @@ class TestFinish:
 
         monkeypatch.setattr(
             "repro.exec.runner.execute_spec",
-            lambda spec: (_ for _ in ()).throw(
+            lambda spec, options=None: (_ for _ in ()).throw(
                 ConfigurationError("boom")),
         )
         stream = TtyStream()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 
-from repro.check import CHECK_ENV_VAR
+from repro.options import CHECK_ENV_VAR
 
 from tests.golden.cases import FIXTURE_DIR, evaluate_all, fixture_path
 

@@ -15,13 +15,12 @@ from repro.errors import ConfigurationError
 from repro.memhw.antagonist import antagonist_core_group
 from repro.memhw.corestate import CoreGroup
 from repro.memhw.fixedpoint import (
-    SOLVER_CACHE_ENV_VAR,
     SOLVER_RELATIVE_TOLERANCE,
     EquilibriumSolver,
-    solver_cache_enabled,
 )
 from repro.memhw.latency import TrafficClass
 from repro.memhw.topology import paper_testbed
+from repro.options import SOLVER_CACHE_ENV_VAR, RunOptions
 
 
 def _app(n_cores=15, mlp=7.0):
@@ -183,11 +182,11 @@ class TestMemoizationFidelity:
 class TestCacheSwitch:
     def test_env_default_on(self, monkeypatch):
         monkeypatch.delenv(SOLVER_CACHE_ENV_VAR, raising=False)
-        assert solver_cache_enabled()
+        assert RunOptions.from_env().solver_cache
 
     def test_env_disables(self, monkeypatch, tiers):
         monkeypatch.setenv(SOLVER_CACHE_ENV_VAR, "0")
-        assert not solver_cache_enabled()
+        assert not RunOptions.from_env().solver_cache
         solver = EquilibriumSolver(tiers)
         assert not solver.cache_enabled
         first = solver.solve(_app(), [0.5, 0.5])

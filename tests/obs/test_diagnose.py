@@ -10,13 +10,11 @@ from repro.obs.diagnose import (
     DEFAULT_CONFIG,
     DiagnosticsSummary,
     diagnose_events,
-    diagnostics_enabled,
-    disable_diagnostics,
-    enable_diagnostics,
     format_diagnostics,
     with_overrides,
 )
 from repro.obs.timeline import build_timeline
+from repro.options import DIAGNOSE_ENV_VAR, RunOptions
 
 META = {"type": "run_start", "time_s": 0.0, "system": "hemem+colloid",
         "workload": "gups", "n_tiers": 2, "quantum_ms": 10.0,
@@ -200,14 +198,13 @@ class TestSummaryAndFormat:
         assert config.epsilon == 0.2
         assert config.sustain_quanta == DEFAULT_CONFIG.sustain_quanta
 
-    def test_env_toggle(self):
-        disable_diagnostics()
-        assert not diagnostics_enabled()
-        enable_diagnostics()
-        try:
-            assert diagnostics_enabled()
-        finally:
-            disable_diagnostics()
+    def test_env_toggle(self, monkeypatch):
+        monkeypatch.delenv(DIAGNOSE_ENV_VAR, raising=False)
+        assert not RunOptions.from_env().diagnose
+        monkeypatch.setenv(DIAGNOSE_ENV_VAR, "1")
+        assert RunOptions.from_env().diagnose
+        monkeypatch.setenv(DIAGNOSE_ENV_VAR, "false")
+        assert not RunOptions.from_env().diagnose
 
 
 class TestCli:

@@ -7,18 +7,15 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
-    METRICS_ENV_VAR,
     METRICS_SCHEMA_VERSION,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     MetricsSnapshot,
-    disable_metrics,
-    enable_metrics,
     merge_snapshots,
-    metrics_enabled,
 )
+from repro.options import METRICS_ENV_VAR, RunOptions
 
 
 class TestCounterGauge:
@@ -243,15 +240,15 @@ class TestRegistry:
 class TestEnablement:
     def test_env_round_trip(self, monkeypatch):
         monkeypatch.delenv(METRICS_ENV_VAR, raising=False)
-        assert not metrics_enabled()
-        enable_metrics()
-        assert metrics_enabled()
-        disable_metrics()
-        assert not metrics_enabled()
+        assert not RunOptions.from_env().metrics
+        monkeypatch.setenv(METRICS_ENV_VAR, "1")
+        assert RunOptions.from_env().metrics
+        monkeypatch.delenv(METRICS_ENV_VAR)
+        assert not RunOptions.from_env().metrics
 
     def test_falsey_values(self, monkeypatch):
         for value in ("", "0", "false", "no", "off"):
             monkeypatch.setenv(METRICS_ENV_VAR, value)
-            assert not metrics_enabled()
+            assert not RunOptions.from_env().metrics
         monkeypatch.setenv(METRICS_ENV_VAR, "1")
-        assert metrics_enabled()
+        assert RunOptions.from_env().metrics

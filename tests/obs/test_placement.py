@@ -12,22 +12,18 @@ from repro.obs.placement import (
     DEFAULT_AUDIT_PERIOD_QUANTA,
     FlowTracker,
     N_HOTNESS_DECILES,
-    PLACEMENT_AUDIT_ENV_VAR,
     PlacementObserver,
     balance_p,
-    disable_placement_audit,
-    enable_placement_audit,
     flow_matrix,
     hotness_deciles,
     occupancy_ledger,
     pack_hottest_p,
-    placement_audit_enabled,
-    placement_audit_period,
     placement_payload,
     summarize_placement_events,
 )
 from repro.obs.report import format_summary, summarize_events
 from repro.obs.timeline import build_timeline
+from repro.options import PLACEMENT_AUDIT_ENV_VAR, RunOptions
 from repro.obs.tracer import Tracer
 from repro.pages.pagestate import PageArray
 from repro.pages.placement import PlacementState
@@ -66,28 +62,29 @@ def sample(index, tenant=None, **extra):
 class TestEnablement:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv(PLACEMENT_AUDIT_ENV_VAR, raising=False)
-        assert not placement_audit_enabled()
-        assert placement_audit_period() == DEFAULT_AUDIT_PERIOD_QUANTA
+        assert RunOptions.from_env().placement_audit is None
+        assert RunOptions().placement_audit is None
+        observer = PlacementObserver(n_tiers=2, tracer=None)
+        assert observer.audit_period == DEFAULT_AUDIT_PERIOD_QUANTA
 
     def test_enable_and_period(self, monkeypatch):
-        monkeypatch.delenv(PLACEMENT_AUDIT_ENV_VAR, raising=False)
-        enable_placement_audit()
-        assert placement_audit_enabled()
-        assert placement_audit_period() == DEFAULT_AUDIT_PERIOD_QUANTA
-        enable_placement_audit(25)
-        assert placement_audit_period() == 25
-        disable_placement_audit()
-        assert not placement_audit_enabled()
+        monkeypatch.setenv(PLACEMENT_AUDIT_ENV_VAR, "1")
+        assert RunOptions.from_env().placement_audit == 1
+        monkeypatch.setenv(PLACEMENT_AUDIT_ENV_VAR, "25")
+        assert RunOptions.from_env().placement_audit == 25
 
     def test_falsey_values_disable(self, monkeypatch):
         for value in ("0", "false", "off", "no", ""):
             monkeypatch.setenv(PLACEMENT_AUDIT_ENV_VAR, value)
-            assert not placement_audit_enabled()
+            assert RunOptions.from_env().placement_audit is None
 
     def test_rejects_nonpositive_period(self, monkeypatch):
-        monkeypatch.delenv(PLACEMENT_AUDIT_ENV_VAR, raising=False)
         with pytest.raises(ConfigurationError):
-            enable_placement_audit(0)
+            RunOptions(placement_audit=0)
+        for value in ("-5", "abc", "2.5", "true"):
+            monkeypatch.setenv(PLACEMENT_AUDIT_ENV_VAR, value)
+            with pytest.raises(ConfigurationError):
+                RunOptions.from_env()
 
 
 class TestHotnessDeciles:
@@ -211,9 +208,7 @@ class TestBalanceP:
 
 
 class TestObserver:
-    def test_emits_sample_every_quantum_and_audits_on_period(
-            self, monkeypatch):
-        monkeypatch.delenv(PLACEMENT_AUDIT_ENV_VAR, raising=False)
+    def test_emits_sample_every_quantum_and_audits_on_period(self):
         tracer = Tracer(ring_size=64)
         observer = PlacementObserver(n_tiers=2, tracer=tracer,
                                      audit_period=3)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec.factories import make_system
+from repro.options import RunOptions
 from repro.runtime.colocation import ColocatedLoop, TenantSpec
 from repro.runtime.loop import QuantumLoop, SimulationLoop
 from repro.tiering.static import StaticPlacementSystem
@@ -209,7 +210,8 @@ class TestOnePipeline:
         METRICS._gauges = {}
         METRICS._histograms = {}
         try:
-            make_coloc(small_machine).run(0.05)
+            make_coloc(small_machine,
+                       options=RunOptions(metrics=True)).run(0.05)
             snapshot = METRICS.snapshot()
         finally:
             (METRICS.enabled, METRICS._counters, METRICS._gauges,

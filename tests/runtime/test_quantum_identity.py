@@ -27,10 +27,10 @@ import sys
 import numpy as np
 import pytest
 
-from repro.check.invariants import NULL_CHECKER, Checker
 from repro.core.multitier import MultiTierColloidSystem
 from repro.exec.factories import make_system
 from repro.experiments.common import scaled_machine
+from repro.options import RunOptions
 from repro.runtime.colocation import ColocatedLoop, TenantSpec
 from repro.runtime.loop import SimulationLoop
 from repro.tiering.memorymode import MemoryModeSystem
@@ -269,8 +269,8 @@ EXPECTED = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_quantum_records_are_bit_identical(case):
-    checked = digests(CASES[case](checker=Checker()))
-    unchecked = digests(CASES[case](checker=NULL_CHECKER))
+    checked = digests(CASES[case](options=RunOptions(check=True)))
+    unchecked = digests(CASES[case](options=RunOptions()))
     assert checked == unchecked, f"{case}: checking changed the records"
     if _platform() != REFERENCE_PLATFORM:
         pytest.skip(f"digests are pinned on Python/numpy "
