@@ -23,11 +23,10 @@ from repro.core.shift import (
     trace_shift,
 )
 from repro.errors import ConfigurationError
-from repro.pages.migration import MigrationPlan
 from repro.tiering.base import QuantumContext, QuantumDecision
 from repro.tiering.hemem import HememSystem
 from repro.tiering.memtis import MemtisSystem
-from repro.tiering.tpp import TppSystem
+from repro.tiering.tpp import TppSystem, tpp_plan
 
 
 class _ColloidMixin:
@@ -194,7 +193,11 @@ class TppColloidSystem(_ColloidMixin, TppSystem):
         tier = placement.pages.tier
         sizes = placement.pages.sizes_bytes
         rates = monitor.smoothed_rates
-        moves: list = []
+        # The quantum's few faults are handled in Python scalars; every
+        # move goes the same way, so one destination serves them all.
+        moved: list = []
+        dst = 0
+        promo_bytes = 0
         if dp > 0 and events:
             from repro.core.limit import dynamic_migration_limit
             budget = dynamic_migration_limit(
@@ -204,65 +207,51 @@ class TppColloidSystem(_ColloidMixin, TppSystem):
             mode_promotion = l_d < l_a
             src_tier = 1 if mode_promotion else 0
             dst = 0 if mode_promotion else 1
+            r = float(rates[src_tier])
             acc_p, acc_b = 0.0, 0
             for event in events:
                 page = event.page
                 if tier[page] != src_tier:
                     continue
-                r = float(rates[src_tier])
                 if r <= 0 or event.time_to_fault_ns <= 0:
                     continue
                 estimate = min(1.0, 1.0 / (event.time_to_fault_ns * r))
                 size = int(sizes[page])
                 if acc_p + estimate > dp or acc_b + size > budget:
                     continue
-                moves.append((page, dst))
+                moved.append(page)
                 acc_p += estimate
                 acc_b += size
+            if mode_promotion:
+                promo_bytes = acc_b
         # kswapd capacity demotion continues as in vanilla TPP; it also
         # provides make-room space for synchronous promotions.
         demotions = self.kswapd_demotions(placement)
-        promo_bytes = sum(
-            int(sizes[pg]) for pg, d in moves if d == 0
-        )
-        extra_need = promo_bytes - placement.free_bytes(0) - int(
-            sizes[demotions].sum()
-        )
+        extra_need = promo_bytes - placement.free_bytes(0)
+        if len(demotions):
+            extra_need -= int(sizes[demotions].sum())
         if extra_need > 0:
-            default_pages = placement.pages.pages_in_tier(0)
-            exclude = np.concatenate([
+            candidates = np.setdiff1d(
+                placement.pages.pages_in_tier(0),
+                np.concatenate([demotions,
+                                np.array(moved, dtype=np.int64)]),
+            )
+            demotions = np.concatenate([
                 demotions,
-                np.asarray([pg for pg, __ in moves], dtype=np.int64),
+                self.coldest_first(candidates, sizes, extra_need),
             ])
-            candidates = np.setdiff1d(default_pages, exclude)
-            order = candidates[np.lexsort((
-                self._last_access_s[candidates],
-                -self._last_ttf_ns[candidates],
-            ))]
-            cum = np.cumsum(sizes[order])
-            n = int(np.searchsorted(cum, extra_need, side="left")) + 1
-            demotions = np.concatenate([demotions, order[:n]])
         if ctx.tracer.enabled and events:
             ctx.tracer.emit(
                 "tpp_promotion",
                 n_faults=len(events),
                 n_hot=sum(1 for e in events
                           if e.time_to_fault_ns <= self.hot_ttf_ns),
-                n_promoted=sum(1 for __, d in moves if d == 0),
+                n_promoted=len(moved) if dst == 0 else 0,
                 n_demoted=len(demotions),
                 hot_ttf_ns=self.hot_ttf_ns,
             )
-
-        plan_pages = np.concatenate([
-            demotions,
-            np.asarray([pg for pg, __ in moves], dtype=np.int64),
-        ])
-        plan_dst = np.concatenate([
-            np.ones(len(demotions), dtype=np.int64),
-            np.asarray([d for __, d in moves], dtype=np.int64),
-        ])
         self.account("plans", 1)
-        return QuantumDecision(plan=MigrationPlan(plan_pages, plan_dst))
+        return QuantumDecision(plan=tpp_plan(demotions, moved, dst))
 
 
 def with_colloid(base: str, **kwargs):

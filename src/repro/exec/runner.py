@@ -330,11 +330,25 @@ class Runner:
     def run(self, specs: Sequence[RunSpec]) -> Dict[RunSpec, CellResult]:
         """Execute a batch; returns a result per *distinct* spec.
 
+        For the batch, the process's metrics registry is switched from
+        the options and restored afterwards, as a pool worker switches
+        its own per cell: the components below the loop (solver,
+        executor, result cache, placement observer) record exactly when
+        ``options.metrics`` asks for it, in-process runs included.
+
         Raises:
             CellError: As soon as a cell raises anything but a
                 ``ReproError`` (which propagates unchanged). Cells
                 completed before it are in the cache/journal by then.
         """
+        saved = METRICS.enabled
+        METRICS.enabled = self.options.metrics
+        try:
+            return self._run(specs)
+        finally:
+            METRICS.enabled = saved
+
+    def _run(self, specs: Sequence[RunSpec]) -> Dict[RunSpec, CellResult]:
         unique = list(dict.fromkeys(specs))
         self.stats.deduped += len(specs) - len(unique)
         options = self.options

@@ -118,8 +118,10 @@ class ChaCounters:
             occupancy = [0.0] * self._n_tiers
             rate = [0.0] * self._n_tiers
         if self._noise_sigma > 0:
-            occupancy = list(map(mul, occupancy, self._lognormal_noise()))
-            rate = list(map(mul, rate, self._lognormal_noise()))
+            noise = self._lognormal_noise()
+            n = self._n_tiers
+            occupancy = list(map(mul, occupancy, noise[:n]))
+            rate = list(map(mul, rate, noise[n:]))
         sample = ChaSample(
             occupancy=np.array(occupancy),
             rate=np.array(rate),
@@ -131,9 +133,12 @@ class ChaCounters:
         return sample
 
     def _lognormal_noise(self) -> list:
-        """Multiplicative noise factors, mean ~1: one ``normal`` draw of
-        ``n_tiers`` values, exponentiated by numpy (``math.exp`` is not
-        guaranteed to round like ``np.exp``)."""
+        """Multiplicative noise factors, mean ~1, occupancy's ``n_tiers``
+        then rate's: one ``normal`` draw of ``2 * n_tiers`` values, which
+        numpy draws element by element, so they are the values of two
+        ``n_tiers`` draws in turn; exponentiated by numpy (``math.exp``
+        is not guaranteed to round like ``np.exp``)."""
         return np.exp(
-            self._rng.normal(0.0, self._noise_sigma, size=self._n_tiers)
+            self._rng.normal(0.0, self._noise_sigma,
+                             size=2 * self._n_tiers)
         ).tolist()

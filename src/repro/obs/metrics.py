@@ -15,8 +15,9 @@ maxima, bucket-wise histogram sums).
 Collection is the ``metrics`` field of :class:`~repro.options.RunOptions`.
 The loop and the exec layer record when their options say so; components
 below them (solver, executor, cache, placement observer) record when the
-module-level :data:`METRICS` registry is enabled, which the CLI and each
-``--jobs`` worker switch from the options. Disabled, every such site
+module-level :data:`METRICS` registry is enabled, which the CLI, each
+:class:`~repro.exec.runner.Runner` batch and each ``--jobs`` worker
+switch from the options. Disabled, every such site
 costs one attribute check on the registry, the same contract the null
 tracer makes.
 """
@@ -460,8 +461,8 @@ class MetricsRegistry:
             hist.count = 0
 
 
-#: Process-wide registry, disabled until the CLI or a pool worker
-#: switches it from the run's options.
+#: Process-wide registry, disabled until the CLI, a ``Runner`` batch or
+#: a pool worker switches it from the run's options.
 METRICS = MetricsRegistry()
 
 

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import METRICS
+from repro.obs.tracer import JsonList
 from repro.options import DEFAULT_AUDIT_PERIOD_QUANTA
 
 #: Number of hotness buckets in the occupancy ledger.
@@ -52,6 +53,9 @@ DEFAULT_CHURN_WINDOW_QUANTA = 50
 
 #: Reversals inside the window that make a page a ping-pong page.
 PING_PONG_MIN_REVERSALS = 2
+
+#: The moves of a quantum that moved nothing.
+_NO_MOVES = np.empty(0, dtype=np.int64)
 
 
 # -- occupancy ledger ------------------------------------------------------
@@ -310,6 +314,10 @@ class PlacementObserver:
         if self.audit_period < 1:
             raise ConfigurationError("audit period must be >= 1")
         self.flows = FlowTracker(window_quanta=churn_window_quanta)
+        # The flow matrix of a quantum that moved nothing, shared by
+        # every event that reports one.
+        self._no_flows = JsonList([0] * self.n_tiers
+                                  for __ in range(self.n_tiers))
         self._quantum = -1
         self.audits_run = 0
         # Decile/packing caches: hotness depends only on the probability
@@ -322,7 +330,7 @@ class PlacementObserver:
         # (keyed on PageArray.version + the decile assignment).
         self._occupancy_version: Optional[int] = None
         self._occupancy_cache: Optional[
-            Tuple[np.ndarray, np.ndarray]] = None
+            Tuple[JsonList, JsonList]] = None
         self._cached_p_packed: Optional[float] = None
         self._packed_sizes: Optional[np.ndarray] = None
         self._packed_capacity: Optional[int] = None
@@ -407,10 +415,9 @@ class PlacementObserver:
         if moved_pages is None or not len(moved_pages):
             # Most quanta move nothing: an all-zero flow matrix, and the
             # churn window only ages.
-            empty = np.empty(0, dtype=np.int64)
-            flows = np.zeros((self.n_tiers, self.n_tiers), dtype=np.int64)
-            ping_pong, wasted = self.flows.observe(empty, empty, empty,
-                                                   empty)
+            flows = self._no_flows
+            ping_pong, wasted = self.flows.observe(_NO_MOVES, _NO_MOVES,
+                                                   _NO_MOVES, _NO_MOVES)
         else:
             moved_src = result.moved_src_tiers
             moved_dst = result.moved_dst_tiers
@@ -438,39 +445,40 @@ class PlacementObserver:
                 and self._occupancy_cache is not None):
             tier_pages, tier_bytes = self._occupancy_cache
         else:
-            tier_pages, tier_bytes = _occupancy_arrays(placement, deciles)
+            # Converted once per recount and shared by the events of
+            # the quanta that reuse it.
+            tier_pages, tier_bytes = (
+                JsonList(counts.tolist())
+                for counts in _occupancy_arrays(placement, deciles))
             self._occupancy_cache = (tier_pages, tier_bytes)
             self._occupancy_version = version
 
-        # ndarrays (not nested lists) keep the tracer's conversion to a
-        # single ``tolist`` per field on this every-quantum event.
-        fields: Dict[str, object] = {
-            "tier_pages": tier_pages,
-            "tier_bytes": tier_bytes,
-            "flow_bytes": flows,
-            "ping_pong_pages": int(ping_pong),
-            "wasted_bytes": int(wasted),
-        }
-
-        metered = METRICS.enabled
-        if metered:
+        if METRICS.enabled:
             self._m_ping_pong.set_max(float(ping_pong))
             if wasted:
                 self._m_wasted.inc(wasted)
 
+        audit = None
         if (audit_quantum and evaluate is not None
                 and self.n_tiers == 2):
             audit = self._audit(access_probs, placement, p_actual,
                                 evaluate, audit_key=audit_key)
-            fields.update(audit)
             self.audits_run += 1
-            if metered:
+            if METRICS.enabled:
                 self._m_audits.inc()
                 self._m_gap_balance.observe(audit["gap_balance"])
                 self._m_gap_packed.observe(audit["gap_packed"])
 
         if self.tracer.enabled:
-            self.tracer.emit("placement_sample", **fields)
+            self.tracer.emit(
+                "placement_sample",
+                tier_pages=tier_pages,
+                tier_bytes=tier_bytes,
+                flow_bytes=flows,
+                ping_pong_pages=ping_pong,
+                wasted_bytes=wasted,
+                **(audit or {}),
+            )
 
     def _audit(
         self,

@@ -62,8 +62,27 @@ def _open_trace_read(path: Path):
     return path.open()
 
 
+class JsonList(list):
+    """A list made of JSON values already, nested lists included.
+
+    An event field of this type is stored as given rather than copied
+    value by value, so a producer that emits the same payload every
+    quantum converts it once and every event shares it. Events are
+    read-only by convention; a shared list makes that a must.
+    """
+
+    __slots__ = ()
+
+
+#: Types an event field keeps as they are (exact types: numpy's float64
+#: subclasses ``float`` and is converted below).
+_PLAIN_TYPES = frozenset({int, float, str, bool, type(None), JsonList})
+
+
 def _jsonable(value):
     """Coerce numpy scalars/arrays so events always json.dump cleanly."""
+    if type(value) in _PLAIN_TYPES:
+        return value
     if isinstance(value, np.ndarray):
         if value.dtype != object:
             # tolist() on a numeric array already yields pure-Python
@@ -296,6 +315,7 @@ def iter_events(events: List[dict],
 
 __all__ = [
     "DEFAULT_RING_SIZE",
+    "JsonList",
     "NULL_TRACER",
     "NullTracer",
     "TRACE_SCHEMA_VERSION",

@@ -37,6 +37,7 @@ class PageArray:
         self._tier = np.full(len(sizes), UNPLACED, dtype=np.int16)
         self._version = 0
         self._size_bounds: tuple | None = None
+        self._total_bytes: int | None = None
 
     @classmethod
     def uniform(cls, n_pages: int, page_bytes: int) -> "PageArray":
@@ -94,8 +95,10 @@ class PageArray:
 
     @property
     def total_bytes(self) -> int:
-        """Sum of all page sizes."""
-        return int(self._sizes.sum())
+        """Sum of all page sizes (cached until :meth:`resize_pages`)."""
+        if self._total_bytes is None:
+            self._total_bytes = int(self._sizes.sum())
+        return self._total_bytes
 
     def pages_in_tier(self, tier: int) -> np.ndarray:
         """Indices of pages currently in ``tier``."""
@@ -128,4 +131,5 @@ class PageArray:
             raise ConfigurationError("page sizes must be positive")
         self._sizes[pages] = sizes
         self._size_bounds = None
+        self._total_bytes = None
         self._version += 1

@@ -154,11 +154,14 @@ class PlacementState:
         tier = self._pages.tier
         for t in range(self.n_tiers):
             split[t] = access_probs[tier == t].sum()
-        unplaced = access_probs[tier == UNPLACED].sum()
-        if unplaced > 1e-12:
-            raise ConfigurationError(
-                "accessed pages must be placed before solving"
-            )
+        # Page sizes are positive, so when the tiers hold every byte no
+        # page is unplaced and the unplaced pass has nothing to find.
+        if sum(self._used) != self._pages.total_bytes:
+            unplaced = access_probs[tier == UNPLACED].sum()
+            if unplaced > 1e-12:
+                raise ConfigurationError(
+                    "accessed pages must be placed before solving"
+                )
         return split
 
 

@@ -148,7 +148,7 @@ class PlacementAudit(QuantumObserver):
             access_probs=tenant.probs,
             placement=tenant.placement,
             result=result,
-            p_actual=float(tenant.split[0]),
+            p_actual=tenant.split[0],
             evaluate=evaluate,
             probs_changed=tenant.shifted,
             audit_key=audit_key,

@@ -126,15 +126,45 @@ class TppSystem(TieringSystem):
         need = target_free - placement.free_bytes(0)
         if need <= 0:
             return np.empty(0, dtype=np.int64)
-        default_pages = placement.pages.pages_in_tier(0)
-        # Coldest first: longest time-to-fault, oldest access breaks ties.
-        order = default_pages[np.lexsort((
-            self._last_access_s[default_pages],
-            -self._last_ttf_ns[default_pages],
-        ))]
-        sizes = placement.pages.sizes_bytes[order]
-        n = int(np.searchsorted(np.cumsum(sizes), need, side="left")) + 1
-        return order[:min(n, len(order))]
+        return self.coldest_first(placement.pages.pages_in_tier(0),
+                                  placement.pages.sizes_bytes, need)
+
+    def coldest_first(self, candidates: np.ndarray, sizes: np.ndarray,
+                      need: int) -> np.ndarray:
+        """The coldest ``candidates`` whose sizes first reach ``need``
+        bytes (all of them if they never do).
+
+        Coldest first means longest time-to-fault, with the oldest access
+        breaking ties, then candidate order: exactly the prefix of
+        ``candidates[np.lexsort((last_access, -ttf))]``. Only the head
+        ``need`` reaches is sorted: ``np.partition`` finds a cut-off key,
+        every candidate at or below it is lexsorted (ties at the cut-off,
+        ``inf`` time-to-fault among them, sort as in the full order), and
+        the cut-off moves out until those candidates hold ``need`` bytes.
+        """
+        n = len(candidates)
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        key = -self._last_ttf_ns[candidates]
+        # A first guess from the first candidate's size; a wrong guess
+        # costs another round, never a different answer.
+        k = 2 * -(-need // int(sizes[candidates[0]])) + 8
+        while k < n:
+            kth = np.partition(key, k - 1)[k - 1]
+            if kth != kth:  # NaN ranks last and compares unequal
+                break
+            head = candidates[key <= kth]
+            head = head[np.lexsort((self._last_access_s[head],
+                                    -self._last_ttf_ns[head]))]
+            cum = np.cumsum(sizes[head])
+            if cum[-1] >= need:
+                taken = int(np.searchsorted(cum, need, side="left")) + 1
+                return head[:taken]
+            k = 2 * len(head)
+        order = candidates[np.lexsort((self._last_access_s[candidates],
+                                       key))]
+        cum = np.cumsum(sizes[order])
+        return order[:int(np.searchsorted(cum, need, side="left")) + 1]
 
     def quantum(self, ctx: QuantumContext) -> QuantumDecision:
         events = self.collect_faults(ctx)
@@ -142,11 +172,14 @@ class TppSystem(TieringSystem):
         tier = placement.pages.tier
 
         # Synchronous promotion on hint faults for hot alternate-tier pages.
-        promotions = [
-            e.page for e in events
-            if tier[e.page] != 0 and e.time_to_fault_ns <= self.hot_ttf_ns
-        ]
-        n_hot = sum(1 for e in events if e.time_to_fault_ns <= self.hot_ttf_ns)
+        hot_ttf_ns = self.hot_ttf_ns
+        promotions = []
+        n_hot = 0
+        for event in events:
+            if event.time_to_fault_ns <= hot_ttf_ns:
+                n_hot += 1
+                if tier[event.page] != 0:
+                    promotions.append(event.page)
         self._adapt_threshold(n_hot, len(events))
         demotions = self.kswapd_demotions(placement)
         if ctx.tracer.enabled and events:
@@ -158,12 +191,26 @@ class TppSystem(TieringSystem):
                 n_demoted=len(demotions),
                 hot_ttf_ns=self.hot_ttf_ns,
             )
-        plan_pages = np.concatenate([
-            demotions, np.asarray(promotions, dtype=np.int64)
-        ])
-        plan_dst = np.concatenate([
-            np.ones(len(demotions), dtype=np.int64),
-            np.zeros(len(promotions), dtype=np.int64),
-        ])
         self.account("plans", 1)
-        return QuantumDecision(plan=MigrationPlan(plan_pages, plan_dst))
+        return QuantumDecision(plan=tpp_plan(demotions, promotions, 0))
+
+
+def tpp_plan(demotions: np.ndarray, pages: list,
+             dst: int) -> MigrationPlan:
+    """Demotions to tier 1 first, then the per-fault moves of ``pages``
+    to ``dst``, in order.
+
+    The moves are the few faults of one quantum, so they arrive as a
+    Python list; an empty part adds no array work.
+    """
+    if not pages:
+        if not len(demotions):
+            return MigrationPlan.empty()
+        return MigrationPlan(demotions,
+                             np.ones(len(demotions), dtype=np.int64))
+    moves = np.array(pages, dtype=np.int64)
+    if len(demotions):
+        moves = np.concatenate([demotions, moves])
+    dsts = np.full(len(moves), dst, dtype=np.int64)
+    dsts[:len(demotions)] = 1
+    return MigrationPlan(moves, dsts)

@@ -16,7 +16,9 @@ at marking and delivers the fault in the quantum where it lands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from heapq import heappop, heappush
+from math import isfinite
+from typing import List, Tuple
 
 import numpy as np
 
@@ -42,6 +44,16 @@ class HintFaultTracker:
     The scan rate bounds how quickly hotness information refreshes — the
     reason TPP converges orders of magnitude slower than PEBS-based systems
     after access-pattern changes (§5.2).
+
+    A quantum costs what it scans and faults, not what the address space
+    holds. Two structures are kept up to date instead of re-derived: the
+    ascending list of marked pages without a due time (the last scan's
+    fresh marks plus pages whose rate was not positive) and a heap of
+    ``(due_ns, page)`` for the marked pages that have one. Each pending
+    page draws its wait with one scalar ``exponential``, in ascending page
+    order: numpy draws an array of waits element by element as
+    ``scale * standard_exponential``, so the stream is the one a single
+    array draw over the same pages would consume.
     """
 
     def __init__(self, n_pages: int, scan_pages_per_quantum: int,
@@ -54,14 +66,15 @@ class HintFaultTracker:
         self._scan_rate = int(scan_pages_per_quantum)
         self._rng = rng
         self._scan_cursor = 0
-        self._marked = np.zeros(n_pages, dtype=bool)
-        self._mark_time = np.zeros(n_pages)
-        self._due_time = np.full(n_pages, np.inf)
+        self._marked = bytearray(n_pages)
+        self._mark_time = [0.0] * n_pages
+        self._pending: List[int] = []
+        self._due: List[Tuple[float, int]] = []
 
     @property
     def marked_pages(self) -> np.ndarray:
         """Indices of currently marked (fault-armed) pages."""
-        return np.nonzero(self._marked)[0]
+        return np.flatnonzero(np.frombuffer(self._marked, dtype=np.uint8))
 
     def quantum(self, page_access_rates: np.ndarray, now_ns: float,
                 quantum_ns: float) -> List[FaultEvent]:
@@ -75,44 +88,53 @@ class HintFaultTracker:
             quantum_ns: Quantum duration.
 
         Returns:
-            Fault events that fired during the quantum, with their
-            time-to-fault measurements.
+            Fault events that fired during the quantum, in page order,
+            with their time-to-fault measurements.
         """
         if page_access_rates.shape != (self._n_pages,):
             raise ConfigurationError("access rate shape mismatch")
         end = now_ns + quantum_ns
+        marked = self._marked
+        mark_time = self._mark_time
+        due = self._due
 
         # Arm due-times for pages marked but not yet scheduled (rate may
-        # have been zero, or the page was just marked last quantum).
-        armed = self._marked & ~np.isfinite(self._due_time)
-        armed_idx = np.nonzero(armed)[0]
-        if armed_idx.size:
-            rates = page_access_rates[armed_idx]
-            positive = rates > 0
-            draw = armed_idx[positive]
-            if draw.size:
-                waits = self._rng.exponential(1.0 / rates[positive])
-                self._due_time[draw] = now_ns + waits
+        # have been zero, or the page was just marked last quantum). The
+        # rate stays a numpy scalar so ``1.0 / rate`` keeps its dtype.
+        waiting = []
+        for page in self._pending:
+            rate = page_access_rates[page]
+            if rate > 0:
+                at = now_ns + self._rng.exponential(1.0 / rate)
+                if isfinite(at):
+                    heappush(due, (at, page))
+                    continue
+            waiting.append(page)
 
-        fired_idx = np.nonzero(self._marked & (self._due_time <= end))[0]
-        events = [
-            FaultEvent(
-                page=int(i),
-                time_to_fault_ns=float(self._due_time[i] - self._mark_time[i]),
-            )
-            for i in fired_idx
-        ]
-        self._marked[fired_idx] = False
-        self._due_time[fired_idx] = np.inf
+        fired = []
+        while due and due[0][0] <= end:
+            at, page = heappop(due)
+            fired.append((page, at))
+        fired.sort()
+        events = []
+        for page, at in fired:
+            events.append(FaultEvent(page=page,
+                                     time_to_fault_ns=at - mark_time[page]))
+            marked[page] = 0
 
         # Scan the next window of pages (round-robin over the address
         # space), marking any that are not already marked.
+        n = self._n_pages
         start = self._scan_cursor
-        count = min(self._scan_rate, self._n_pages)
-        idx = (start + np.arange(count)) % self._n_pages
-        self._scan_cursor = int((start + count) % self._n_pages)
-        fresh = idx[~self._marked[idx]]
-        self._marked[fresh] = True
-        self._mark_time[fresh] = end
-        self._due_time[fresh] = np.inf
+        stop = start + min(self._scan_rate, n)
+        self._scan_cursor = stop % n
+        for page in range(start, stop):
+            if page >= n:
+                page -= n
+            if not marked[page]:
+                marked[page] = 1
+                mark_time[page] = end
+                waiting.append(page)
+        waiting.sort()
+        self._pending = waiting
         return events

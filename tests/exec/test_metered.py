@@ -17,17 +17,16 @@ TINY = ExperimentConfig(scale=0.03, seed=7)
 
 @pytest.fixture
 def fleet_metrics(monkeypatch):
-    """Enable the global registry with clean state, restoring after."""
+    """Metrics on in the environment's run options, over a registry with
+    clean state, restored after; each ``Runner`` switches the registry
+    from its options."""
     monkeypatch.setenv(METRICS_ENV_VAR, "1")
-    saved = (METRICS.enabled, METRICS._counters, METRICS._gauges,
-             METRICS._histograms)
-    METRICS.enabled = True
+    saved = (METRICS._counters, METRICS._gauges, METRICS._histograms)
     METRICS._counters = {}
     METRICS._gauges = {}
     METRICS._histograms = {}
     yield METRICS
-    (METRICS.enabled, METRICS._counters, METRICS._gauges,
-     METRICS._histograms) = saved
+    METRICS._counters, METRICS._gauges, METRICS._histograms = saved
 
 
 def counters(registry):
@@ -60,6 +59,25 @@ class TestSerialSampling:
         assert "repro_cache_hits_total" not in counters(fleet_metrics)
         assert counters(fleet_metrics)["repro_cache_misses_total"] == 2
         assert diagnosed.stats.cache_misses == 1
+
+    def test_in_process_runner_records_leaf_metrics(self, fleet_metrics,
+                                                    tmp_path):
+        """Nothing but the options switches the registry: an in-process
+        run records the solver's, executor's, cache puts' and placement
+        observer's metrics, and leaves the registry off as it was."""
+        assert not METRICS.enabled
+        spec = steady_cell_spec("hemem+colloid", 1, TINY,
+                                max_duration_s=4.0)
+        Runner(cache=ResultCache(tmp_path),
+               options=RunOptions(metrics=True, placement_audit=5)
+               ).run([spec])
+        assert not METRICS.enabled
+        snapshot = fleet_metrics.snapshot()
+        assert snapshot.counters["repro_cache_puts_total"] == 1
+        assert snapshot.histograms["repro_solver_iterations"]["count"] > 0
+        # The executor registers its histogram only with the registry on.
+        assert "repro_migration_plan_bytes" in snapshot.histograms
+        assert snapshot.counters["repro_placement_audits_total"] > 0
 
     def test_disabled_registry_records_nothing(self):
         assert not METRICS.enabled  # tests run with metrics off

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.memhw.cha import ChaCounters
@@ -16,6 +18,14 @@ def equilibrium():
     solver = EquilibriumSolver(paper_testbed().tiers)
     app = CoreGroup("a", 15, 7.0, read_fraction=0.5)
     return solver.solve(app, [0.8, 0.2])
+
+
+class _Steady:
+    """The two fields :meth:`ChaCounters.observe` reads."""
+
+    def __init__(self, rates, latencies):
+        self.tier_read_request_rate = rates
+        self.latencies_ns = latencies
 
 
 class TestChaCounters:
@@ -74,6 +84,37 @@ class TestChaCounters:
         mean_ratio = np.mean(ratios, axis=0)
         np.testing.assert_allclose(mean_ratio, 1.0, atol=0.02)
         assert np.std(ratios, axis=0).max() > 0.01  # noise is present
+
+    @given(n_tiers=st.integers(1, 4), sigma=st.floats(1e-3, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_one_noise_draw_equals_two(self, n_tiers, sigma, seed):
+        """Occupancy and rate noise come from one ``normal`` draw of
+        ``2 * n_tiers`` values: the values, and the generator state, of
+        the two ``n_tiers`` draws (occupancy's, then rate's) taken
+        before."""
+        cha = ChaCounters(n_tiers, noise_sigma=sigma,
+                          rng=np.random.default_rng(seed))
+        oracle = np.random.default_rng(seed)
+        rates = np.linspace(0.5, 2.0, n_tiers)
+        latencies = np.linspace(80.0, 300.0, n_tiers)
+        for __ in range(5):
+            cha.observe(_Steady(rates, latencies), 1e6)
+            sample = cha.sample_and_reset()
+            occupancy = [r * lat * 1e6 / 1e6
+                         for r, lat in zip(rates.tolist(),
+                                           latencies.tolist())]
+            rate = [r * 1e6 / 1e6 for r in rates.tolist()]
+            occupancy_noise = np.exp(
+                oracle.normal(0.0, sigma, size=n_tiers)).tolist()
+            rate_noise = np.exp(
+                oracle.normal(0.0, sigma, size=n_tiers)).tolist()
+            assert sample.occupancy.tolist() == [
+                o * f for o, f in zip(occupancy, occupancy_noise)]
+            assert sample.rate.tolist() == [
+                r * f for r, f in zip(rate, rate_noise)]
+        assert (cha._rng.bit_generator.state
+                == oracle.bit_generator.state)
 
     def test_tier_count_mismatch_rejected(self, equilibrium):
         cha = ChaCounters(3)

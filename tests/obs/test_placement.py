@@ -24,7 +24,7 @@ from repro.obs.placement import (
 from repro.obs.report import format_summary, summarize_events
 from repro.obs.timeline import build_timeline
 from repro.options import PLACEMENT_AUDIT_ENV_VAR, RunOptions
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, load_events
 from repro.pages.pagestate import PageArray
 from repro.pages.placement import PlacementState
 
@@ -247,6 +247,30 @@ class TestObserver:
         )
         [event] = tracer.events()
         assert event["flow_bytes"] == [[0, 0], [0, 0]]
+
+    def test_quiet_quanta_share_one_converted_ledger(self, tmp_path):
+        """Quanta where no page moved reuse the ledger converted at the
+        last recount: every event holds the same lists, and they still
+        serialize as plain JSON."""
+        path = tmp_path / "t.jsonl"
+        with Tracer(jsonl_path=path) as tracer:
+            observer = PlacementObserver(n_tiers=2, tracer=tracer,
+                                         audit_period=10)
+            placement = make_placement([0, 0, 1, 1])
+            probs = np.array([0.4, 0.3, 0.2, 0.1])
+            for __ in range(3):
+                observer.observe_quantum(
+                    access_probs=probs, placement=placement,
+                    result=object(), p_actual=0.7, probs_changed=False,
+                )
+            first, *rest = tracer.events()
+        for event in rest:
+            for field in ("tier_pages", "tier_bytes", "flow_bytes"):
+                assert event[field] is first[field]
+        assert first["tier_pages"] == occupancy_ledger(
+            placement, hotness_deciles(probs))[0]
+        assert [e["tier_pages"] for e in load_events(path)] == [
+            first["tier_pages"]] * 3
 
 
 class TestSummaries:

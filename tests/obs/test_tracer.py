@@ -9,6 +9,7 @@ from repro.obs.events import EVENT_SCHEMAS, TRACE_SCHEMA_VERSION, describe_schem
 from repro.obs.profile import Counters, PhaseProfiler, merge_phase_events
 from repro.obs.tracer import (
     NULL_TRACER,
+    JsonList,
     NullTracer,
     Tracer,
     iter_events,
@@ -46,6 +47,19 @@ class TestTracer:
         tracer.emit("hemem_cooling", coolings=1, total_coolings=1)
         tracer.emit("memtis_split", n_split=7)
         assert len(tracer.events("memtis_split")) == 1
+
+    def test_json_list_is_stored_as_given(self):
+        """A field already made of JSON values is shared, not copied;
+        a plain list is copied value by value."""
+        tracer = Tracer()
+        shared = JsonList([[1, 2], [3, 4]])
+        plain = [[1, 2], [3, 4]]
+        tracer.emit("placement_sample", tier_pages=shared,
+                    tier_bytes=plain)
+        (event,) = tracer.events()
+        assert event["tier_pages"] is shared
+        assert event["tier_bytes"] == plain
+        assert event["tier_bytes"] is not plain
 
     def test_rejects_bad_ring_size(self):
         with pytest.raises(ConfigurationError):

@@ -57,6 +57,12 @@ class TestResize:
         assert pages.sizes_bytes[1] == 4096
         assert pages.sizes_bytes[0] == mib(2)
 
+    def test_resize_refreshes_the_cached_total(self):
+        pages = PageArray.uniform(4, mib(2))
+        assert pages.total_bytes == 4 * mib(2)
+        pages.resize_pages(np.array([1]), [4096])
+        assert pages.total_bytes == 3 * mib(2) + 4096
+
     def test_rejects_nonpositive_resize(self):
         pages = PageArray.uniform(4, mib(2))
         with pytest.raises(ConfigurationError):

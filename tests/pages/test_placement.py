@@ -205,6 +205,20 @@ class TestProbabilities:
         with pytest.raises(ConfigurationError):
             placement.tier_probabilities(probs)
 
+    def test_one_unplaced_accessed_page_rejected(self):
+        """Every tier's pass runs, but one unplaced page leaves the
+        tiers short of the working set, so the unplaced pass still
+        runs and finds its probability."""
+        placement = make_placement()
+        placement.move(np.arange(0, 4), 0)
+        placement.move(np.arange(4, 9), 1)  # page 9 unplaced
+        probs = np.full(10, 0.1)
+        with pytest.raises(ConfigurationError):
+            placement.tier_probabilities(probs)
+        probs[9] = 0.0
+        assert placement.tier_probabilities(probs).tolist() == [
+            pytest.approx(0.4), pytest.approx(0.5)]
+
     def test_length_mismatch_rejected(self):
         placement = make_placement()
         with pytest.raises(ConfigurationError):

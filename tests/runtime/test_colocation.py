@@ -203,9 +203,7 @@ class TestOnePipeline:
             self, small_machine):
         from repro.obs.metrics import METRICS
 
-        saved = (METRICS.enabled, METRICS._counters, METRICS._gauges,
-                 METRICS._histograms)
-        METRICS.enabled = True
+        saved = (METRICS._counters, METRICS._gauges, METRICS._histograms)
         METRICS._counters = {}
         METRICS._gauges = {}
         METRICS._histograms = {}
@@ -214,8 +212,7 @@ class TestOnePipeline:
                        options=RunOptions(metrics=True)).run(0.05)
             snapshot = METRICS.snapshot()
         finally:
-            (METRICS.enabled, METRICS._counters, METRICS._gauges,
-             METRICS._histograms) = saved
+            METRICS._counters, METRICS._gauges, METRICS._histograms = saved
         histograms = snapshot.histograms
         assert histograms["repro_quantum_wall_ns"]["count"] == 5
         for tier in range(len(small_machine.tiers)):
