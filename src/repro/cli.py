@@ -14,9 +14,6 @@ paper's figures (or all of them). Examples::
     python -m repro run --duration 4 --hotset-shift 2 --trace t.jsonl
     python -m repro diagnose t.jsonl --chrome-trace t.chrome.json
     python -m repro calibrate
-    python -m repro bench run --suite tiny --out BENCH_tiny.json
-    python -m repro bench compare benchmarks/baselines/BENCH_tiny.json \\
-        BENCH_tiny.json
 
 ``--jobs N`` fans simulation cells out over N worker processes; results
 are bit-identical to a serial run. ``--cache`` keeps results in an
@@ -226,39 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument("--sustain", type=int, default=None,
                           help="consecutive balanced quanta required "
                                "for convergence (default 5)")
-
-    bench = sub.add_parser(
-        "bench", help="record and compare performance-trajectory "
-                      "benchmarks (BENCH_<name>.json)"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="run a scaled benchmark suite and write a "
-                    "schema-versioned BENCH record"
-    )
-    bench_run.add_argument("--suite", choices=("tiny", "small", "full"),
-                           default="tiny",
-                           help="benchmark suite size (default tiny)")
-    bench_run.add_argument("--out", type=str, default=None, metavar="PATH",
-                           help="record path (default BENCH_<suite>.json)")
-    bench_run.add_argument("--name", type=str, default=None,
-                           help="record name (default: the suite name)")
-    _add_exec_options(bench_run)
-
-    bench_cmp = bench_sub.add_parser(
-        "compare", help="diff a BENCH record against a baseline; exits "
-                        "non-zero on regression"
-    )
-    bench_cmp.add_argument("baseline", metavar="BASELINE",
-                           help="baseline BENCH_*.json record")
-    bench_cmp.add_argument("current", metavar="CURRENT",
-                           help="current BENCH_*.json record")
-    bench_cmp.add_argument("--threshold", type=float, default=None,
-                           help="allowed slowdown fraction before a case "
-                                "regresses (default 0.15)")
-    bench_cmp.add_argument("--warn-only", action="store_true",
-                           help="report regressions but exit 0")
     return parser
 
 
@@ -671,10 +635,10 @@ def cmd_diagnose(args) -> int:
     from repro.obs.timeline import build_timeline
     from repro.obs.tracer import load_events
 
-    events = load_events(args.trace)
-    timeline = build_timeline(events)
     config = with_overrides(DEFAULT_CONFIG, epsilon=args.epsilon,
                             sustain_quanta=args.sustain)
+    events = load_events(args.trace)
+    timeline = build_timeline(events)
     tenants = tenant_names_of(events)
     if tenants:
         # Colocated trace: each tenant's controller is judged on its own
@@ -717,45 +681,6 @@ def cmd_diagnose(args) -> int:
     return 2 if has_critical else 0
 
 
-def cmd_bench(args) -> int:
-    """Handle ``repro bench run`` / ``repro bench compare``."""
-    if args.bench_command == "run":
-        from repro.bench import run_suite
-
-        record = run_suite(
-            args.suite,
-            options=_run_options(args),
-            jobs=args.jobs,
-            cache=_build_cache(args),
-            name=args.name,
-            reporter=_build_reporter(args),
-            progress=lambda case: print(f"bench case: {case}",
-                                        file=sys.stderr),
-            journal=_build_journal(args),
-        )
-        out = args.out or f"BENCH_{record.name}.json"
-        record.write(out)
-        print(f"suite {record.suite}: {record.total_wall_s:.1f}s wall, "
-              f"{sum(c.cells_executed for c in record.cases)} cells "
-              f"executed, calibration step "
-              f"{record.calibration_step_s * 1e3:.2f} ms")
-        _export_metrics(args)
-        print(f"wrote {out}")
-        return 0
-
-    from repro.bench import DEFAULT_THRESHOLD, compare_records, load_record
-
-    threshold = (args.threshold if args.threshold is not None
-                 else DEFAULT_THRESHOLD)
-    comparison = compare_records(load_record(args.baseline),
-                                 load_record(args.current),
-                                 threshold=threshold)
-    print(comparison.format())
-    if comparison.has_regression and not args.warn_only:
-        return 1
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -768,8 +693,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_report(args)
         if args.command == "diagnose":
             return cmd_diagnose(args)
-        if args.command == "bench":
-            return cmd_bench(args)
         return cmd_calibrate()
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -11,8 +11,8 @@ and turns those claims into structured, machine-checkable
 Detectors are pure functions ``(timeline, config) -> [Finding]``
 registered in :data:`DETECTORS`; adding one is adding a function. The
 :class:`DiagnosticsSummary` distills the behavioral scores CI and the
-bench records track: convergence quanta per epoch, an oscillation score
-(sign-flip rate of the controller's ``p`` movements), and a thrash score
+tests pin: convergence quanta per epoch, an oscillation score (sign-flip
+rate of the controller's ``p`` movements), and a thrash score
 (post-convergence migration rate relative to the convergence transient).
 """
 
@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ConfigurationError
 from repro.obs.timeline import Epoch, Timeline, build_timeline
 
 #: Ordered from benign to fatal; CLI exit codes key off ``critical``.
@@ -156,6 +157,14 @@ class DiagnosticsConfig:
     misplacement_grace_quanta: int = 30
     misplacement_gap_warn: float = 0.05
     misplacement_gap_critical: float = 0.15
+
+    def __post_init__(self) -> None:
+        if self.sustain_quanta < 1:
+            raise ConfigurationError(
+                f"sustain_quanta must be >= 1, got {self.sustain_quanta}")
+        if not self.epsilon > 0:
+            raise ConfigurationError(
+                f"epsilon must be > 0, got {self.epsilon}")
 
 
 #: Shared default configuration.

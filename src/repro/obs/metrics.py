@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError
 
 #: Bumped whenever the snapshot payload layout changes (the JSON export
-#: and the bench records embed snapshots).
+#: embeds snapshots).
 METRICS_SCHEMA_VERSION = 1
 
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyz"

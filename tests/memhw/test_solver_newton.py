@@ -2,11 +2,12 @@
 
 The contracts: cells whose damped iteration used to stall now
 converge; cold, warm and multi-app solves agree across machines and
-loads; the sweep count of a warm-chained drift stays within a fixed
-budget (a deterministic count, so it cannot flake on a slow host); a
-solve whose Newton steps fail still converges on the damped fallback;
-and the inverse Jacobian a solve carries to the next is used only by a
-warm solve seeded with exactly that solve's output, never by a cold one.
+loads; the sweep counts of a cold sweep and of a warm-chained drift stay
+within fixed budgets (deterministic counts, so they cannot flake on a
+slow host); a solve whose Newton steps fail still converges on the
+damped fallback; and the inverse Jacobian a solve carries to the next is
+used only by a warm solve seeded with exactly that solve's output, never
+by a cold one.
 """
 
 import numpy as np
@@ -126,6 +127,14 @@ class TestSolverMetamorphic:
                                       single.apps[0].tier_read_rate)
 
 
+def _gups_at_two_x():
+    """A GUPS core group on the paper testbed at 2x contention."""
+    machine = paper_testbed()
+    app = GupsWorkload(scale=0.03, seed=1).core_group()
+    pinned = [(antagonist_core_group(2, machine.antagonist), 0)]
+    return machine, app, pinned
+
+
 class TestCarriedJacobian:
     @given(**_systems)
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -170,9 +179,7 @@ class TestCarriedJacobian:
 
         monkeypatch.setattr(EquilibriumSolver, "_inverse_jacobian",
                             counted)
-        machine = paper_testbed()
-        app = GupsWorkload(scale=0.03, seed=1).core_group()
-        pinned = [(antagonist_core_group(2, machine.antagonist), 0)]
+        machine, app, pinned = _gups_at_two_x()
         solver = EquilibriumSolver(machine.tiers, use_cache=False)
         older = solver.solve(app, [0.5, 0.5], pinned=pinned)
         last = solver.solve(app, [0.55, 0.45], pinned=pinned,
@@ -194,11 +201,10 @@ class TestCarriedJacobian:
 
 
 def test_warm_chained_drift_sweep_budget():
-    """The bench suite's solver-micro drift: p from 0.3 to 0.7 over 200
-    warm-chained points on the paper testbed at 2x contention."""
-    machine = paper_testbed()
-    app = GupsWorkload(scale=0.03, seed=1).core_group()
-    pinned = [(antagonist_core_group(2, machine.antagonist), 0)]
+    """p drifts from 0.3 to 0.7 over 200 points, each solve seeded by the
+    previous equilibrium. The carried inverse Jacobian keeps the mean
+    near 4 sweeps; without it the mean is exactly 6, past the bound."""
+    machine, app, pinned = _gups_at_two_x()
     solver = EquilibriumSolver(machine.tiers, use_cache=False)
     warm = None
     sweeps = []
@@ -209,7 +215,21 @@ def test_warm_chained_drift_sweep_budget():
         if warm is not None:
             sweeps.append(eq.iterations)
         warm = eq.latencies_ns
-    assert np.mean(sweeps) <= 6
+    assert np.mean(sweeps) <= 4.5
+
+
+def test_cold_sweep_budget():
+    """40 cold solves with p from 0 to 1, each from unloaded latencies.
+    Newton steps settle each in about 19 sweeps (at most 20); the damped
+    iteration alone needs about 176 on average."""
+    machine, app, pinned = _gups_at_two_x()
+    solver = EquilibriumSolver(machine.tiers, use_cache=False)
+    sweeps = []
+    for i in range(40):
+        p = i / 39.0
+        sweeps.append(solver.solve(app, [p, 1.0 - p],
+                                   pinned=pinned).iterations)
+    assert np.mean(sweeps) <= 22
 
 
 def test_overloaded_solve_finishes_on_the_damped_fallback(monkeypatch):

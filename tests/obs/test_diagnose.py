@@ -1,20 +1,27 @@
 """Diagnostics engine: detectors over synthetic timelines, the summary
-round-trip, and the CLI exit code on a misbehaving trace."""
+round-trip, threshold validation, the CLI exit code on a misbehaving
+trace, and the verdicts on one pinned contention-step run."""
 
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigurationError
+from repro.experiments.common import make_system, scaled_machine
 from repro.obs.diagnose import (
     DEFAULT_CONFIG,
+    DiagnosticsConfig,
     DiagnosticsSummary,
     diagnose_events,
     format_diagnostics,
     with_overrides,
 )
 from repro.obs.timeline import build_timeline
+from repro.obs.tracer import Tracer
 from repro.options import DIAGNOSE_ENV_VAR, RunOptions
+from repro.runtime.loop import SimulationLoop
+from repro.workloads.gups import GupsWorkload
 
 META = {"type": "run_start", "time_s": 0.0, "system": "hemem+colloid",
         "workload": "gups", "n_tiers": 2, "quantum_ms": 10.0,
@@ -207,6 +214,18 @@ class TestSummaryAndFormat:
         assert not RunOptions.from_env().diagnose
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("sustain", [0, -3])
+    def test_sustain_below_one_rejected(self, sustain):
+        with pytest.raises(ConfigurationError, match="sustain_quanta"):
+            DiagnosticsConfig(sustain_quanta=sustain)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+    def test_non_positive_epsilon_rejected(self, epsilon):
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            with_overrides(DEFAULT_CONFIG, epsilon=epsilon)
+
+
 class TestCli:
     def write_trace(self, tmp_path, events):
         path = tmp_path / "trace.jsonl"
@@ -242,3 +261,60 @@ class TestCli:
         assert "wrote" in capsys.readouterr().out
         payload = json.loads(out_path.read_text())
         assert payload["summary"]["convergence_quanta"] == [10]
+
+    @pytest.mark.parametrize("flag,value", [("--sustain", "0"),
+                                            ("--sustain", "-3"),
+                                            ("--epsilon", "-1")])
+    def test_invalid_threshold_exits_one(self, tmp_path, capsys, flag,
+                                         value):
+        path = self.write_trace(tmp_path, converging_trace())
+        code = main(["diagnose", str(path), flag, value])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
+#: Per-epoch convergence quanta of the representative run below.
+_PINNED_CONVERGENCE_QUANTA = (0, 45)
+
+
+class TestRepresentativeRun:
+    """``hemem+colloid`` on GUPS at scale 0.03, seed 42, with contention
+    stepping from 0 to 2 at 1.5 s of a 3 s run (the Fig. 4c dynamism).
+
+    The controller must keep converging in every epoch, stay below the
+    oscillation and thrash warning levels, reset its watermarks after the
+    step, and draw no warning or critical finding.
+    """
+
+    @pytest.fixture(scope="class")
+    def summary(self):
+        tracer = Tracer(ring_size=8192)
+        loop = SimulationLoop(
+            machine=scaled_machine(0.03),
+            workload=GupsWorkload(scale=0.03, seed=42),
+            system=make_system("hemem+colloid"),
+            contention=lambda t: 0 if t < 1.5 else 2,
+            seed=42,
+            tracer=tracer,
+        )
+        loop.run(duration_s=3.0)
+        loop.emit_run_end()
+        return diagnose_events(tracer.events()).summary
+
+    def test_every_epoch_converges_within_twice_pinned_plus_slack(
+            self, summary):
+        quanta = summary.convergence_quanta
+        assert len(quanta) == len(_PINNED_CONVERGENCE_QUANTA)
+        for got, pinned in zip(quanta, _PINNED_CONVERGENCE_QUANTA):
+            assert got is not None
+            assert got <= 2 * pinned + 5, quanta
+
+    def test_below_oscillation_and_thrash_warning_levels(self, summary):
+        assert summary.oscillation_score < DEFAULT_CONFIG.oscillation_warn
+        assert summary.thrash_score < DEFAULT_CONFIG.thrash_warn
+
+    def test_step_resets_the_watermarks(self, summary):
+        assert summary.watermark_resets >= 1
+
+    def test_no_warning_or_critical_finding(self, summary):
+        assert summary.max_severity in (None, "info"), summary.findings
