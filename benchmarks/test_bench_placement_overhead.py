@@ -120,3 +120,27 @@ class TestPlacementAuditOverhead:
         assert audit.observers[0].audits_run >= audits_before + 10
         assert solver.cache_hits == hits
         assert solver.cache_misses == misses
+
+    def test_steady_state_audits_reuse_their_probe(self, monkeypatch):
+        """An audit quantum whose inputs are the objects of the last
+        audit reuses its ``evaluate`` callback and memo key: neither is
+        rebuilt once the run is steady."""
+        built = []
+        build = PlacementAudit._evaluate
+
+        def counting(self, index, apps, antagonist):
+            built.append(index)
+            return build(self, index, apps, antagonist)
+
+        monkeypatch.setattr(PlacementAudit, "_evaluate", counting)
+        loop = _make_loop(_AUDIT_PERIOD)
+        for __ in range(_WARMUP_STEPS):
+            loop.step()
+        assert built, "the warmup audits built no probe"
+        audit = _audit(loop)
+        audits_before = audit.observers[0].audits_run
+        built.clear()
+        for __ in range(10 * _AUDIT_PERIOD):
+            loop.step()
+        assert audit.observers[0].audits_run >= audits_before + 10
+        assert built == []

@@ -4,7 +4,7 @@
 Public API quick map:
 
 * Hardware substrate: :mod:`repro.memhw` (machines, equilibrium solver,
-  CHA/MBM counters) and :mod:`repro.sim` (request-level validation
+  CHA counters) and :mod:`repro.sim` (request-level validation
   simulator).
 * Pages: :mod:`repro.pages` (placement, migration, best-case oracle).
 * Baseline systems: :mod:`repro.tiering` (HeMem, MEMTIS, TPP, static,

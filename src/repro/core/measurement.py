@@ -63,8 +63,8 @@ class LatencyMonitor:
         """Fold one counter sample into the smoothed state."""
         if sample.occupancy.shape != (self.n_tiers,):
             raise ConfigurationError("sample tier count mismatch")
-        occupancy = sample.occupancy.astype(float).tolist()
-        rate = sample.rate.astype(float).tolist()
+        occupancy = sample.occupancy.tolist()
+        rate = sample.rate.tolist()
         if self._occupancy is None:
             self._occupancy = occupancy
             self._rate = rate

@@ -46,11 +46,6 @@ def application_spec(name: str, config: ExperimentConfig) -> WorkloadSpec:
     return WorkloadSpec.make(name, scale=config.scale, seed=config.seed)
 
 
-def make_application(name: str, config: ExperimentConfig) -> Workload:
-    """Build one of the §5.3 application workloads at experiment scale."""
-    return application_spec(name, config).build()
-
-
 def machine_for(workload: Workload, config: ExperimentConfig):
     """The testbed with the default tier sized to one third of the
     working set, per §5.3."""

@@ -10,8 +10,8 @@ tiered-memory machines — as a *closed-loop queueing system*:
   throughput is ``N * 64 / L`` (§3.1) — :mod:`repro.memhw.corestate`.
 * The equilibrium of these two relations is found by a fixed-point solver
   (:mod:`repro.memhw.fixedpoint`).
-* Emulated CHA counters (:mod:`repro.memhw.cha`) and MBM bandwidth counters
-  (:mod:`repro.memhw.mbm`) expose the observables Colloid consumes.
+* Emulated CHA counters (:mod:`repro.memhw.cha`) expose the observables
+  Colloid consumes.
 * :mod:`repro.memhw.topology` describes machines; the paper's testbed is
   available pre-calibrated via :func:`repro.memhw.topology.paper_testbed`.
 """
@@ -22,7 +22,6 @@ from repro.memhw.corestate import CoreGroup
 from repro.memhw.antagonist import AntagonistSpec, antagonist_core_group
 from repro.memhw.fixedpoint import EquilibriumSolver, MultiEquilibrium
 from repro.memhw.cha import ChaCounters, ChaSample
-from repro.memhw.mbm import MbmMonitor, MbmSample
 from repro.memhw.topology import (
     Machine,
     cxl_testbed,
@@ -42,8 +41,6 @@ __all__ = [
     "EquilibriumSolver",
     "ChaCounters",
     "ChaSample",
-    "MbmMonitor",
-    "MbmSample",
     "Machine",
     "paper_testbed",
     "cxl_testbed",

@@ -19,9 +19,10 @@ turning them into latencies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,14 +56,19 @@ class ChaCounters:
     Multiple ``observe`` calls may cover one sample window (e.g. when the
     hardware state changes mid-quantum due to migrations), mirroring the
     microsecond-scale polling the paper's kernel module performs.
+
+    :meth:`window` closes a window unread, so a quantum whose counters
+    nobody reads costs nothing; every window still owns its block of
+    ``2 * n_tiers`` normals on the noise stream.
     """
 
     def __init__(self, n_tiers: int, noise_sigma: float = 0.0,
                  rng: Optional[np.random.Generator] = None) -> None:
         if n_tiers <= 0:
             raise ConfigurationError("n_tiers must be positive")
-        if noise_sigma < 0:
-            raise ConfigurationError("noise_sigma must be non-negative")
+        if not 0.0 <= noise_sigma < math.inf:
+            raise ConfigurationError(
+                "noise_sigma must be finite and non-negative")
         self._n_tiers = n_tiers
         self._noise_sigma = noise_sigma
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -72,11 +78,9 @@ class ChaCounters:
         self._occupancy_integral = [0.0] * n_tiers
         self._arrivals = [0.0] * n_tiers
         self._elapsed_ns = 0.0
-
-    @property
-    def n_tiers(self) -> int:
-        """Number of tiers being monitored."""
-        return self._n_tiers
+        # Windows closed so far, and how many of them drew their noise.
+        self._windows = 0
+        self._drawn = 0
 
     def observe(self, equilibrium: MultiEquilibrium,
                 duration_ns: float) -> None:
@@ -110,6 +114,27 @@ class ChaCounters:
         An empty window yields all-zero occupancy and rates, which is what
         idle hardware counters report.
         """
+        self._windows += 1
+        return self._sample(self._windows)
+
+    def window(self, equilibrium: MultiEquilibrium,
+               duration_ns: float) -> Callable[[], ChaSample]:
+        """Close one window over ``duration_ns`` of ``equilibrium``
+        unread; returns the reader giving the sample :meth:`observe` then
+        :meth:`sample_and_reset` would have given. Call it at most once,
+        with nothing observed meanwhile and no later window sampled."""
+        self._windows += 1
+        number = self._windows
+
+        def read() -> ChaSample:
+            self.observe(equilibrium, duration_ns)
+            return self._sample(number)
+
+        return read
+
+    def _sample(self, number: int) -> ChaSample:
+        """Sample the accumulators as window ``number`` (1-based) and
+        reset them."""
         elapsed = self._elapsed_ns
         if elapsed > 0:
             occupancy = [o / elapsed for o in self._occupancy_integral]
@@ -118,8 +143,19 @@ class ChaCounters:
             occupancy = [0.0] * self._n_tiers
             rate = [0.0] * self._n_tiers
         if self._noise_sigma > 0:
-            noise = self._lognormal_noise()
+            # One draw covers the blocks of ``2 * n_tiers`` normals of
+            # this window and of those closed unread since the last
+            # draw. numpy draws element by element, so each block holds
+            # the values a draw of its own would, occupancy's noise then
+            # rate's. Only this window's block is exponentiated, by numpy
+            # (``math.exp`` is not guaranteed to round like ``np.exp``).
+            if number <= self._drawn:
+                raise ConfigurationError("CHA window read after a later one")
             n = self._n_tiers
+            noise = np.exp(self._rng.normal(
+                0.0, self._noise_sigma, size=(number - self._drawn) * 2 * n
+            )[-2 * n:]).tolist()
+            self._drawn = number
             occupancy = list(map(mul, occupancy, noise[:n]))
             rate = list(map(mul, rate, noise[n:]))
         sample = ChaSample(
@@ -131,14 +167,3 @@ class ChaCounters:
         self._arrivals = [0.0] * self._n_tiers
         self._elapsed_ns = 0.0
         return sample
-
-    def _lognormal_noise(self) -> list:
-        """Multiplicative noise factors, mean ~1, occupancy's ``n_tiers``
-        then rate's: one ``normal`` draw of ``2 * n_tiers`` values, which
-        numpy draws element by element, so they are the values of two
-        ``n_tiers`` draws in turn; exponentiated by numpy (``math.exp``
-        is not guaranteed to round like ``np.exp``)."""
-        return np.exp(
-            self._rng.normal(0.0, self._noise_sigma,
-                             size=2 * self._n_tiers)
-        ).tolist()

@@ -27,6 +27,10 @@ from repro.pages.selection import stable_top_k
 #: Page copies stream sequentially within a page but jump between pages.
 _MIGRATION_RANDOMNESS = 0.3
 
+#: The applied moves of a quantum that moved nothing (read-only, shared).
+_NO_MOVES = np.empty(0, dtype=np.int64)
+_NO_MOVES.flags.writeable = False
+
 
 class MigrationPlan:
     """An ordered list of page moves requested by a tiering system.
@@ -201,6 +205,9 @@ class MigrationExecutor:
         # from zero gives the first quantum exactly one quantum's budget.
         self._tokens = 0
         self.tracer = NULL_TRACER if tracer is None else tracer
+        # The per-tier copy bytes of an empty plan (read-only, shared).
+        self._no_bytes = np.zeros(placement.n_tiers, dtype=np.int64)
+        self._no_bytes.flags.writeable = False
         if METRICS.enabled:
             self._m_plan_bytes = METRICS.histogram(
                 "repro_migration_plan_bytes",
@@ -250,11 +257,11 @@ class MigrationExecutor:
                 bytes_moved=0, moves_applied=0, moves_skipped=0,
                 moves_deferred=0,
                 tier_traffic=[[] for _ in range(n_tiers)],
-                read_bytes_per_tier=np.zeros(n_tiers, dtype=np.int64),
-                write_bytes_per_tier=np.zeros(n_tiers, dtype=np.int64),
-                moved_pages=np.empty(0, dtype=np.int64),
-                moved_src_tiers=np.empty(0, dtype=np.int64),
-                moved_dst_tiers=np.empty(0, dtype=np.int64),
+                read_bytes_per_tier=self._no_bytes,
+                write_bytes_per_tier=self._no_bytes,
+                moved_pages=_NO_MOVES,
+                moved_src_tiers=_NO_MOVES,
+                moved_dst_tiers=_NO_MOVES,
             )
         pages = placement.pages
 

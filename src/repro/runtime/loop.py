@@ -10,10 +10,9 @@ hardware. Each quantum the loop:
 2. derives each tenant's tier split from its placement and true access
    distribution;
 3. solves one shared hardware equilibrium over every tenant's demand —
-   including last quantum's migration traffic — and integrates each
-   tenant's CHA/MBM counters;
-4. hands each tiering system its observables and collects a migration
-   plan;
+   including last quantum's migration traffic;
+4. hands each tiering system its observables (the CHA sample is taken
+   only if the system reads it) and collects a migration plan;
 5. executes each plan under the applicable byte budget, remembering the
    copy traffic for the next solve;
 6. records per-tenant metrics and their aggregate.
@@ -25,6 +24,7 @@ application traffic of quantum k+1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
@@ -37,7 +37,6 @@ from repro.memhw.cha import ChaCounters
 from repro.memhw.corestate import CoreGroup
 from repro.memhw.fixedpoint import EquilibriumSolver, tier_sum
 from repro.memhw.latency import TrafficClass
-from repro.memhw.mbm import MbmMonitor
 from repro.memhw.topology import Machine
 from repro.obs.events import TRACE_SCHEMA_VERSION
 from repro.obs.profile import PhaseProfiler
@@ -129,7 +128,6 @@ class _Tenant:
     tracer: object
     rng: np.random.Generator
     cha: ChaCounters
-    mbm: MbmMonitor
     placement: PlacementState
     executor: MigrationExecutor
     copy_read_debt: List[float]
@@ -275,9 +273,8 @@ class QuantumLoop:
       tiers and every tenant's latency reflects everybody's traffic.
     * Each tenant's CHA sample integrates the *machine* equilibrium
       (total request rates, shared loaded latencies — exactly what the
-      hardware counters show any observer), while its MBM sample and
-      access feed are scoped to its own traffic, as resource-monitoring
-      IDs scope MBM on real hardware.
+      hardware counters show any observer), while its access feed and
+      recorded ``app_tier_bandwidth`` are scoped to its own traffic.
     * Each tenant migrates only its own pages, inside a private
       :class:`~repro.pages.placement.PlacementState` through a private
       executor; copy traffic is summed across tenants in declaration
@@ -299,8 +296,8 @@ class QuantumLoop:
                migration_limit_bytes: int, tracer, profile: bool,
                options: Optional[RunOptions]) -> None:
         """State every constructor shares, before tenants are added."""
-        if quantum_ms <= 0:
-            raise ConfigurationError("quantum must be positive")
+        if not 0.0 < quantum_ms < math.inf:
+            raise ConfigurationError("quantum must be finite and positive")
         self.machine = machine
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.options = options = RunOptions.resolve(options)
@@ -335,6 +332,10 @@ class QuantumLoop:
         self._last_intensity: Optional[int] = None
         # The antagonist's core group at that intensity.
         self._antagonist: Optional[CoreGroup] = None
+        # The last solved equilibrium and what the records take from it:
+        # CPU-observed latencies, measured p, per-tenant bandwidth.
+        self._recorded_eq = None
+        self._recorded: tuple = ()
 
     def _add_tenant(self, spec: TenantSpec, placement: PlacementState,
                     tracer, rng: np.random.Generator,
@@ -354,11 +355,6 @@ class QuantumLoop:
             rng=rng,
             cha=ChaCounters(n_tiers=n_tiers,
                             noise_sigma=self._cha_noise_sigma, rng=cha_rng),
-            mbm=MbmMonitor(
-                n_tiers=n_tiers,
-                traffic_multiplier=(
-                    spec.workload.core_group().traffic_multiplier()),
-            ),
             placement=placement,
             executor=MigrationExecutor(
                 placement, self._migration_limit_bytes,
@@ -500,9 +496,21 @@ class QuantumLoop:
             initial_latencies=self._warm_latencies,
         )
         self._warm_latencies = equilibrium.latencies_ns
-        for tenant, app_eq in zip(tenants, equilibrium.apps):
-            tenant.cha.observe(equilibrium, self.quantum_ns)
-            tenant.mbm.observe_rates(app_eq.tier_read_rate, self.quantum_ns)
+        if equilibrium is not self._recorded_eq:
+            # A cached equilibrium was solved for equal core groups, so
+            # its record values are computed once per object, and the
+            # records that share them get read-only arrays.
+            latencies_ns = (equilibrium.latencies_ns
+                            + self.machine.cpu_to_cha_ns)
+            bandwidths = [app_eq.tier_read_rate * group.traffic_multiplier()
+                          for app_eq, (group, __) in zip(equilibrium.apps,
+                                                         apps)]
+            for array in (latencies_ns, *bandwidths):
+                array.flags.writeable = False
+            self._recorded_eq = equilibrium
+            self._recorded = (latencies_ns, equilibrium.measured_p,
+                              bandwidths)
+        latencies_ns, measured_p, bandwidths = self._recorded
         for observer in observers:
             observer.post_solve(t, equilibrium, self.solver)
         dt_solve = profiler.lap("equilibrium_solve")
@@ -512,17 +520,16 @@ class QuantumLoop:
                 iterations=equilibrium.iterations,
                 latencies_ns=equilibrium.latencies_ns,
                 app_read_rate=equilibrium.total_read_rate,
-                measured_p=equilibrium.measured_p,
+                measured_p=measured_p,
                 cached=self.solver.last_was_cache_hit,
             )
-        latencies_ns = equilibrium.latencies_ns + self.machine.cpu_to_cha_ns
 
         # 3. Per-tenant observe/decide/migrate with tenant-scoped state.
         dt_decide = 0
         dt_migrate = 0
         records = []
-        for tenant, app_eq, (group, __) in zip(tenants, equilibrium.apps,
-                                               apps):
+        for tenant, app_eq, bandwidth in zip(tenants, equilibrium.apps,
+                                             bandwidths):
             feed = AccessFeed(
                 access_probs=tenant.probs,
                 request_rate=app_eq.read_rate / 64.0,
@@ -533,8 +540,7 @@ class QuantumLoop:
                 time_s=t,
                 quantum_ns=self.quantum_ns,
                 placement=tenant.placement,
-                cha=tenant.cha.sample_and_reset(),
-                mbm=tenant.mbm.sample_and_reset(),
+                cha=tenant.cha.window(equilibrium, self.quantum_ns),
                 feed=feed,
                 rng=tenant.rng,
                 tracer=tenant.tracer,
@@ -559,10 +565,8 @@ class QuantumLoop:
                 throughput=app_eq.read_rate,
                 latencies_ns=latencies_ns,
                 p_true=float(tenant.split[0]),
-                p_measured=equilibrium.measured_p,
-                app_tier_bandwidth=(
-                    app_eq.tier_read_rate * group.traffic_multiplier()
-                ),
+                p_measured=measured_p,
+                app_tier_bandwidth=bandwidth,
                 migration_bytes=tenant.charged,
                 antagonist_intensity=intensity,
             )
@@ -586,7 +590,7 @@ class QuantumLoop:
                 throughput=total_rate,
                 latencies_ns=latencies_ns,
                 p_true=p_true,
-                p_measured=equilibrium.measured_p,
+                p_measured=measured_p,
                 app_tier_bandwidth=sum(r.app_tier_bandwidth
                                        for r in records),
                 migration_bytes=sum(r.migration_bytes for r in records),

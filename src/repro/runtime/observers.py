@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from time import perf_counter_ns
 
+import numpy as np
+
 from repro.check.invariants import Checker, find_shift_computer
 from repro.memhw.fixedpoint import EquilibriumSolver
 from repro.obs.metrics import METRICS
@@ -95,7 +97,7 @@ class PlacementAudit(QuantumObserver):
     solver: the probe solves never touch the loop's solver or warm
     starts, so audited runs are bit-identical to unaudited ones."""
 
-    __slots__ = ("loop", "observers", "solver", "_warm")
+    __slots__ = ("loop", "observers", "solver", "_warm", "_probes")
 
     def __init__(self, loop, period: int) -> None:
         self.loop = loop
@@ -109,6 +111,9 @@ class PlacementAudit(QuantumObserver):
             loop.machine.tiers, use_cache=loop.options.solver_cache)
             if n_tiers == 2 else None)
         self._warm = [None] * len(loop._tenants)
+        # Per tenant: the last probe and the input objects it was built
+        # from (the antagonist, then each tenant's core group and split).
+        self._probes = [None] * len(loop._tenants)
 
     def _evaluate(self, index: int, apps, antagonist):
         """Misplacement-audit callback for tenant ``index``: varies only
@@ -127,23 +132,36 @@ class PlacementAudit(QuantumObserver):
 
         return evaluate
 
+    def _probe(self, index: int):
+        """Tenant ``index``'s audit ``(evaluate, audit_key)``, reused
+        while the antagonist and every core group and read-only split
+        are the objects it was built from."""
+        apps = self.loop._apps
+        antagonist = self.loop._antagonist
+        inputs = (antagonist, *[item for app in apps for item in app])
+        last = self._probes[index]
+        if (last is not None and len(inputs) == len(last[0])
+                and all(a is b for a, b in zip(inputs, last[0]))):
+            return last[1]
+        # The probe equilibrium holds every *other* tenant's split
+        # fixed; the audited tenant's own split is the probe variable
+        # and must stay out of the key.
+        probe = self._evaluate(index, apps, antagonist), (
+            tuple((group, None if j == index else tuple(map(float, split)))
+                  for j, (group, split) in enumerate(apps)),
+            antagonist)
+        self._probes[index] = (inputs, probe) if all(
+            isinstance(split, np.ndarray) and not split.flags.writeable
+            for _, split in apps) else None
+        return probe
+
     def post_execute(self, t, tenant, decision, result) -> None:
         i = tenant.index
         observer = self.observers[i]
         evaluate = None
         audit_key = None
         if self.solver is not None and observer.audit_due():
-            apps = self.loop._apps
-            antagonist = self.loop._antagonist
-            evaluate = self._evaluate(i, apps, antagonist)
-            # The probe equilibrium holds every *other* tenant's split
-            # fixed; the audited tenant's own split is the probe
-            # variable and must stay out of the key.
-            audit_key = (
-                tuple((group, None if j == i else tuple(map(float, split)))
-                      for j, (group, split) in enumerate(apps)),
-                antagonist,
-            )
+            evaluate, audit_key = self._probe(i)
         observer.observe_quantum(
             access_probs=tenant.probs,
             placement=tenant.placement,

@@ -97,8 +97,3 @@ class LinkAttachedMemory:
         begin = max(now, self._write_link_free_at)
         self._write_link_free_at = begin + self.serialization_ns
         self.writes_served += 1
-
-    @property
-    def read_link_utilization_horizon(self) -> float:
-        """Time until the read-direction link drains (diagnostic)."""
-        return max(0.0, self._read_link_free_at - self._sim.now)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
 from repro.memhw.cha import ChaSample
-from repro.memhw.mbm import MbmSample
 from repro.obs.tracer import NULL_TRACER
 from repro.pages.migration import MigrationPlan
 from repro.pages.placement import PlacementState
@@ -25,7 +24,6 @@ from repro.pages.selection import stable_top_k
 from repro.tracking.feed import AccessFeed
 
 
-@dataclass
 class QuantumContext:
     """Everything a tiering system may observe during one quantum.
 
@@ -37,18 +35,37 @@ class QuantumContext:
     Each tenant's controller receives its own context: ``cha`` reflects
     the *machine* (total traffic of every tenant, the antagonist, and
     migrations — exactly what the hardware counters show), while
-    ``placement``, ``mbm``, and ``feed`` are scoped to the tenant's own
-    pages; the placement's capacities are the tenant's grant.
+    ``placement`` and ``feed`` are scoped to the tenant's own pages; the
+    placement's capacities are the tenant's grant.
+
+    ``cha`` is the sample or a zero-argument reader of it
+    (:meth:`~repro.memhw.cha.ChaCounters.window`), run on the first
+    read: a system that never reads the counters never samples them.
     """
 
-    time_s: float
-    quantum_ns: float
-    placement: PlacementState
-    cha: ChaSample
-    mbm: MbmSample
-    feed: AccessFeed
-    rng: np.random.Generator
-    tracer: object = NULL_TRACER
+    __slots__ = ("time_s", "quantum_ns", "placement", "_cha", "feed",
+                 "rng", "tracer")
+
+    def __init__(self, time_s: float, quantum_ns: float,
+                 placement: PlacementState,
+                 cha: Union[ChaSample, Callable[[], ChaSample]],
+                 feed: AccessFeed, rng: np.random.Generator,
+                 tracer: object = NULL_TRACER) -> None:
+        self.time_s = time_s
+        self.quantum_ns = quantum_ns
+        self.placement = placement
+        self._cha = cha
+        self.feed = feed
+        self.rng = rng
+        self.tracer = tracer
+
+    @property
+    def cha(self) -> ChaSample:
+        """This quantum's CHA sample of the machine."""
+        cha = self._cha
+        if not isinstance(cha, ChaSample):
+            cha = self._cha = cha()
+        return cha
 
 
 @dataclass

@@ -10,6 +10,7 @@ owned by the feed's RNG so experiments are reproducible.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -27,10 +28,11 @@ class AccessFeed:
 
     def __init__(self, access_probs: np.ndarray, request_rate: float,
                  quantum_ns: float, rng: np.random.Generator) -> None:
-        if request_rate < 0:
-            raise ConfigurationError("request rate must be non-negative")
-        if quantum_ns <= 0:
-            raise ConfigurationError("quantum must be positive")
+        if not 0.0 <= request_rate < math.inf:
+            raise ConfigurationError(
+                "request rate must be finite and non-negative")
+        if not 0.0 < quantum_ns < math.inf:
+            raise ConfigurationError("quantum must be finite and positive")
         self._probs = access_probs
         self.request_rate = float(request_rate)
         self.quantum_ns = float(quantum_ns)
@@ -46,20 +48,27 @@ class AccessFeed:
         """Expected number of application accesses this quantum."""
         return int(self.request_rate * self.quantum_ns)
 
-    def pebs_counts(self, sample_period: int,
-                    max_samples: Optional[int] = None) -> np.ndarray:
-        """Per-page PEBS sample counts for this quantum.
-
-        One sample is taken every ``sample_period`` accesses; sampled
-        addresses follow the true access distribution — exactly the
-        statistical process PEBS implements.
-        """
+    def pebs_sample_count(self, sample_period: int,
+                          max_samples: Optional[int] = None) -> int:
+        """How many PEBS samples this quantum takes: one every
+        ``sample_period`` accesses, at most ``max_samples``."""
         if sample_period <= 0:
             raise ConfigurationError("sample period must be positive")
         n_samples = self.total_accesses // sample_period
         if max_samples is not None:
             n_samples = min(n_samples, max_samples)
-        if n_samples <= 0:
+        return max(n_samples, 0)
+
+    def pebs_counts(self, sample_period: int,
+                    max_samples: Optional[int] = None) -> np.ndarray:
+        """Per-page PEBS sample counts for this quantum.
+
+        :meth:`pebs_sample_count` samples are taken; sampled addresses
+        follow the true access distribution — exactly the statistical
+        process PEBS implements.
+        """
+        n_samples = self.pebs_sample_count(sample_period, max_samples)
+        if n_samples == 0:
             return np.zeros(self.n_pages, dtype=np.int64)
         return self._rng.multinomial(n_samples, self._probs).astype(
             np.int64, copy=False)

@@ -30,7 +30,8 @@ class PebsSampler:
     def collect(self, feed: AccessFeed) -> np.ndarray:
         """Drain this quantum's samples into per-page counts."""
         counts = feed.pebs_counts(self.sample_period)
-        self.last_samples = int(counts.sum())
+        # Multinomial counts sum to the drawn sample count exactly.
+        self.last_samples = feed.pebs_sample_count(self.sample_period)
         self.total_samples += self.last_samples
         return counts
 
@@ -56,9 +57,8 @@ class AdaptivePebsSampler(PebsSampler):
         self.max_period = int(max_period)
 
     def collect(self, feed: AccessFeed) -> np.ndarray:
-        counts = feed.pebs_counts(self.sample_period)
-        observed = self.last_samples = int(counts.sum())
-        self.total_samples += observed
+        counts = super().collect(feed)
+        observed = self.last_samples
         if observed > 2 * self.target:
             self.sample_period = min(self.max_period, self.sample_period * 2)
         elif observed < self.target // 2 and observed > 0:

@@ -35,7 +35,6 @@ def make_ctx(placement, occupancy, rate, probs=None, request_rate=1.0):
         placement=placement,
         cha=ChaSample(np.asarray(occupancy, float),
                       np.asarray(rate, float), 1e7),
-        mbm=None,
         feed=AccessFeed(probs, request_rate, 1e7, rng),
         rng=rng,
     )

@@ -1,4 +1,4 @@
-"""Tests for the emulated CHA and MBM counters."""
+"""Tests for the emulated CHA counters."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.memhw.cha import ChaCounters
 from repro.memhw.corestate import CoreGroup
 from repro.memhw.fixedpoint import EquilibriumSolver
-from repro.memhw.mbm import MbmMonitor
 from repro.memhw.topology import paper_testbed
 
 
@@ -34,6 +33,9 @@ class TestChaCounters:
             ChaCounters(0)
         with pytest.raises(ConfigurationError):
             ChaCounters(2, noise_sigma=-0.1)
+        for sigma in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                ChaCounters(2, noise_sigma=sigma)
 
     def test_noiseless_sample_recovers_latency(self, equilibrium):
         cha = ChaCounters(2, noise_sigma=0.0)
@@ -121,29 +123,41 @@ class TestChaCounters:
         with pytest.raises(ConfigurationError):
             cha.observe(equilibrium, 1e6)
 
+    @given(n_tiers=st.integers(1, 3), sigma=st.floats(0.0, 0.5),
+           reads=st.lists(st.booleans(), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_windows_read_sparsely_match_sampling_each(self, n_tiers,
+                                                       sigma, reads, seed):
+        """A window read after unread ones gives the sample
+        ``sample_and_reset`` gives when every window is sampled; unread
+        windows at the end draw nothing."""
+        lazy = ChaCounters(n_tiers, noise_sigma=sigma,
+                           rng=np.random.default_rng(seed))
+        eager = ChaCounters(n_tiers, noise_sigma=sigma,
+                            rng=np.random.default_rng(seed))
+        for k, read in enumerate(reads):
+            steady = _Steady(np.linspace(0.5, 2.0, n_tiers) * (k + 1),
+                             np.linspace(80.0, 300.0, n_tiers) + k)
+            reader = lazy.window(steady, 1e6 + k)
+            eager.observe(steady, 1e6 + k)
+            expected = eager.sample_and_reset()
+            if read:
+                sample = reader()
+                assert sample.occupancy.tolist() == (
+                    expected.occupancy.tolist())
+                assert sample.rate.tolist() == expected.rate.tolist()
+                assert sample.duration_ns == expected.duration_ns
+        if sigma > 0 and reads[-1]:
+            assert (lazy._rng.bit_generator.state
+                    == eager._rng.bit_generator.state)
+        if not any(reads):
+            assert (lazy._rng.bit_generator.state
+                    == np.random.default_rng(seed).bit_generator.state)
 
-class TestMbmMonitor:
-    def test_attributes_app_bandwidth_per_tier(self, equilibrium):
-        mbm = MbmMonitor(2, traffic_multiplier=1.5)
-        mbm.observe_rates(equilibrium.apps[0].tier_read_rate, 1e6)
-        sample = mbm.sample_and_reset()
-        np.testing.assert_allclose(
-            sample.app_tier_bandwidth,
-            equilibrium.apps[0].tier_read_rate * 1.5,
-            rtol=1e-12,
-        )
-
-    def test_default_tier_share(self, equilibrium):
-        mbm = MbmMonitor(2)
-        mbm.observe_rates(equilibrium.apps[0].tier_read_rate, 1e6)
-        sample = mbm.sample_and_reset()
-        assert sample.default_tier_share == pytest.approx(0.8, rel=1e-9)
-
-    def test_empty_window(self):
-        mbm = MbmMonitor(2)
-        sample = mbm.sample_and_reset()
-        assert sample.default_tier_share == 0.0
-
-    def test_rejects_multiplier_below_one(self):
+    def test_window_read_after_a_later_one_is_rejected(self, equilibrium):
+        cha = ChaCounters(2, noise_sigma=0.01)
+        first = cha.window(equilibrium, 1e6)
+        cha.window(equilibrium, 1e6)()
         with pytest.raises(ConfigurationError):
-            MbmMonitor(2, traffic_multiplier=0.5)
+            first()

@@ -56,6 +56,25 @@ class TestStep:
         record = loop.step()
         assert record.latencies_ns[1] >= 135.0  # 130 CHA + 5
 
+    def test_app_tier_bandwidth_is_the_apps_own_wire_traffic(
+            self, small_machine):
+        """The Fig. 2b/6a observable: the application's per-tier wire
+        traffic, split as its accesses are, without the antagonist."""
+        loop = make_loop(small_machine, contention=2)
+        multiplier = loop.workload.core_group().traffic_multiplier()
+        first, second = loop.step(), loop.step()
+        for record in (first, second):
+            bandwidth = record.app_tier_bandwidth
+            assert bandwidth.sum() == pytest.approx(
+                record.throughput * multiplier, rel=1e-12)
+            assert bandwidth[0] / bandwidth.sum() == pytest.approx(
+                record.p_true, rel=1e-12)
+            assert not bandwidth.flags.writeable
+        # A static placement re-poses the same equilibrium: the records
+        # share its read-only arrays.
+        assert second.app_tier_bandwidth is first.app_tier_bandwidth
+        assert second.latencies_ns is first.latencies_ns
+
 
 class TestContention:
     def test_constant_contention(self, small_machine):
@@ -113,6 +132,18 @@ class TestInitialPlacement:
         with pytest.raises(ConfigurationError):
             SimulationLoop(machine=small_machine, workload=workload,
                            system=StaticPlacementSystem(), quantum_ms=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("quantum_ms", float("nan")), ("quantum_ms", float("inf")),
+        ("cha_noise_sigma", float("nan")),
+        ("cha_noise_sigma", float("inf")),
+    ])
+    def test_rejects_non_finite_inputs(self, small_machine, field, value):
+        workload = GupsWorkload(scale=FAST_SCALE, seed=4)
+        with pytest.raises(ConfigurationError):
+            SimulationLoop(machine=small_machine, workload=workload,
+                           system=StaticPlacementSystem(),
+                           **{field: value})
 
 
 class TestMigrationTrafficSpreading:

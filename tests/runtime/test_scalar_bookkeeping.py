@@ -25,7 +25,6 @@ from repro.memhw.fixedpoint import (
     tier_sum,
 )
 from repro.memhw.latency import TrafficClass
-from repro.memhw.mbm import MbmMonitor
 from repro.memhw.topology import paper_testbed
 from repro.pages.pagestate import PageArray
 from repro.pages.placement import PlacementState
@@ -152,24 +151,6 @@ def test_cha_matches_numpy(n, sigma):
         assert bits(sample.occupancy) == bits(occupancy)
         assert bits(sample.rate) == bits(rate)
         assert sample.duration_ns == elapsed
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_mbm_matches_numpy(n):
-    rng = np.random.default_rng(8)
-    mbm = MbmMonitor(n, traffic_multiplier=1.5)
-    integral, elapsed = np.zeros(n), 0.0
-    for __ in range(300):
-        for __ in range(int(rng.integers(0, 3))):
-            reads = values(rng, n)
-            duration = float(rng.choice([0.0, 1e7, rng.uniform(1, 1e8)]))
-            mbm.observe_rates(reads, duration)
-            integral += reads * 1.5 * duration
-            elapsed += duration
-        sample = mbm.sample_and_reset()
-        expected = integral / elapsed if elapsed > 0 else np.zeros(n)
-        assert bits(sample.app_tier_bandwidth) == bits(expected)
-        integral, elapsed = np.zeros(n), 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -60,6 +60,15 @@ class TestAccessFeed:
         with pytest.raises(ConfigurationError):
             feed.pebs_counts(sample_period=0)
 
+    @pytest.mark.parametrize("rate, quantum", [
+        (float("nan"), 1e6), (float("inf"), 1e6), (1.0, float("nan")),
+        (1.0, float("inf")), (1.0, -float("inf")),
+    ])
+    def test_rejects_non_finite_args(self, rate, quantum):
+        with pytest.raises(ConfigurationError):
+            AccessFeed(np.array([1.0]), rate, quantum,
+                       np.random.default_rng(0))
+
 
 class TestPebsSampler:
     def test_fixed_period_accumulates_totals(self):
@@ -71,6 +80,26 @@ class TestPebsSampler:
     def test_rejects_bad_period(self):
         with pytest.raises(ConfigurationError):
             PebsSampler(sample_period=0)
+
+    @pytest.mark.parametrize("sampler_class",
+                             [PebsSampler, AdaptivePebsSampler])
+    @pytest.mark.parametrize("rate, quantum, n_pages", [
+        (1.0, 1e7, 100), (0.013, 1e6, 7), (2.5, 3e6, 1), (0.3, 1e7, 5000),
+        (1e-4, 1e6, 50), (0.0, 1e7, 10),
+    ])
+    def test_last_samples_is_the_drawn_count(self, sampler_class, rate,
+                                             quantum, n_pages):
+        sampler = sampler_class(sample_period=199)
+        total = 0
+        for seed in range(3):
+            feed = make_feed(n_pages=n_pages, rate=rate, quantum=quantum,
+                             seed=seed)
+            counts = sampler.collect(feed)
+            assert sampler.last_samples == int(counts.sum())
+            total += sampler.last_samples
+        assert sampler.total_samples == total
+        if rate * quantum < 199:
+            assert total == 0
 
 
 class TestAdaptivePebsSampler:
