@@ -62,7 +62,7 @@ def _measure_check_seconds(n_rounds: int = 300) -> float:
     n_tiers = len(loop.machine.tiers)
     result = MigrationResult(
         bytes_moved=0, moves_applied=0, moves_skipped=0,
-        moves_deferred=0, tier_traffic=[[] for __ in range(n_tiers)],
+        moves_deferred=0,
         read_bytes_per_tier=np.zeros(n_tiers),
         write_bytes_per_tier=np.zeros(n_tiers),
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -157,8 +158,9 @@ class MachineSpec:
     default_tier_ws_divisor: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ConfigurationError("machine scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ConfigurationError(
+                "machine scale must be finite and positive")
         if (self.default_tier_ws_divisor is not None
                 and self.default_tier_ws_divisor < 1):
             raise ConfigurationError("working-set divisor must be >= 1")
@@ -334,8 +336,12 @@ class RunSpec:
                 f"unknown run mode {self.mode!r}; expected one of "
                 f"{RUN_MODES}"
             )
-        if self.quantum_ms <= 0:
-            raise ConfigurationError("quantum must be positive")
+        if not 0 < self.quantum_ms < math.inf:
+            raise ConfigurationError("quantum must be finite and positive")
+        for name in ("min_duration_s", "max_duration_s", "duration_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite")
         if not self.contention or self.contention[0][0] != 0.0:
             raise ConfigurationError(
                 "contention schedule must start at t=0"

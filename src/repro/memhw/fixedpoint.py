@@ -35,9 +35,9 @@ This is the analytic stand-in for the physical testbed: the paper's own
 performance analysis (§2.2) uses exactly these relations to explain its
 measurements.
 
-The solve is the simulation loop's dominant cost, so three fast paths
-keep it nearly free in steady state (§2.2: the system sits at a steady
-state between quanta):
+The solve is one of the simulation loop's largest costs, so these fast
+paths keep it nearly free in steady state (§2.2: the system sits at a
+steady state between quanta):
 
 * **Warm starts** — ``solve(..., initial_latencies=...)`` seeds the
   iteration with a nearby known equilibrium (the previous quantum's, or
@@ -54,7 +54,14 @@ state between quanta):
   solve's very core groups, read-only splits (the loop's cached tier
   splits) and pinned groups, without extra traffic, is its hit with no
   key built; it still refreshes the LRU order, counts the hit and
-  checks ``initial_latencies``. ``validate_cache_hits`` turns it off.
+  checks a foreign ``initial_latencies``. ``validate_cache_hits`` turns
+  it off.
+* **Own seeds** — the ``latencies_ns`` array a solver returned last
+  (read-only, checked finite and positive when it was computed) seeds
+  the next solve without being converted or checked again; any other
+  seed is validated. A miss builds each core group's coefficients once
+  per group object and normalizes each read-only split once per split
+  object.
 * **A scalar sweep** — per-solve constants (traffic-class aggregates,
   core-group demand coefficients, tier mix efficiencies) are hoisted
   into Python floats once per solve, and each sweep is a short loop over
@@ -64,6 +71,17 @@ state between quanta):
   traffic, then the application groups in input order, then pinned
   groups), so the per-tier sums are those the per-tier traffic lists
   always gave.
+* **A two-tier step path** — on two tiers, which is every paper
+  machine, the sweep, the convergence residual, the Newton point, the
+  damped update and the Broyden update run as straight-line floats
+  instead of loops, lists and builtin ``sum``/``max``/``min``. They do
+  the general code's float operations in its order (a two-term ``sum``
+  is ``(0.0 + a) + b``; ``max`` and ``min`` keep their first value on
+  ties and against a NaN), so every result is the same bit for bit;
+  ``tests/memhw/test_solver_two_tier.py`` checks each helper against the
+  general code, signed zeros and NaNs included. Three or more tiers keep
+  the general code: from CPython 3.12 builtin ``sum`` compensates float
+  sums, which an unrolled sum would not match.
 """
 
 from __future__ import annotations
@@ -71,7 +89,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from operator import mul
+from itertools import chain
+from operator import is_, mul
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,6 +115,9 @@ _JACOBIAN_STEP = 1e-7
 
 #: Default capacity of the per-solver memoization cache (solves).
 DEFAULT_SOLVE_CACHE_SIZE = 512
+#: Capacity of the per-object coefficient and split memos (cleared when
+#: full).
+_MEMO_SIZE = 64
 
 @dataclass(frozen=True)
 class AppEquilibrium:
@@ -173,9 +195,64 @@ def tier_sum(values: Sequence[float]) -> float:
 
 def _relative_residual(new_latencies: Sequence[float],
                        latencies: Sequence[float]) -> float:
-    """Max relative change of one sweep: the convergence measure."""
+    """Max relative change of one sweep: the convergence measure.
+
+    Two tiers are straight-line floats, bit for bit what
+    :func:`_relative_residual_n` gives: ``max`` keeps its first value on
+    ties and against a NaN.
+    """
+    if len(latencies) == 2:
+        first = abs(new_latencies[0] - latencies[0]) / latencies[0]
+        second = abs(new_latencies[1] - latencies[1]) / latencies[1]
+        return second if second > first else first
+    return _relative_residual_n(new_latencies, latencies)
+
+
+def _relative_residual_n(new_latencies: Sequence[float],
+                         latencies: Sequence[float]) -> float:
     return max(abs(new - old) / old
                for new, old in zip(new_latencies, latencies))
+
+
+def _damped_point(latencies: List[float], new_latencies: List[float],
+                  damping: float) -> List[float]:
+    """The damped fixed-point update ``L + d (G(L) - L)``."""
+    if len(latencies) == 2:
+        old0, old1 = latencies
+        new0, new1 = new_latencies
+        return [old0 + damping * (new0 - old0),
+                old1 + damping * (new1 - old1)]
+    return _damped_point_n(latencies, new_latencies, damping)
+
+
+def _damped_point_n(latencies: List[float], new_latencies: List[float],
+                    damping: float) -> List[float]:
+    return [old + damping * (new - old)
+            for old, new in zip(latencies, new_latencies)]
+
+
+def _newton_point_n(latencies: List[float], new_latencies: List[float],
+                    inverse: List[List[float]]) -> Optional[List[float]]:
+    residual = [old - new for old, new in zip(latencies, new_latencies)]
+    candidate = [old + sum(map(mul, row, residual))
+                 for old, row in zip(latencies, inverse)]
+    # A NaN or infinity makes the sum non-finite.
+    if min(candidate) > 0.0 and math.isfinite(sum(candidate)):
+        return candidate
+    return None
+
+
+def _coefficients(group: CoreGroup) -> tuple:
+    """A core group's per-solve constants: ``(has cores, demand,
+    traffic multiplier, randomness, wire read fraction, its complement)``.
+
+    ``demand`` is ``N * mlp * 64``: ``demand / L`` is
+    :meth:`CoreGroup.demand_read_rate` float for float.
+    """
+    return (group.n_cores > 0,
+            group.n_cores * group.mlp * CACHELINE_BYTES,
+            group.traffic_multiplier(), group.randomness,
+            group.wire_read_fraction(), 1.0 - group.wire_read_fraction())
 
 
 class _SolveProblem:
@@ -188,29 +265,29 @@ class _SolveProblem:
     order), so float addition order — and hence the computed sums —
     matches the historical per-tier list construction. With several
     application groups the additions run in input order.
+
+    ``apps`` holds ``(coefficients, split values)`` per application and
+    ``pinned`` ``(coefficients, tier index)`` per pinned group, with the
+    coefficients of :func:`_coefficients`; ``extra`` holds the per-tier
+    extra traffic classes, or is None for no extra traffic, whose
+    aggregates are ``zeros`` (shared: sweeps copy them).
     """
 
     __slots__ = ("apps", "pinned", "extra_total", "extra_rand",
                  "extra_write", "extra_read", "extra_req")
 
-    def __init__(self, apps: Sequence[Tuple[CoreGroup, np.ndarray]],
-                 pinned: Sequence[Tuple[CoreGroup, int]],
-                 extra: Sequence[Sequence[TrafficClass]]) -> None:
-        # ``demand`` is ``N * mlp * 64``: ``demand / L`` is
-        # :meth:`CoreGroup.demand_read_rate` float for float.
-        self.apps = tuple(
-            (split.tolist(), group.n_cores > 0,
-             group.n_cores * group.mlp * CACHELINE_BYTES,
-             group.traffic_multiplier(), group.randomness,
-             group.wire_read_fraction(), 1.0 - group.wire_read_fraction())
-            for group, split in apps
-        )
-        self.pinned = tuple(
-            (tier_idx, group.n_cores * group.mlp * CACHELINE_BYTES,
-             group.traffic_multiplier(), group.randomness,
-             group.wire_read_fraction(), 1.0 - group.wire_read_fraction())
-            for group, tier_idx in pinned if group.n_cores > 0
-        )
+    def __init__(self, apps, pinned,
+                 extra: Optional[Sequence[Sequence[TrafficClass]]],
+                 zeros: List[float]) -> None:
+        self.apps = tuple([(split, *coefficients)
+                           for coefficients, split in apps])
+        self.pinned = tuple([(tier_idx, *coefficients[1:])
+                             for coefficients, tier_idx in pinned
+                             if coefficients[0]])
+        if extra is None:
+            self.extra_total = self.extra_rand = self.extra_write = \
+                self.extra_read = self.extra_req = zeros
+            return
         n = len(extra)
         self.extra_total = [0.0] * n
         self.extra_rand = [0.0] * n
@@ -230,15 +307,52 @@ class _SolveProblem:
                 )
 
 
-def _broyden_update(inverse: List[List[float]], step: List[float],
-                    change: List[float]) -> List[List[float]]:
+def _broyden_update(inverse: List[List[float]], latencies: List[float],
+                    new_latencies: List[float], candidate: List[float],
+                    candidate_new: List[float]) -> List[List[float]]:
     """Good-Broyden rank-one update of an inverse Jacobian.
 
-    ``step`` is the accepted move in latency and ``change`` the change of
-    ``F`` it caused. The updated ``H`` maps ``change`` to ``step``
-    (Sherman–Morrison form, no matrix inversion). A degenerate step
-    leaves ``H`` as it is.
+    The accepted step moves latency from ``latencies`` (whose sweep gave
+    ``new_latencies``) to ``candidate`` (whose sweep gave
+    ``candidate_new``). The updated ``H`` maps the change of ``F`` that
+    step caused to the step (Sherman–Morrison form, no matrix
+    inversion). A degenerate step leaves ``H`` as it is.
+
+    Two tiers are straight-line floats, bit for bit what
+    :func:`_broyden_update_n` gives.
     """
+    if len(latencies) == 2:
+        cand0, cand1 = candidate
+        old0, old1 = latencies
+        step0 = cand0 - old0
+        step1 = cand1 - old1
+        change0 = (candidate_new[0] - cand0) - (new_latencies[0] - old0)
+        change1 = (candidate_new[1] - cand1) - (new_latencies[1] - old1)
+        (h00, h01), (h10, h11) = inverse
+        h_change0 = (0.0 + h00 * change0) + h01 * change1
+        h_change1 = (0.0 + h10 * change0) + h11 * change1
+        denominator = (0.0 + step0 * h_change0) + step1 * h_change1
+        if denominator == 0.0 or not math.isfinite(denominator):
+            return inverse
+        step_h0 = (0.0 + step0 * h00) + step1 * h10
+        step_h1 = (0.0 + step0 * h01) + step1 * h11
+        scale0 = (step0 - h_change0) / denominator
+        scale1 = (step1 - h_change1) / denominator
+        return [[h00 + scale0 * step_h0, h01 + scale0 * step_h1],
+                [h10 + scale1 * step_h0, h11 + scale1 * step_h1]]
+    return _broyden_update_n(
+        inverse,
+        [c - old for c, old in zip(candidate, latencies)],
+        [(cn - c) - (new - old) for cn, c, new, old in zip(
+            candidate_new, candidate, new_latencies, latencies)],
+    )
+
+
+def _broyden_update_n(inverse: List[List[float]], step: List[float],
+                      change: List[float]) -> List[List[float]]:
+    """:func:`_broyden_update` for any tier count: ``step`` is the
+    accepted move in latency and ``change`` the change of ``F`` it
+    caused."""
     h_change = [sum(map(mul, row, change)) for row in inverse]
     denominator = sum(map(mul, step, h_change))
     if denominator == 0.0 or not math.isfinite(denominator):
@@ -301,6 +415,19 @@ class EquilibriumSolver:
         # The last solve's (input objects, key, equilibrium) while they
         # can be recognized by identity (see :meth:`_solve`).
         self._last_solve: Optional[tuple] = None
+        # The latencies array this solver returned last, when it is a
+        # valid seed, and its values as a list once they were needed.
+        self._own_seed: Optional[np.ndarray] = None
+        self._own_warm: Optional[List[float]] = None
+        # Computed latencies arrays that are not valid seeds, by id.
+        self._invalid_outputs: dict = {}
+        # Per core group object, its coefficients; per read-only split
+        # object (and whether its group has cores), its normalization.
+        # Each entry holds its object, so the id stays its own.
+        self._coefficient_memo: dict = {}
+        self._split_memo: dict = {}
+        self._zeros = [0.0] * len(self._tiers)
+        self._no_extra_key = ((),) * len(self._tiers)
         if use_cache is None:
             use_cache = RunOptions.from_env().solver_cache
         self._cache_enabled = bool(use_cache)
@@ -442,8 +569,12 @@ class EquilibriumSolver:
                 "at least one application group is required"
             )
         n = self.n_tiers
+        # The read-only array this solver returned last was checked when
+        # it was computed: it seeds without being read again.
+        own_seed = (initial_latencies is not None
+                    and initial_latencies is self._own_seed)
         warm = None
-        if initial_latencies is not None:
+        if initial_latencies is not None and not own_seed:
             seed = np.asarray(initial_latencies, dtype=float)
             if seed.shape != (n,):
                 raise ConfigurationError(
@@ -456,16 +587,15 @@ class EquilibriumSolver:
                     "initial_latencies must be finite and positive"
                 )
         # A solve passed the last solve's very objects is its hit.
-        inputs = (*[item for app in apps for item in app],
-                  *[item for pin in pinned for item in pin])
+        inputs = (*chain(*apps), *chain(*pinned))
         last, self._last_solve = self._last_solve, None
         if (last is not None and extra_traffic is None
                 and len(inputs) == len(last[0])
-                and all(a is b for a, b in zip(inputs, last[0]))):
+                and all(map(is_, inputs, last[0]))):
             __, key, equilibrium = self._last_solve = last
         else:
-            normalized = [(group, self._normalize_split(group, split))
-                          for group, split in apps]
+            splits = [self._split_terms(group, split)
+                      for group, split in apps]
             pinned_t = tuple((group, int(tier_idx))
                              for group, tier_idx in pinned)
             for _, tier_idx in pinned_t:
@@ -474,19 +604,20 @@ class EquilibriumSolver:
                         f"pinned tier index {tier_idx} out of range"
                     )
             if extra_traffic is None:
-                extra = [[] for _ in range(n)]
+                extra = None
+                extra_key = self._no_extra_key
             elif len(extra_traffic) != n:
                 raise ConfigurationError(
                     "extra_traffic must have one entry per tier"
                 )
             else:
-                extra = [list(classes) for classes in extra_traffic]
+                extra = extra_key = tuple([tuple(classes)
+                                           for classes in extra_traffic])
             key = equilibrium = None
             if self._cache_enabled:
-                key = (tuple([(group, split.tobytes())
-                              for group, split in normalized]),
-                       pinned_t,
-                       tuple(tuple(classes) for classes in extra))
+                key = (tuple([(group, terms[2]) for (group, _), terms
+                              in zip(apps, splits)]),
+                       pinned_t, extra_key)
                 equilibrium = self._cache.get(key)
         self.last_was_cache_hit = equilibrium is not None
         self.last_hit_residual = None
@@ -496,29 +627,46 @@ class EquilibriumSolver:
             if self._m_cache_hits is not None:
                 self._m_cache_hits.inc()
             if self._validate_cache_hits:
-                problem = _SolveProblem(normalized, pinned_t, extra)
+                problem = self._problem(apps, splits, pinned_t, extra)
                 latencies = equilibrium.latencies_ns.tolist()
                 check_lat, _ = self._evaluate(problem, latencies)
                 self.last_hit_residual = _relative_residual(
                     check_lat, latencies)
+            latencies_ns = equilibrium.latencies_ns
+            if latencies_ns is not self._own_seed:
+                self._own_warm = None
+                self._own_seed = (
+                    None if id(latencies_ns) in self._invalid_outputs
+                    else latencies_ns)
         else:
-            problem = _SolveProblem(normalized, pinned_t, extra)
+            problem = self._problem(apps, splits, pinned_t, extra)
+            if own_seed:
+                warm = (self._own_warm if self._own_warm is not None
+                        else initial_latencies.tolist())
             latencies, state, iteration = self._iterate(problem, warm)
             app_states, wire, req, utils, beffs = state
+            latencies_ns = np.array(latencies)
+            latencies_ns.flags.writeable = False
             equilibrium = MultiEquilibrium(
-                latencies_ns=latencies,
+                latencies_ns=latencies_ns,
                 apps=tuple([
                     AppEquilibrium(avg_latency_ns=avg, read_rate=rate,
-                                   split=split, tier_read_rate=tier_read)
-                    for (avg, rate, tier_read), (_, split)
-                    in zip(app_states, normalized)
+                                   split=split,
+                                   tier_read_rate=np.array(tier_read))
+                    for (avg, rate, tier_read), (split, _, _)
+                    in zip(app_states, splits)
                 ]),
-                tier_wire_traffic=wire,
-                tier_read_request_rate=req,
-                utilizations=utils,
-                effective_bandwidths=beffs,
+                tier_wire_traffic=np.array(wire),
+                tier_read_request_rate=np.array(req),
+                utilizations=np.array(utils),
+                effective_bandwidths=np.array(beffs),
                 iterations=iteration,
             )
+            if all(0.0 < latency < math.inf for latency in latencies):
+                self._own_seed, self._own_warm = latencies_ns, latencies
+            else:
+                self._invalid_outputs[id(latencies_ns)] = latencies_ns
+                self._own_seed = self._own_warm = None
             self.cache_misses += 1
             if self._m_cache_misses is not None:
                 self._m_cache_misses.inc()
@@ -534,6 +682,43 @@ class EquilibriumSolver:
                         for _, split in apps)):
             self._last_solve = (inputs, key, equilibrium)
         return equilibrium
+
+    def _split_terms(self, group: CoreGroup, split) -> tuple:
+        """``(array, values, bytes)`` of the normalized split: the array
+        the equilibrium keeps, its floats, and its cache-key bytes. A
+        read-only array split is normalized once per object."""
+        memo_key = (id(split), group.n_cores > 0)
+        entry = self._split_memo.get(memo_key)
+        if entry is not None:
+            return entry[1]
+        array = self._normalize_split(group, split)
+        terms = (array, array.tolist(), array.tobytes())
+        if isinstance(split, np.ndarray) and not split.flags.writeable:
+            array.flags.writeable = False
+            if len(self._split_memo) >= _MEMO_SIZE:
+                self._split_memo.clear()
+            self._split_memo[memo_key] = (split, terms)
+        return terms
+
+    def _problem(self, apps, splits, pinned_t, extra) -> _SolveProblem:
+        """The :class:`_SolveProblem` of a miss."""
+        return _SolveProblem(
+            [(self._coefficients(group), values)
+             for (group, _), (_, values, _) in zip(apps, splits)],
+            [(self._coefficients(group), tier_idx)
+             for group, tier_idx in pinned_t],
+            extra, self._zeros)
+
+    def _coefficients(self, group: CoreGroup) -> tuple:
+        """:func:`_coefficients` of ``group``, built once per group
+        object."""
+        entry = self._coefficient_memo.get(id(group))
+        if entry is None:
+            if len(self._coefficient_memo) >= _MEMO_SIZE:
+                self._coefficient_memo.clear()
+            entry = self._coefficient_memo[id(group)] = (
+                group, _coefficients(group))
+        return entry[1]
 
     def _normalize_split(self, app: CoreGroup,
                          split: Sequence[float]) -> np.ndarray:
@@ -572,8 +757,9 @@ class EquilibriumSolver:
         is undone and retried with a fresh probe; a step from a fresh
         ``H`` that raises the residual switches the rest of the solve to
         damped updates. Returns ``(latencies, state, sweeps)``: the
-        accepted ``G(L)`` and the state of that same sweep, as arrays,
-        and the sweeps spent, Jacobian probes included.
+        accepted ``G(L)`` and the state of that same sweep (see
+        :meth:`_evaluate`), and the sweeps spent, Jacobian probes
+        included.
         """
         n = self.n_tiers
         if warm is None:
@@ -611,8 +797,7 @@ class EquilibriumSolver:
                     continue
             took_newton = candidate is not None
             if not took_newton:
-                candidate = [old + damping * (new - old)
-                             for old, new in zip(latencies, new_latencies)]
+                candidate = _damped_point(latencies, new_latencies, damping)
             candidate_new, candidate_state = self._evaluate(problem,
                                                             candidate)
             sweeps += 1
@@ -630,12 +815,9 @@ class EquilibriumSolver:
             else:
                 damping = min(_INITIAL_DAMPING, damping * 1.05)
             if inverse is not None:
-                inverse = _broyden_update(
-                    inverse,
-                    [c - old for c, old in zip(candidate, latencies)],
-                    [(cn - c) - (new - old) for cn, c, new, old in zip(
-                        candidate_new, candidate, new_latencies, latencies)],
-                )
+                inverse = _broyden_update(inverse, latencies,
+                                          new_latencies, candidate,
+                                          candidate_new)
             fresh = False
             latencies, new_latencies, state, residual = (
                 candidate, candidate_new, candidate_state,
@@ -645,13 +827,7 @@ class EquilibriumSolver:
         self._carried_inverse = inverse
         # ``state`` holds the flows of the sweep that produced
         # ``new_latencies``, so no extra post-convergence sweep is needed.
-        app_states, wire, req, utils, beffs = state
-        state = (
-            [(avg, rate, np.array(tier_read))
-             for avg, rate, tier_read in app_states],
-            np.array(wire), np.array(req), np.array(utils), np.array(beffs),
-        )
-        return np.array(new_latencies), state, sweeps
+        return new_latencies, state, sweeps
 
     def _inverse_jacobian(self, problem: _SolveProblem,
                           latencies: List[float],
@@ -679,14 +855,26 @@ class EquilibriumSolver:
                       inverse: List[List[float]]) -> Optional[List[float]]:
         """The Newton iterate ``L - H F(L)`` from ``latencies``, where
         ``new_latencies`` is ``G(latencies)`` and ``inverse`` is ``H``;
-        None unless it is finite and positive."""
-        residual = [old - new for old, new in zip(latencies, new_latencies)]
-        candidate = [old + sum(map(mul, row, residual))
-                     for old, row in zip(latencies, inverse)]
-        # A NaN or infinity makes the sum non-finite.
-        if min(candidate) > 0.0 and math.isfinite(sum(candidate)):
-            return candidate
-        return None
+        None unless it is finite and positive.
+
+        Two tiers are straight-line floats, bit for bit what
+        :func:`_newton_point_n` gives: a two-term ``sum`` is
+        ``(0.0 + a) + b``.
+        """
+        if len(latencies) == 2:
+            old0, old1 = latencies
+            res0 = old0 - new_latencies[0]
+            res1 = old1 - new_latencies[1]
+            (h00, h01), (h10, h11) = inverse
+            first = old0 + ((0.0 + h00 * res0) + h01 * res1)
+            second = old1 + ((0.0 + h10 * res0) + h11 * res1)
+            # ``min > 0`` of two values is both > 0 (a NaN fails
+            # either); a NaN or infinity makes the sum non-finite.
+            if (first > 0.0 and second > 0.0
+                    and math.isfinite((0.0 + first) + second)):
+                return [first, second]
+            return None
+        return _newton_point_n(latencies, new_latencies, inverse)
 
     def _evaluate(self, problem: _SolveProblem,
                   latencies: Sequence[float]):
@@ -698,10 +886,77 @@ class EquilibriumSolver:
         effective_bandwidths)``, each per tier; ``app_states`` holds one
         ``(avg_latency, read_rate, tier_read_rate)`` triple per
         application group, in input order.
+
+        Two tiers are straight-line floats, bit for bit what
+        :meth:`_evaluate_n` gives.
         """
+        if len(latencies) != 2:
+            return self._evaluate_n(problem, latencies)
+        lat0, lat1 = latencies
         # Per-tier aggregates in historical addition order: extra
         # classes (pre-summed), then the application classes in input
         # order, then pinned groups.
+        total0, total1 = problem.extra_total
+        rand0, rand1 = problem.extra_rand
+        write0, write1 = problem.extra_write
+        read0, read1 = problem.extra_read
+        req0, req1 = problem.extra_req
+        app_states = []
+        for split, has_cores, demand, mult, rand, wrf, one_minus_wrf in \
+                problem.apps:
+            share0, share1 = split
+            if has_cores:
+                app_avg_latency = (0.0 + share0 * lat0) + share1 * lat1
+                app_read_rate = demand / app_avg_latency
+            else:
+                app_avg_latency = lat0
+                app_read_rate = 0.0
+            tier_read0 = app_read_rate * share0
+            tier_read1 = app_read_rate * share1
+            bw = tier_read0 * mult
+            total0 += bw
+            rand0 += bw * rand
+            write0 += bw * one_minus_wrf
+            read0 += bw * wrf
+            req0 += tier_read0 / CACHELINE_BYTES
+            bw = tier_read1 * mult
+            total1 += bw
+            rand1 += bw * rand
+            write1 += bw * one_minus_wrf
+            read1 += bw * wrf
+            req1 += tier_read1 / CACHELINE_BYTES
+            app_states.append((app_avg_latency, app_read_rate,
+                               [tier_read0, tier_read1]))
+        for tier_idx, demand, mult, rand, wrf, one_minus_wrf in \
+                problem.pinned:
+            if tier_idx == 0:
+                rate = demand / lat0
+                bw = rate * mult
+                total0 += bw
+                rand0 += bw * rand
+                write0 += bw * one_minus_wrf
+                read0 += bw * wrf
+                req0 += rate / CACHELINE_BYTES
+            else:
+                rate = demand / lat1
+                bw = rate * mult
+                total1 += bw
+                rand1 += bw * rand
+                write1 += bw * one_minus_wrf
+                read1 += bw * wrf
+                req1 += rate / CACHELINE_BYTES
+        consts0, consts1 = self._tier_consts
+        new0, util0, beff0 = _tier_latency(consts0, total0, rand0, write0,
+                                           read0)
+        new1, util1, beff1 = _tier_latency(consts1, total1, rand1, write1,
+                                           read1)
+        state = (app_states, [total0, total1], [req0, req1],
+                 [util0, util1], [beff0, beff1])
+        return [new0, new1], state
+
+    def _evaluate_n(self, problem: _SolveProblem,
+                    latencies: Sequence[float]):
+        """:meth:`_evaluate` for any tier count."""
         total = list(problem.extra_total)
         rand_sum = list(problem.extra_rand)
         write_sum = list(problem.extra_write)
@@ -735,27 +990,34 @@ class EquilibriumSolver:
             write_sum[tier_idx] += bw * one_minus_wrf
             read_sum[tier_idx] += bw * wrf
             req[tier_idx] += rate / CACHELINE_BYTES
-
         new_latencies = []
         utils = []
         beffs = []
-        for i, (curve, eff_seq, eff_delta, rw_penalty, theo_bw, duplex) in \
-                enumerate(self._tier_consts):
-            tier_total = total[i]
-            if tier_total > 0.0:
-                mean_rand = rand_sum[i] / tier_total
-                write_share = write_sum[i] / tier_total
-            else:
-                mean_rand = write_share = 0.0
-            pattern_eff = eff_seq + mean_rand * eff_delta
-            # write_share of 0.5 corresponds to a 1:1 read/write mix ->
-            # full penalty.
-            rw_eff = 1.0 - rw_penalty * min(1.0, 2.0 * write_share)
-            beff = theo_bw * pattern_eff * rw_eff
-            load = max(read_sum[i], write_sum[i]) if duplex else tier_total
-            util = load / beff if beff > 0.0 else 0.0
-            new_latencies.append(curve(util))
+        for i, consts in enumerate(self._tier_consts):
+            new, util, beff = _tier_latency(consts, total[i], rand_sum[i],
+                                            write_sum[i], read_sum[i])
+            new_latencies.append(new)
             utils.append(util)
             beffs.append(beff)
         state = (app_states, total, req, utils, beffs)
         return new_latencies, state
+
+
+def _tier_latency(consts: tuple, tier_total: float, rand_sum: float,
+                  write_sum: float, read_sum: float):
+    """One tier's ``(latency, utilization, effective bandwidth)`` from its
+    summed wire traffic: total, randomness-weighted, write and read."""
+    curve, eff_seq, eff_delta, rw_penalty, theo_bw, duplex = consts
+    if tier_total > 0.0:
+        mean_rand = rand_sum / tier_total
+        write_share = write_sum / tier_total
+    else:
+        mean_rand = write_share = 0.0
+    pattern_eff = eff_seq + mean_rand * eff_delta
+    # write_share of 0.5 corresponds to a 1:1 read/write mix -> full
+    # penalty.
+    rw_eff = 1.0 - rw_penalty * min(1.0, 2.0 * write_share)
+    beff = theo_bw * pattern_eff * rw_eff
+    load = max(read_sum, write_sum) if duplex else tier_total
+    util = load / beff if beff > 0.0 else 0.0
+    return curve(util), util, beff

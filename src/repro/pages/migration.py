@@ -5,9 +5,10 @@ migration threads; TPP migrates on faults) and the copies themselves consume
 interconnect bandwidth at both the source and destination tiers. The
 :class:`MigrationExecutor` models both effects: it truncates a migration
 plan at a per-quantum byte budget, applies the moves through the
-capacity-checked placement state, and reports the traffic classes the
-hardware model should charge for the quantum. Plans are ranked lazily, so
-only the head of a plan that the budget can reach is ever sorted.
+capacity-checked placement state, and reports the copy bytes read and
+written at each tier, which the loop charges to the hardware model as
+copy debt. Plans are ranked lazily, so only the head of a plan that the
+budget can reach is ever sorted.
 """
 
 from __future__ import annotations
@@ -18,16 +19,13 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.memhw.latency import TrafficClass
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.pages.placement import PlacementState
 from repro.pages.selection import stable_top_k
 
-#: Page copies stream sequentially within a page but jump between pages.
-_MIGRATION_RANDOMNESS = 0.3
-
-#: The applied moves of a quantum that moved nothing (read-only, shared).
+#: The moves of an empty plan, and the applied moves of a quantum that
+#: moved nothing (read-only, shared).
 _NO_MOVES = np.empty(0, dtype=np.int64)
 _NO_MOVES.flags.writeable = False
 
@@ -91,10 +89,11 @@ class MigrationPlan:
         return cls._of_segments([(candidates, key, int(count),
                                   int(dst_tier))])
 
-    @classmethod
-    def empty(cls) -> "MigrationPlan":
-        """A plan with no moves."""
-        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    @staticmethod
+    def empty() -> "MigrationPlan":
+        """The plan with no moves: one shared instance, whose arrays are
+        read-only."""
+        return _EMPTY_PLAN
 
     @classmethod
     def concat(cls, plans: Sequence["MigrationPlan"]) -> "MigrationPlan":
@@ -145,6 +144,9 @@ class MigrationPlan:
         return (self._full or self.head(self._len))[1]
 
 
+_EMPTY_PLAN = MigrationPlan(_NO_MOVES, _NO_MOVES)
+
+
 @dataclass(frozen=True)
 class MigrationResult:
     """Outcome of executing (a prefix of) a migration plan.
@@ -154,9 +156,6 @@ class MigrationResult:
         moves_applied: Number of page moves applied.
         moves_skipped: Moves dropped for capacity reasons.
         moves_deferred: Moves dropped because the byte budget ran out.
-        tier_traffic: Per-tier traffic classes for the whole batch charged
-            over one quantum (callers that spread copies over time should
-            use the byte arrays instead).
         read_bytes_per_tier: Copy-read bytes originating at each tier.
         write_bytes_per_tier: Copy-write bytes landing at each tier.
         moved_pages: Page indices of the applied moves, in execution
@@ -170,7 +169,6 @@ class MigrationResult:
     moves_applied: int
     moves_skipped: int
     moves_deferred: int
-    tier_traffic: List[List[TrafficClass]]
     read_bytes_per_tier: np.ndarray = None
     write_bytes_per_tier: np.ndarray = None
     moved_pages: np.ndarray = None
@@ -233,8 +231,8 @@ class MigrationExecutor:
 
         Args:
             plan: Ordered page moves.
-            quantum_ns: Quantum duration, used to convert moved bytes into
-                migration bandwidth for traffic accounting.
+            quantum_ns: Length of the quantum the plan executes in; must
+                be positive.
             budget_bytes: Optional additional cap for this call (Colloid's
                 dynamic migration limit).
 
@@ -256,7 +254,6 @@ class MigrationExecutor:
             return MigrationResult(
                 bytes_moved=0, moves_applied=0, moves_skipped=0,
                 moves_deferred=0,
-                tier_traffic=[[] for _ in range(n_tiers)],
                 read_bytes_per_tier=self._no_bytes,
                 write_bytes_per_tier=self._no_bytes,
                 moved_pages=_NO_MOVES,
@@ -308,25 +305,6 @@ class MigrationExecutor:
                 break
             start, stop = len(head_pages), n_planned
         self._tokens -= bytes_moved
-
-        tier_traffic: List[List[TrafficClass]] = [[] for _ in range(n_tiers)]
-        for t in range(n_tiers):
-            if moved_read[t] > 0:
-                tier_traffic[t].append(
-                    TrafficClass(
-                        bandwidth=moved_read[t] / quantum_ns,
-                        randomness=_MIGRATION_RANDOMNESS,
-                        read_fraction=1.0,
-                    )
-                )
-            if moved_write[t] > 0:
-                tier_traffic[t].append(
-                    TrafficClass(
-                        bandwidth=moved_write[t] / quantum_ns,
-                        randomness=_MIGRATION_RANDOMNESS,
-                        read_fraction=0.0,
-                    )
-                )
         if n_planned and (self.tracer.enabled or METRICS.enabled):
             planned_bytes = int(sizes[plan.page_indices].sum())
             if METRICS.enabled:
@@ -347,7 +325,6 @@ class MigrationExecutor:
             moves_applied=applied,
             moves_skipped=skipped,
             moves_deferred=deferred,
-            tier_traffic=tier_traffic,
             read_bytes_per_tier=np.array(moved_read, dtype=np.int64),
             write_bytes_per_tier=np.array(moved_write, dtype=np.int64),
             moved_pages=np.array(applied_pages, dtype=np.int64),

@@ -151,7 +151,7 @@ class TestMigrationChecks:
 
         return MigrationResult(
             bytes_moved=bytes_moved, moves_applied=applied,
-            moves_skipped=0, moves_deferred=0, tier_traffic=[[], []],
+            moves_skipped=0, moves_deferred=0,
             read_bytes_per_tier=np.zeros(2),
             write_bytes_per_tier=np.zeros(2),
         )

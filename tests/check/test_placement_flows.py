@@ -96,7 +96,7 @@ class TestCheckPlacementFlows:
         before = checker.placement_snapshot(placement)
         result = MigrationResult(
             bytes_moved=0, moves_applied=0, moves_skipped=0,
-            moves_deferred=0, tier_traffic=[[], []],
+            moves_deferred=0,
             read_bytes_per_tier=np.zeros(2, dtype=np.int64),
             write_bytes_per_tier=np.zeros(2, dtype=np.int64),
         )
@@ -110,7 +110,6 @@ class TestCheckPlacementFlows:
             moves_applied=result.moves_applied,
             moves_skipped=result.moves_skipped,
             moves_deferred=result.moves_deferred,
-            tier_traffic=result.tier_traffic,
             read_bytes_per_tier=result.read_bytes_per_tier,
             write_bytes_per_tier=result.write_bytes_per_tier,
             moved_pages=result.moved_pages,

@@ -114,6 +114,27 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_spec(mode="trace", max_duration_s=None)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_non_finite_machine_scale_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            MachineSpec(scale=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    @pytest.mark.parametrize("overrides", [
+        lambda v: {"min_duration_s": v},
+        lambda v: {"max_duration_s": v},
+        lambda v: {"mode": "trace", "max_duration_s": None,
+                   "duration_s": v},
+        lambda v: {"duration_s": v},
+        lambda v: {"quantum_ms": v},
+    ], ids=["min_duration_s", "max_duration_s", "trace_duration_s",
+            "steady_duration_s", "quantum_ms"])
+    def test_non_finite_durations_rejected(self, value, overrides):
+        with pytest.raises(ConfigurationError):
+            make_spec(**overrides(value))
+
 
 class TestDerivedViews:
     def test_single_entry_contention_is_plain_int(self):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.memhw.latency import TrafficClass
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import Tracer
 from repro.pages.migration import (
@@ -109,13 +108,10 @@ class TestExecute:
         executor = MigrationExecutor(placement, limit_bytes_per_quantum=10_000)
         plan = MigrationPlan(np.array([0, 1]), np.array([1, 1]))
         result = executor.execute(plan, QUANTUM_NS)
-        assert result.read_bytes_per_tier[0] == 200   # read at source
-        assert result.write_bytes_per_tier[1] == 200  # written at dest
-        reads = result.tier_traffic[0]
-        writes = result.tier_traffic[1]
-        assert reads[0].read_fraction == 1.0
-        assert writes[0].read_fraction == 0.0
-        assert reads[0].bandwidth == pytest.approx(200 / QUANTUM_NS)
+        # Copies are read at the source only and written at the
+        # destination only.
+        np.testing.assert_array_equal(result.read_bytes_per_tier, [200, 0])
+        np.testing.assert_array_equal(result.write_bytes_per_tier, [0, 200])
 
     def test_same_tier_moves_are_free(self):
         placement = make_state()
@@ -373,20 +369,9 @@ def former_execute(executor, plan, quantum_ns, budget_bytes=None):
         applied_src.append(src)
         applied_dst.append(dst)
     executor._tokens -= bytes_moved
-    tier_traffic = [[] for _ in range(n_tiers)]
-    for t in range(n_tiers):
-        if moved_read[t] > 0:
-            tier_traffic[t].append(TrafficClass(
-                bandwidth=moved_read[t] / quantum_ns, randomness=0.3,
-                read_fraction=1.0))
-        if moved_write[t] > 0:
-            tier_traffic[t].append(TrafficClass(
-                bandwidth=moved_write[t] / quantum_ns, randomness=0.3,
-                read_fraction=0.0))
     return MigrationResult(
         bytes_moved=bytes_moved, moves_applied=applied,
         moves_skipped=skipped, moves_deferred=deferred,
-        tier_traffic=tier_traffic,
         read_bytes_per_tier=moved_read.copy(),
         write_bytes_per_tier=moved_write.copy(),
         moved_pages=np.array(applied_pages, dtype=np.int64),

@@ -1,5 +1,7 @@
 """Tests for the multi-tenant colocated loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,59 @@ class TestOnePipeline:
                      "app_tier_bandwidth", "migration_bytes"):
             np.testing.assert_array_equal(getattr(loop.metrics, name),
                                           getattr(solo, name))
+
+    def test_one_tenant_colocated_loop_is_the_simulation_loop(self):
+        """With the single-app loop's seed mapping (access samples from
+        ``seed``, CHA noise from ``seed + 1``), a one-tenant colocated
+        run is the single-app run bit for bit, record for record. The
+        colocated solver is driven through ``solve_multi`` and the
+        single-app one through ``solve``, so the two entry points are
+        pinned to each other along the way."""
+        from repro.experiments.common import scaled_machine
+        from repro.memhw.fixedpoint import EquilibriumSolver
+
+        seed, n_quanta = 7, 300
+
+        def workload():
+            return GupsWorkload(scale=FAST_SCALE, seed=seed)
+
+        single = SimulationLoop(
+            machine=scaled_machine(FAST_SCALE), workload=workload(),
+            system=make_system("hemem+colloid"), contention=2, seed=seed)
+        coloc = ColocatedLoop(
+            machine=scaled_machine(FAST_SCALE),
+            tenants=[TenantSpec(name="solo", workload=workload(),
+                                system=make_system("hemem+colloid"))],
+            contention=2, seed=seed)
+        tenant = coloc._tenants[0]
+        tenant.rng = np.random.default_rng(seed)
+        tenant.cha._rng = np.random.default_rng(seed + 1)
+        solver = coloc.solver
+        multi_calls = [0]
+
+        def solve_as_multi(app, split, **inputs):
+            multi_calls[0] += 1
+            return EquilibriumSolver.solve_multi(solver, [(app, split)],
+                                                 **inputs)
+
+        solver.solve = solve_as_multi
+        migrated = 0
+        for __ in range(n_quanta):
+            expected = single.step()
+            got = coloc.step()
+            for field in dataclasses.fields(expected):
+                np.testing.assert_array_equal(
+                    getattr(got, field.name), getattr(expected, field.name),
+                    err_msg=f"{field.name} at t={expected.time_s}")
+                assert (np.asarray(getattr(got, field.name)).tobytes()
+                        == np.asarray(getattr(expected,
+                                              field.name)).tobytes())
+            migrated += expected.migration_bytes
+        assert multi_calls[0] == n_quanta
+        assert migrated > 100 * 2**20  # the placement really moved
+        for counter in ("cache_hits", "cache_misses"):
+            assert (getattr(solver, counter)
+                    == getattr(single.solver, counter))
 
     def test_colocated_metrics_record_quantum_histograms(
             self, small_machine):

@@ -12,7 +12,10 @@ counters, object identity) instead of timing it:
   re-used);
 * a solve that passes the last solve's objects is that solve's cache
   hit, refreshes the LRU order, and never outlives the cache entry;
-* an empty plan's result shares read-only arrays.
+* a warm seed that is the solver's last output solves as its floats do,
+  and every other seed, or an output that is no valid seed, is checked;
+* the empty plan is one shared plan, and an empty plan's result shares
+  read-only arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.controller import ColloidDecision
 from repro.errors import ConfigurationError
 from repro.exec.factories import make_system
 from repro.experiments.common import scaled_machine
@@ -33,6 +37,7 @@ from repro.pages.pagestate import PageArray
 from repro.pages.placement import PlacementState, fill_default_first
 from repro.runtime.colocation import ColocatedLoop, TenantSpec
 from repro.runtime.loop import SimulationLoop
+from repro.tiering.base import QuantumDecision
 from repro.tiering.static import StaticPlacementSystem
 from repro.workloads.gups import GupsWorkload
 from tests.conftest import FAST_SCALE
@@ -232,6 +237,61 @@ class TestSolverSameInputs:
                 _solve(solver, split, initial_latencies=bad)
         assert solver.cache_hits == hits
 
+    def test_own_seeds_solve_as_their_floats_do(self):
+        solver, other = _solver(), _solver()
+        first = _solve(solver, _frozen(0.7, 0.3))
+        _solve(other, _frozen(0.7, 0.3))
+        assert not first.latencies_ns.flags.writeable
+        with pytest.raises(ValueError):
+            first.latencies_ns[0] = 1.0
+        # The array ``solver`` returned last, against equal floats in a
+        # list: both start from the carried inverse Jacobian.
+        own = _solve(solver, np.array([0.6, 0.4]),
+                     initial_latencies=first.latencies_ns)
+        copied = _solve(other, np.array([0.6, 0.4]),
+                        initial_latencies=first.latencies_ns.tolist())
+        assert own.iterations == copied.iterations
+        for name in ("latencies_ns", "tier_wire_traffic",
+                     "tier_read_request_rate", "utilizations",
+                     "effective_bandwidths"):
+            assert (getattr(own, name).tobytes()
+                    == getattr(copied, name).tobytes()), name
+        # An older output is no longer this solver's own: it is read and
+        # checked like any other seed, and solves as its floats do.
+        again = _solve(solver, np.array([0.5, 0.5]),
+                       initial_latencies=first.latencies_ns)
+        copied = _solve(other, np.array([0.5, 0.5]),
+                        initial_latencies=first.latencies_ns.tolist())
+        assert not solver.last_was_cache_hit
+        assert again.iterations == copied.iterations
+        assert again.latencies_ns.tobytes() == copied.latencies_ns.tobytes()
+
+    def test_outputs_that_are_not_valid_seeds_are_rejected(self):
+        solver = _solver()
+        split = _frozen(0.7, 0.3)
+        flood = [[TrafficClass(bandwidth=1e308, randomness=0.3,
+                               read_fraction=1.0)], []]
+        flooded = _solve(solver, split, extra_traffic=flood)
+        assert flooded.latencies_ns[0] == float("inf")
+        with pytest.raises(ConfigurationError):
+            _solve(solver, split, initial_latencies=flooded.latencies_ns)
+        # Served again from the cache, it is still no valid seed.
+        assert _solve(solver, split, extra_traffic=flood) is flooded
+        assert solver.last_was_cache_hit
+        with pytest.raises(ConfigurationError):
+            _solve(solver, split, initial_latencies=flooded.latencies_ns)
+
+    def test_a_remembered_split_is_checked_per_kind_of_group(self):
+        # Normalization depends on whether the group has cores: an idle
+        # group keeps a split that does not sum to 1, a running one
+        # rejects it, however often the split object was seen.
+        solver = _solver()
+        split = _frozen(0.3, 0.3)
+        idle = solver.solve(CoreGroup("idle", 0, 7.0), split)
+        assert idle.apps[0].split.tolist() == [0.3, 0.3]
+        with pytest.raises(ConfigurationError):
+            solver.solve(APP, split)
+
     def test_validated_hits_take_the_full_path(self):
         solver = _solver(validate_cache_hits=True)
         split = _frozen(0.7, 0.3)
@@ -240,7 +300,24 @@ class TestSolverSameInputs:
         assert solver.last_hit_residual is not None
 
 
-# -- the shared empty result -----------------------------------------------
+# -- the shared empty plan and result ---------------------------------------
+
+
+def test_the_empty_plan_is_one_shared_read_only_plan():
+    plan = MigrationPlan.empty()
+    assert MigrationPlan.empty() is plan
+    assert QuantumDecision.idle().plan is plan
+    assert ColloidDecision.hold(0.5, 100.0, 150.0).plan is plan
+    assert len(plan) == 0
+    for array in (plan.page_indices, plan.dst_tiers, *plan.head(4)):
+        assert array.shape == (0,)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 1
+    moves = MigrationPlan(np.array([3, 1]), np.array([1, 0]))
+    merged = MigrationPlan.concat([plan, moves, plan])
+    assert merged.page_indices.tolist() == [3, 1]
+    assert len(MigrationPlan.empty()) == 0
 
 
 def test_empty_plan_results_share_read_only_arrays():
@@ -258,5 +335,3 @@ def test_empty_plan_results_share_read_only_arrays():
             array[...] = 1
     np.testing.assert_array_equal(first.read_bytes_per_tier, [0, 0])
     assert first.moved_pages.shape == (0,)
-    assert first.tier_traffic == [[], []]
-    assert first.tier_traffic is not second.tier_traffic
