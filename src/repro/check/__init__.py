@@ -32,7 +32,6 @@ from repro.check.invariants import (
 )
 from repro.check.roundtrip import (
     check_cache_fidelity,
-    check_journal_fidelity,
     check_result_roundtrip,
     check_spec_roundtrip,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "NULL_CHECKER",
     "NullChecker",
     "check_cache_fidelity",
-    "check_journal_fidelity",
     "check_result_roundtrip",
     "check_spec_roundtrip",
 ]

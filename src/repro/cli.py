@@ -19,7 +19,8 @@ paper's figures (or all of them). Examples::
 are bit-identical to a serial run. ``--cache`` keeps results in an
 on-disk content-addressed cache (``.repro-cache/`` or ``--cache-dir``/
 ``REPRO_CACHE_DIR``), so repeated invocations skip already-computed
-cells.
+cells; it is also how a killed fleet resumes, since every cell is
+stored as it completes.
 """
 
 from __future__ import annotations
@@ -60,25 +61,9 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--check", action="store_true",
                         help="enforce runtime invariants in every cell; "
                              "violations abort with a structured error")
-    parser.add_argument("--metrics", type=str, default=None,
-                        metavar="PATH",
-                        help="collect fleet metrics (counters, gauges, "
-                             "latency histograms) and export them to PATH "
-                             "(Prometheus text, or JSON for *.json)")
     parser.add_argument("--no-progress", action="store_true",
                         help="disable the live per-cell progress line "
                              "on stderr")
-    parser.add_argument("--journal", type=str, default=None,
-                        metavar="PATH",
-                        help="append every completed cell to a JSONL "
-                             "fleet journal at PATH (crash-recovery "
-                             "log a later --resume can read)")
-    parser.add_argument("--resume", type=str, default=None,
-                        metavar="JOURNAL",
-                        help="resume from a fleet journal: recorded "
-                             "cells are served from it and only the "
-                             "missing ones execute; new completions "
-                             "are appended to the same file")
     parser.add_argument("--no-solver-cache", action="store_true",
                         help="disable equilibrium-solve memoization; "
                              "solves are then always computed fresh")
@@ -138,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="enforce runtime invariants (repro.check); "
                           "violations abort the run with a structured "
                           "error")
-    run.add_argument("--metrics", type=str, default=None, metavar="PATH",
-                     help="collect loop metrics (quantum wall-time and "
-                          "per-tier latency histograms) and export them "
-                          "to PATH (Prometheus text, or JSON for "
-                          "*.json)")
     run.add_argument("--no-solver-cache", action="store_true",
                      help="disable equilibrium-solve memoization")
     run.add_argument("--hotset-shift", type=float, action="append",
@@ -255,56 +235,18 @@ def _build_reporter(args):
 
 def _run_options(args):
     """The run's :class:`~repro.options.RunOptions`: the flags given,
-    over the ``REPRO_*`` environment defaults. Switches the process's
-    metrics registry to match."""
-    from repro.obs.metrics import METRICS
+    over the ``REPRO_*`` environment defaults."""
     from repro.options import RunOptions
 
     env = RunOptions.from_env()
     audit = getattr(args, "placement_audit", None)
-    options = RunOptions(
+    return RunOptions(
         check=env.check or getattr(args, "check", False),
-        metrics=env.metrics or bool(getattr(args, "metrics", None)),
         diagnose=env.diagnose or getattr(args, "diagnose", False),
         placement_audit=env.placement_audit if audit is None else audit,
         solver_cache=(env.solver_cache
                       and not getattr(args, "no_solver_cache", False)),
     )
-    METRICS.enabled = options.metrics
-    return options
-
-
-def _export_metrics(args) -> None:
-    """Write the fleet metrics snapshot to the ``--metrics`` path."""
-    path = getattr(args, "metrics", None)
-    if not path:
-        return
-    from pathlib import Path
-
-    from repro.obs.metrics import METRICS
-
-    snapshot = METRICS.snapshot()
-    if path.endswith(".json"):
-        text = snapshot.to_json() + "\n"
-    else:
-        text = snapshot.to_prometheus_text()
-    Path(path).write_text(text)
-    print(f"wrote {path}")
-
-
-def _build_journal(args):
-    """Build the fleet journal from ``--journal``/``--resume``.
-
-    ``--resume PATH`` loads PATH's recorded cells (and keeps appending
-    to it); ``--journal PATH`` records without resuming.
-    """
-    from repro.exec.journal import FleetJournal
-
-    resume = getattr(args, "resume", None)
-    path = resume or getattr(args, "journal", None)
-    if not path:
-        return None
-    return FleetJournal(path, resume=bool(resume))
 
 
 def _build_runner(args):
@@ -313,7 +255,6 @@ def _build_runner(args):
 
     return Runner(jobs=args.jobs, cache=_build_cache(args),
                   reporter=_build_reporter(args),
-                  journal=_build_journal(args),
                   options=_run_options(args))
 
 
@@ -447,7 +388,6 @@ def _finish_run(args, loop, metrics, tracer, checks: str) -> int:
         print(loop.profiler.format_summary())
     if args.check:
         print(f"invariants    : {loop.checker.checks_run} {checks} passed")
-    _export_metrics(args)
     return 0
 
 
@@ -566,7 +506,6 @@ def cmd_figure(args) -> int:
         if len(names) > 1:
             print()
     print(runner.stats.summary())
-    _export_metrics(args)
     return 0
 
 
@@ -609,7 +548,6 @@ def cmd_report(args) -> int:
                  progress=lambda title: print(f"running: {title}"),
                  runner=runner)
     print(runner.stats.summary())
-    _export_metrics(args)
     print(f"wrote {path}")
     return 0
 

@@ -21,12 +21,10 @@ from repro.exec.cache import (
 )
 from repro.exec.execute import (
     build_loop,
-    execute_cell,
     execute_spec,
     run_spec_steady,
 )
 from repro.exec.factories import base_system_of, make_system
-from repro.exec.journal import JOURNAL_SCHEMA_VERSION, FleetJournal
 from repro.exec.progress import FleetProgress
 from repro.exec.result import CellResult, TraceSeries
 from repro.exec.runner import (
@@ -57,9 +55,7 @@ __all__ = [
     "CellError",
     "CellResult",
     "DEFAULT_CACHE_DIR",
-    "FleetJournal",
     "FleetProgress",
-    "JOURNAL_SCHEMA_VERSION",
     "MachineSpec",
     "ResultCache",
     "RunSpec",
@@ -72,7 +68,6 @@ __all__ = [
     "aggregate",
     "base_system_of",
     "build_loop",
-    "execute_cell",
     "execute_spec",
     "expand_seeds",
     "make_system",

@@ -11,6 +11,10 @@ Entries self-describe their schema: a bump of either
 :data:`~repro.exec.spec.SPEC_SCHEMA_VERSION` (which changes the hash)
 or :data:`CACHE_SCHEMA_VERSION` (checked on load) cleanly invalidates
 stale results. Corrupt or unreadable entries are treated as misses.
+
+The cache is also the resume store of a killed fleet: each completed
+cell is stored as it finishes, so re-running the same command with the
+same ``--cache-dir`` executes only the cells that were missing.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from typing import Optional
 
 from repro.exec.result import CellResult
 from repro.exec.spec import RunSpec
-from repro.obs.metrics import METRICS
 
 #: Bump when the CellResult payload layout changes.
 CACHE_SCHEMA_VERSION = 1
@@ -103,10 +106,13 @@ class ResultCache:
             return None
 
     def put(self, spec: RunSpec, result: CellResult) -> Path:
-        """Store ``result`` under ``spec``'s hash (atomic write)."""
-        if METRICS.enabled:
-            METRICS.counter("repro_cache_puts_total",
-                            help="result-cache stores").inc()
+        """Store ``result`` under ``spec``'s hash.
+
+        The entry is written to a temp file, synced to disk, then
+        renamed into place, so a crash or SIGKILL at any point leaves
+        either no entry or the whole entry: a killed fleet resumes from
+        every cell whose ``put`` returned.
+        """
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -119,6 +125,8 @@ class ResultCache:
         try:
             with os.fdopen(fd, "w") as handle:
                 json.dump(payload, handle)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

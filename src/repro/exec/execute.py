@@ -12,7 +12,6 @@ regardless of which process (or how many neighbors) computed it.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Optional, Tuple
 
 import numpy as np
@@ -256,48 +255,14 @@ def execute_spec(spec: RunSpec,
     by the loop's :class:`~repro.check.Checker`.
     """
     from repro.check import check_result_roundtrip, check_spec_roundtrip
-    from repro.obs.metrics import METRICS
 
     options = RunOptions.resolve(options)
     if options.check:
         check_spec_roundtrip(spec)
-    wall_start = perf_counter()
     if spec.mode == "best_case":
         result = _execute_best_case(spec, options)
     else:
         result = _execute_loop(spec, options)
-    if options.metrics:
-        wall_s = perf_counter() - wall_start
-        METRICS.counter(
-            f"repro_cells_{spec.mode}_total",
-            help=f"{spec.mode}-mode cells executed",
-        ).inc()
-        METRICS.histogram(
-            "repro_cell_wall_seconds", start=1e-4, factor=4.0,
-            n_buckets=12, help="wall-clock seconds per executed cell",
-        ).observe(wall_s)
     if options.check:
         check_result_roundtrip(spec, result)
     return result
-
-
-def execute_cell(spec: RunSpec, options: RunOptions):
-    """Pool-worker entry point: ``(result, metrics delta)`` for one spec.
-
-    Each worker process owns its own module-level
-    :data:`~repro.obs.metrics.METRICS` registry, switched by the cell's
-    ``options``. With ``metrics`` it is reset before the cell, so the
-    returned snapshot is a self-contained per-cell delta the parent
-    :class:`~repro.exec.runner.Runner` can absorb without
-    double-counting, keeping the merged fleet view identical to what a
-    serial run would have accumulated in-process. Otherwise the delta
-    slot is None.
-    """
-    from repro.obs.metrics import METRICS
-
-    METRICS.enabled = options.metrics
-    if not options.metrics:
-        return execute_spec(spec, options), None
-    METRICS.reset()
-    result = execute_spec(spec, options)
-    return result, METRICS.snapshot()

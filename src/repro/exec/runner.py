@@ -2,23 +2,24 @@
 
 The :class:`Runner` is the single entry point the figure harnesses
 submit their spec lists to. It deduplicates identical specs within a
-batch, consults the optional :class:`~repro.exec.cache.ResultCache` and
-:class:`~repro.exec.journal.FleetJournal`, and executes the remainder
-either inline or over a ``ProcessPoolExecutor`` (``jobs > 1``). Because
-each spec seeds all of its own randomness, parallel results are
-bit-identical to serial ones — regardless of completion order or
-resumes. The Runner's :class:`~repro.options.RunOptions` travel to every
-cell with its spec; a cached or journaled result that lacks a payload
-they ask for (diagnostics, the placement summary) is a miss, and the
-cell runs again.
+batch, consults the optional :class:`~repro.exec.cache.ResultCache`,
+and executes the remainder either inline or over a
+``ProcessPoolExecutor`` (``jobs > 1``). Because each spec seeds all of
+its own randomness, parallel results are bit-identical to serial ones —
+regardless of completion order or resumes. The Runner's
+:class:`~repro.options.RunOptions` travel to every cell with its spec;
+a cached result that lacks a payload they ask for (diagnostics, the
+placement summary) is a miss, and the cell runs again.
 
-The pool keeps one cell in flight per worker and consumes results in
-completion order, so a slow cell never holds up the progress line or
-metrics behind it. A cell that raises anything but a
-:class:`~repro.errors.ReproError` stops the batch with a
-:class:`CellError` naming it; a deterministic cell would only fail
-again on a retry, and the cells that completed are already in the
-cache/journal for ``--resume``.
+The cache is also the resume store: every executed cell is stored the
+moment it completes, so re-running a killed fleet with the same cache
+executes only the cells that were missing. The pool keeps one cell in
+flight per worker and consumes results in completion order, so a slow
+cell never holds up the progress line or the stores behind it. A cell
+that raises anything but a :class:`~repro.errors.ReproError` stops the
+batch with a :class:`CellError` naming it; a deterministic cell would
+only fail again on a retry, and the cells that completed are already in
+the cache.
 
 Repetition (the paper's mean-of-3 with min/max bars, Figure 1) is
 first-class: :meth:`Runner.run_grid` expands every repeatable spec into
@@ -45,18 +46,13 @@ from typing import (
     Tuple,
 )
 
-from repro.check.roundtrip import (
-    check_cache_fidelity,
-    check_journal_fidelity,
-)
+from repro.check.roundtrip import check_cache_fidelity
 from repro.errors import ConfigurationError, ReproError
 from repro.exec.cache import ResultCache
-from repro.exec.execute import execute_cell, execute_spec
-from repro.exec.journal import FleetJournal
+from repro.exec.execute import execute_spec
 from repro.exec.progress import FleetProgress
 from repro.exec.result import CellResult
 from repro.exec.spec import RunSpec
-from repro.obs.metrics import METRICS
 from repro.options import RunOptions
 
 #: How often a pool worker checks that the process that started it is
@@ -237,8 +233,8 @@ class CellError(ReproError):
 
     The batch stops at once: every cell seeds its own randomness, so a
     retry would only repeat the failure. Cells that completed before it
-    are already in the cache/journal, so ``--resume`` reruns only the
-    rest. A worker that died breaks the whole pool; the
+    are already in the cache, so re-running the batch with it runs only
+    the rest. A worker that died breaks the whole pool; the
     ``BrokenProcessPool`` is reported the same way, naming a cell that
     was in flight or being submitted (the pool cannot say which cell
     killed it). The original exception is chained as ``__cause__``.
@@ -273,16 +269,12 @@ class RunnerStats:
     cache_hits: int = 0
     cache_misses: int = 0
     deduped: int = 0
-    journal_hits: int = 0
     per_mode: Dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> str:
-        """One-line summary (the CLI prints this after figure runs);
-        journal hits appear only when nonzero."""
-        journal = (f"{self.journal_hits} journal hits, "
-                   if self.journal_hits else "")
+        """One-line summary (the CLI prints this after figure runs)."""
         return (f"cells: {self.cache_hits} cache hits, "
-                f"{self.deduped} deduplicated, {journal}"
+                f"{self.deduped} deduplicated, "
                 f"new cells executed: {self.executed}")
 
 
@@ -294,16 +286,14 @@ class Runner:
             is deterministic — results are keyed by spec and every spec
             seeds its own randomness, so completion order cannot change
             any value.
-        cache: Optional on-disk result cache (opt-in).
+        cache: Optional on-disk result cache (opt-in), which is also
+            the resume store: each executed cell is stored as it
+            completes.
         progress: Optional callback receiving a short message as cells
             complete.
         reporter: Optional :class:`~repro.exec.progress.FleetProgress`
             receiving per-cell start/finish events (live ETA line and
             ``run_progress``/``cell_start`` trace events).
-        journal: Optional :class:`~repro.exec.journal.FleetJournal`.
-            Every executed result is appended and flushed immediately;
-            entries loaded at construction (``resume=True``) satisfy
-            cells without re-executing them.
         options: What every cell observes, pickled with it to pool
             workers; None takes the environment defaults.
     """
@@ -313,7 +303,6 @@ class Runner:
                  progress: Optional[Callable[[str], None]] = None,
                  reporter: Optional[FleetProgress] = None,
                  *,
-                 journal: Optional[FleetJournal] = None,
                  options: Optional[RunOptions] = None) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
@@ -321,7 +310,6 @@ class Runner:
         self.cache = cache
         self.progress = progress
         self.reporter = reporter
-        self.journal = journal
         self.options = RunOptions.resolve(options)
         self.stats = RunnerStats()
 
@@ -330,25 +318,11 @@ class Runner:
     def run(self, specs: Sequence[RunSpec]) -> Dict[RunSpec, CellResult]:
         """Execute a batch; returns a result per *distinct* spec.
 
-        For the batch, the process's metrics registry is switched from
-        the options and restored afterwards, as a pool worker switches
-        its own per cell: the components below the loop (solver,
-        executor, result cache, placement observer) record exactly when
-        ``options.metrics`` asks for it, in-process runs included.
-
         Raises:
             CellError: As soon as a cell raises anything but a
                 ``ReproError`` (which propagates unchanged). Cells
-                completed before it are in the cache/journal by then.
+                completed before it are in the cache by then.
         """
-        saved = METRICS.enabled
-        METRICS.enabled = self.options.metrics
-        try:
-            return self._run(specs)
-        finally:
-            METRICS.enabled = saved
-
-    def _run(self, specs: Sequence[RunSpec]) -> Dict[RunSpec, CellResult]:
         unique = list(dict.fromkeys(specs))
         self.stats.deduped += len(specs) - len(unique)
         options = self.options
@@ -357,32 +331,13 @@ class Runner:
         for spec in unique:
             cached = (self.cache.get(spec)
                       if self.cache is not None else None)
-            hit = cached is not None and _serves(cached, spec, options)
-            if self.cache is not None and options.metrics:
-                METRICS.counter(
-                    "repro_cache_hits_total" if hit
-                    else "repro_cache_misses_total",
-                    help="result-cache lookups").inc()
-            if hit:
+            if cached is not None and _serves(cached, spec, options):
                 self.stats.cache_hits += 1
                 self._note(f"cache hit  {spec.describe()}")
                 results[spec] = cached
                 continue
             if self.cache is not None:
                 self.stats.cache_misses += 1
-            if self.journal is not None:
-                recorded = self.journal.lookup(spec)
-                if (recorded is not None
-                        and _serves(recorded, spec, options)):
-                    self.stats.journal_hits += 1
-                    if options.metrics:
-                        METRICS.counter(
-                            "repro_journal_hits_total",
-                            help="cells satisfied by a resumed journal",
-                        ).inc()
-                    self._note(f"journal hit {spec.describe()}")
-                    results[spec] = recorded
-                    continue
             todo.append(spec)
         total = len(todo)
         reporter = self.reporter
@@ -397,11 +352,6 @@ class Runner:
                     self.cache.put(spec, result)
                     if options.check:
                         check_cache_fidelity(self.cache, spec, result)
-                if self.journal is not None:
-                    self.journal.record(spec, result)
-                    if options.check:
-                        check_journal_fidelity(self.journal, spec,
-                                               result)
                 self._note(f"[{index}/{total}] {spec.describe()}")
                 if reporter is not None:
                     reporter.cell_done(spec.describe())
@@ -460,7 +410,7 @@ class Runner:
         The window equals the worker count, so every submitted cell is
         actually running (submission is a faithful start time for
         ``cell_start``), and a slow cell never head-of-line blocks the
-        cells, progress or metrics behind it.
+        cells or progress behind it.
         """
         workers = min(self.jobs, len(todo))
         queue = iter(todo)
@@ -471,7 +421,7 @@ class Runner:
             def submit(spec: RunSpec) -> None:
                 # A pool broken by a worker that died refuses new work.
                 with _cell_errors(spec):
-                    future = pool.submit(execute_cell, spec, self.options)
+                    future = pool.submit(execute_spec, spec, self.options)
                 inflight[future] = spec
                 self._report_start(spec)
 
@@ -482,12 +432,10 @@ class Runner:
                 for future in done:
                     spec = inflight.pop(future)
                     with _cell_errors(spec):
-                        result, snapshot = future.result()
+                        result = future.result()
                     following = next(queue, None)
                     if following is not None:
                         submit(following)
-                    if snapshot is not None:
-                        METRICS.absorb(snapshot)
                     yield spec, result
 
     # -- reporting -------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -212,6 +213,12 @@ class MachineSpec:
                        "default_tier_ws_divisor"))
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is a non-negative integer (a bool is not)."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= 0)
+
+
 def static_contention(level: int) -> Tuple[Tuple[float, int], ...]:
     """A constant-contention schedule."""
     return ((0.0, int(level)),)
@@ -342,6 +349,28 @@ class RunSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite")
+        if (self.min_duration_s is not None
+                and self.max_duration_s is not None
+                and self.min_duration_s > self.max_duration_s):
+            raise ConfigurationError(
+                f"min_duration_s ({self.min_duration_s}) exceeds "
+                f"max_duration_s ({self.max_duration_s})"
+            )
+        if not _is_count(self.seed):
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
+        if not 0.0 <= self.cha_noise_sigma < math.inf:
+            raise ConfigurationError(
+                "cha_noise_sigma must be finite and non-negative, got "
+                f"{self.cha_noise_sigma!r}"
+            )
+        if not (_is_count(self.migration_limit_bytes)
+                and self.migration_limit_bytes > 0):
+            raise ConfigurationError(
+                "migration_limit_bytes must be a positive integer, got "
+                f"{self.migration_limit_bytes!r}"
+            )
         if not self.contention or self.contention[0][0] != 0.0:
             raise ConfigurationError(
                 "contention schedule must start at t=0"
@@ -351,6 +380,12 @@ class RunSpec:
             raise ConfigurationError(
                 "contention schedule must be time-ordered"
             )
+        for __, level in self.contention:
+            if not _is_count(level):
+                raise ConfigurationError(
+                    "contention levels must be non-negative integers, "
+                    f"got {level!r}"
+                )
         if self.mode == "steady" and (self.max_duration_s is None
                                       or self.max_duration_s <= 0):
             raise ConfigurationError(

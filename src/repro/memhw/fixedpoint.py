@@ -415,12 +415,10 @@ class EquilibriumSolver:
         # The last solve's (input objects, key, equilibrium) while they
         # can be recognized by identity (see :meth:`_solve`).
         self._last_solve: Optional[tuple] = None
-        # The latencies array this solver returned last, when it is a
-        # valid seed, and its values as a list once they were needed.
+        # The latencies array this solver returned last (every computed
+        # output is a valid seed) and its values as a list once needed.
         self._own_seed: Optional[np.ndarray] = None
         self._own_warm: Optional[List[float]] = None
-        # Computed latencies arrays that are not valid seeds, by id.
-        self._invalid_outputs: dict = {}
         # Per core group object, its coefficients; per read-only split
         # object (and whether its group has cores), its normalization.
         # Each entry holds its object, so the id stays its own.
@@ -439,30 +437,6 @@ class EquilibriumSolver:
         self.last_hit_residual: Optional[float] = None
         self.cache_hits = 0
         self.cache_misses = 0
-        from repro.obs.metrics import METRICS
-
-        if METRICS.enabled:
-            self._m_iterations = METRICS.histogram(
-                "repro_solver_iterations", start=1.0, factor=2.0,
-                n_buckets=12,
-                help="fixed-point sweeps, Jacobian probes included, "
-                     "per computed equilibrium solve (cache hits "
-                     "excluded)",
-            )
-            self._m_cache_hits = METRICS.counter(
-                "repro_solver_cache_hits_total",
-                help="equilibrium solves served from the memoization "
-                     "cache",
-            )
-            self._m_cache_misses = METRICS.counter(
-                "repro_solver_cache_misses_total",
-                help="equilibrium solves computed by fixed-point "
-                     "iteration",
-            )
-        else:
-            self._m_iterations = None
-            self._m_cache_hits = None
-            self._m_cache_misses = None
 
     @property
     def tiers(self) -> Tuple[MemoryTierSpec, ...]:
@@ -520,7 +494,8 @@ class EquilibriumSolver:
         Raises:
             ConfigurationError: On malformed inputs.
             ConvergenceError: If the iteration does not settle within
-                its sweep budget.
+                its sweep budget, or a sweep overflows (a non-finite
+                latency is never returned).
         """
         return self._solve(((app, split),), pinned, extra_traffic,
                            initial_latencies)
@@ -624,8 +599,6 @@ class EquilibriumSolver:
         if equilibrium is not None:
             self._cache.move_to_end(key)
             self.cache_hits += 1
-            if self._m_cache_hits is not None:
-                self._m_cache_hits.inc()
             if self._validate_cache_hits:
                 problem = self._problem(apps, splits, pinned_t, extra)
                 latencies = equilibrium.latencies_ns.tolist()
@@ -634,10 +607,7 @@ class EquilibriumSolver:
                     check_lat, latencies)
             latencies_ns = equilibrium.latencies_ns
             if latencies_ns is not self._own_seed:
-                self._own_warm = None
-                self._own_seed = (
-                    None if id(latencies_ns) in self._invalid_outputs
-                    else latencies_ns)
+                self._own_seed, self._own_warm = latencies_ns, None
         else:
             problem = self._problem(apps, splits, pinned_t, extra)
             if own_seed:
@@ -662,15 +632,8 @@ class EquilibriumSolver:
                 effective_bandwidths=np.array(beffs),
                 iterations=iteration,
             )
-            if all(0.0 < latency < math.inf for latency in latencies):
-                self._own_seed, self._own_warm = latencies_ns, latencies
-            else:
-                self._invalid_outputs[id(latencies_ns)] = latencies_ns
-                self._own_seed = self._own_warm = None
+            self._own_seed, self._own_warm = latencies_ns, latencies
             self.cache_misses += 1
-            if self._m_cache_misses is not None:
-                self._m_cache_misses.inc()
-                self._m_iterations.observe(iteration)
             if key is not None:
                 self._cache[key] = equilibrium
                 if len(self._cache) > self._cache_size:
@@ -776,7 +739,14 @@ class EquilibriumSolver:
         fresh = False
         newton = True
         damping = _INITIAL_DAMPING
-        while residual >= SOLVER_RELATIVE_TOLERANCE:
+        while not residual < SOLVER_RELATIVE_TOLERANCE:
+            # A NaN or infinite residual means the accepted sweep
+            # overflowed, and no step can bring it back.
+            if not residual < math.inf:
+                raise ConvergenceError(
+                    f"equilibrium overflowed after {sweeps} sweeps "
+                    f"(residual {residual:.3e})"
+                )
             probe = newton and inverse is None
             if sweeps + (n + 1 if probe else 1) > _MAX_ITERATIONS:
                 raise ConvergenceError(

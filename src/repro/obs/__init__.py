@@ -15,8 +15,8 @@ reset-storm / thrash detectors (``repro diagnose trace.jsonl``), and
 Event Format JSON for ``chrome://tracing`` / Perfetto.
 
 Names are exported lazily (PEP 562): importing :mod:`repro.obs.tracer`
-or :mod:`repro.obs.metrics` from the simulation loop loads neither the
-diagnostics engine nor the report and export modules.
+from the simulation loop loads neither the diagnostics engine nor the
+report and export modules.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ _EXPORTS = {
     "diagnose": ("DiagnosticsSummary", "diagnose_events",
                  "diagnose_timeline", "format_diagnostics"),
     "events": ("EVENT_SCHEMAS", "TRACE_SCHEMA_VERSION", "describe_schema"),
-    "metrics": ("METRICS", "METRICS_SCHEMA_VERSION", "Counter", "Gauge",
-                "Histogram", "MetricsRegistry", "MetricsSnapshot",
-                "merge_snapshots"),
     "profile": ("Counters", "PhaseProfiler", "merge_phase_events"),
     "report": ("TraceSummary", "format_summary", "report_from_file",
                "summarize_events"),

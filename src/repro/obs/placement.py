@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import METRICS
 from repro.obs.tracer import JsonList
 from repro.options import DEFAULT_AUDIT_PERIOD_QUANTA
 
@@ -338,33 +337,6 @@ class PlacementObserver:
         # (see :meth:`_audit`); in steady state successive audits are
         # byte-identical and skip the solver entirely.
         self._audit_memo: Optional[Tuple[object, Dict[str, float]]] = None
-        if METRICS.enabled:
-            self._m_ping_pong = METRICS.gauge(
-                "repro_placement_ping_pong_pages",
-                help="peak pages with sustained migration direction "
-                     "reversals inside the churn window",
-            )
-            self._m_wasted = METRICS.counter(
-                "repro_placement_wasted_bytes_total",
-                help="bytes moved by migrations that reversed the "
-                     "page's previous move",
-            )
-            self._m_audits = METRICS.counter(
-                "repro_placement_audits_total",
-                help="misplacement-gap audits executed",
-            )
-            self._m_gap_balance = METRICS.histogram(
-                "repro_placement_gap_balance",
-                start=1e-3, factor=2.0, n_buckets=12,
-                help="relative throughput shortfall of the actual "
-                     "placement vs the latency-balance placement",
-            )
-            self._m_gap_packed = METRICS.histogram(
-                "repro_placement_gap_packed",
-                start=1e-3, factor=2.0, n_buckets=12,
-                help="relative throughput shortfall of the actual "
-                     "placement vs the hotness-packing placement",
-            )
 
     def audit_due(self) -> bool:
         """Whether the *next* observed quantum is an audit quantum."""
@@ -453,21 +425,12 @@ class PlacementObserver:
             self._occupancy_cache = (tier_pages, tier_bytes)
             self._occupancy_version = version
 
-        if METRICS.enabled:
-            self._m_ping_pong.set_max(float(ping_pong))
-            if wasted:
-                self._m_wasted.inc(wasted)
-
         audit = None
         if (audit_quantum and evaluate is not None
                 and self.n_tiers == 2):
             audit = self._audit(access_probs, placement, p_actual,
                                 evaluate, audit_key=audit_key)
             self.audits_run += 1
-            if METRICS.enabled:
-                self._m_audits.inc()
-                self._m_gap_balance.observe(audit["gap_balance"])
-                self._m_gap_packed.observe(audit["gap_packed"])
 
         if self.tracer.enabled:
             self.tracer.emit(

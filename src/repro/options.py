@@ -1,13 +1,14 @@
 """Run options: what a run observes, never what it simulates.
 
-Checking, metrics, diagnostics and the placement audit only watch a run
-(as the paper's CHA counters read latency without moving a page), and
-the solver cache only skips work the solver would redo, so none may
-change a simulated number. The CLI fills one :class:`RunOptions` from
-its flags, the :class:`~repro.exec.runner.Runner` pickles it with every
-cell, and the cell hands it to its loop and solvers. The ``REPRO_*``
-variables below only supply defaults where no options are passed;
-:meth:`RunOptions.from_env` is their one reader and nothing writes them.
+Checking, diagnostics and the placement audit only watch a run (as the
+paper's CHA counters read latency without moving a page), and the
+solver cache only skips work the solver would redo, so none may change
+a simulated number. The CLI fills one :class:`RunOptions` from its
+flags, the :class:`~repro.exec.runner.Runner` pickles it with every
+cell, and the cell hands it to its loop and solvers; no module keeps a
+process-wide switch of its own. The ``REPRO_*`` variables below only
+supply defaults where no options are passed; :meth:`RunOptions.from_env`
+is their one reader and nothing writes them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.errors import ConfigurationError
 
 #: Environment defaults, one per field.
 CHECK_ENV_VAR = "REPRO_CHECK"
-METRICS_ENV_VAR = "REPRO_METRICS"
 DIAGNOSE_ENV_VAR = "REPRO_DIAGNOSE"
 PLACEMENT_AUDIT_ENV_VAR = "REPRO_PLACEMENT_AUDIT"
 SOLVER_CACHE_ENV_VAR = "REPRO_SOLVER_CACHE"
@@ -38,7 +38,6 @@ class RunOptions:
     Attributes:
         check: Enforce the runtime invariants (:mod:`repro.check`) and
             the exec layer's round-trip checks.
-        metrics: Record fleet metrics (:mod:`repro.obs.metrics`).
         diagnose: Attach a run-health diagnostics summary to every
             simulated cell.
         placement_audit: Placement observability, auditing the
@@ -48,7 +47,6 @@ class RunOptions:
     """
 
     check: bool = False
-    metrics: bool = False
     diagnose: bool = False
     placement_audit: Optional[int] = None
     solver_cache: bool = True
@@ -87,7 +85,6 @@ class RunOptions:
                     "placement-audit period >= 1 (quanta) or an off value"
                 )
         return cls(check=flag(CHECK_ENV_VAR),
-                   metrics=flag(METRICS_ENV_VAR),
                    diagnose=flag(DIAGNOSE_ENV_VAR),
                    placement_audit=period,
                    solver_cache=flag(SOLVER_CACHE_ENV_VAR, "1"))
@@ -99,5 +96,5 @@ class RunOptions:
 
 
 __all__ = ["CHECK_ENV_VAR", "DEFAULT_AUDIT_PERIOD_QUANTA",
-           "DIAGNOSE_ENV_VAR", "METRICS_ENV_VAR", "PLACEMENT_AUDIT_ENV_VAR",
-           "RunOptions", "SOLVER_CACHE_ENV_VAR"]
+           "DIAGNOSE_ENV_VAR", "PLACEMENT_AUDIT_ENV_VAR", "RunOptions",
+           "SOLVER_CACHE_ENV_VAR"]

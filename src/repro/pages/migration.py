@@ -19,7 +19,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.obs.metrics import METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.pages.placement import PlacementState
 from repro.pages.selection import stable_top_k
@@ -206,13 +205,6 @@ class MigrationExecutor:
         # The per-tier copy bytes of an empty plan (read-only, shared).
         self._no_bytes = np.zeros(placement.n_tiers, dtype=np.int64)
         self._no_bytes.flags.writeable = False
-        if METRICS.enabled:
-            self._m_plan_bytes = METRICS.histogram(
-                "repro_migration_plan_bytes",
-                start=4096.0, factor=4.0, n_buckets=16,
-                help="bytes a non-empty migration plan asked to move "
-                     "(sampled per executed plan)",
-            )
 
     @property
     def limit_bytes_per_quantum(self) -> int:
@@ -305,21 +297,17 @@ class MigrationExecutor:
                 break
             start, stop = len(head_pages), n_planned
         self._tokens -= bytes_moved
-        if n_planned and (self.tracer.enabled or METRICS.enabled):
-            planned_bytes = int(sizes[plan.page_indices].sum())
-            if METRICS.enabled:
-                self._m_plan_bytes.observe(planned_bytes)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "migration_executed",
-                    planned_moves=n_planned,
-                    planned_bytes=planned_bytes,
-                    executed_bytes=bytes_moved,
-                    budget_bytes=int(budget),
-                    moves_applied=applied,
-                    moves_skipped=skipped,
-                    moves_deferred=deferred,
-                )
+        if n_planned and self.tracer.enabled:
+            self.tracer.emit(
+                "migration_executed",
+                planned_moves=n_planned,
+                planned_bytes=int(sizes[plan.page_indices].sum()),
+                executed_bytes=bytes_moved,
+                budget_bytes=int(budget),
+                moves_applied=applied,
+                moves_skipped=skipped,
+                moves_deferred=deferred,
+            )
         return MigrationResult(
             bytes_moved=bytes_moved,
             moves_applied=applied,

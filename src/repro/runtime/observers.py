@@ -6,19 +6,16 @@ four points of every quantum: after the shared solve, after a tenant's
 decision, after its plan executed, and after the aggregate record. A
 tenant carries its ``index`` and this quantum's inputs (``probs``,
 ``split``, ``shifted``, ``charged``). Observers write only their own
-state, the tracer and the metrics registry, so no option can change a
-simulated number; with every option off and no tracer there are none.
+state and the tracer, so no option can change a simulated number; with
+every option off and no tracer there are none.
 """
 
 from __future__ import annotations
-
-from time import perf_counter_ns
 
 import numpy as np
 
 from repro.check.invariants import Checker, find_shift_computer
 from repro.memhw.fixedpoint import EquilibriumSolver
-from repro.obs.metrics import METRICS
 from repro.obs.placement import PlacementObserver
 from repro.obs.profile import Counters
 
@@ -173,46 +170,6 @@ class PlacementAudit(QuantumObserver):
         )
 
 
-class LoopMetrics(QuantumObserver):
-    """Fleet metrics of the loop: quantum wall time (between consecutive
-    quantum ends, the first from construction), per-tier loaded
-    latency, quanta and charged migration bytes."""
-
-    __slots__ = ("_wall", "_tier_latency", "_quanta", "_migrated",
-                 "_last_ns")
-
-    def __init__(self, n_tiers: int) -> None:
-        self._wall = METRICS.histogram(
-            "repro_quantum_wall_ns", start=1e3, factor=2.0, n_buckets=24,
-            help="wall-clock nanoseconds per simulation quantum",
-        )
-        self._tier_latency = [
-            METRICS.histogram(
-                f"repro_tier{i}_loaded_latency_ns", start=50.0,
-                factor=1.5, n_buckets=24,
-                help=f"CPU-observed loaded latency of tier {i} (ns)",
-            )
-            for i in range(n_tiers)
-        ]
-        self._quanta = METRICS.counter(
-            "repro_quanta_total", help="simulation quanta executed")
-        self._migrated = METRICS.counter(
-            "repro_migrated_bytes_total",
-            help="bytes charged to the hardware model as migration "
-                 "traffic",
-        )
-        self._last_ns = perf_counter_ns()
-
-    def end_of_quantum(self, t, record) -> None:
-        now = perf_counter_ns()
-        self._wall.observe(now - self._last_ns)
-        self._last_ns = now
-        for tier, hist in enumerate(self._tier_latency):
-            hist.observe(float(record.latencies_ns[tier]))
-        self._quanta.inc()
-        self._migrated.inc(record.migration_bytes)
-
-
 class RunCounters(QuantumObserver):
     """The runtime counters ``run_end`` reports (built only with a
     tracer, the event's one reader)."""
@@ -247,12 +204,10 @@ def build_observers(loop) -> tuple:
         observers.append(InvariantObserver(loop))
     if options.placement_audit is not None and loop.tracer.enabled:
         observers.append(PlacementAudit(loop, options.placement_audit))
-    if options.metrics:
-        observers.append(LoopMetrics(len(loop._capacities)))
     if loop.tracer.enabled:
         observers.append(RunCounters())
     return tuple(observers)
 
 
-__all__ = ["InvariantObserver", "LoopMetrics", "PlacementAudit",
-           "QuantumObserver", "RunCounters", "build_observers"]
+__all__ = ["InvariantObserver", "PlacementAudit", "QuantumObserver",
+           "RunCounters", "build_observers"]

@@ -1,11 +1,14 @@
-"""Result cache round-trips, invalidation, and corruption handling."""
+"""Result cache round-trips, invalidation, corruption handling, and
+resuming a killed fleet from it."""
 
 import json
 
 from repro.exec import cache as cache_mod
 from repro.exec.cache import ResultCache, default_cache_dir
 from repro.exec.result import CellResult, TraceSeries
+from repro.exec.runner import Runner
 from repro.exec.spec import MachineSpec, RunSpec, WorkloadSpec
+from repro.experiments.common import ExperimentConfig, best_case_spec
 
 
 def make_spec(seed: int = 7) -> RunSpec:
@@ -162,3 +165,75 @@ class TestStaleTmpSweep:
         self.orphan(tmp_path, age_s=7200.0)
         assert cache.sweep_stale_tmp() == 1
         assert cache.sweep_stale_tmp() == 0
+
+
+class TestResume:
+    """The cache is the resume store: each completed ``put`` survives a
+    SIGKILL (temp file, fsync, rename), so a fleet re-run over the same
+    cache executes only the cells that are missing."""
+
+    TINY = ExperimentConfig(scale=0.03, seed=7)
+
+    def specs(self, n):
+        return [best_case_spec(i, self.TINY) for i in range(n)]
+
+    def test_resume_executes_only_missing_cells(self, tmp_path):
+        batch = self.specs(3)
+        baseline = Runner(jobs=1).run(batch)
+        # A fleet killed after one completion left one entry behind.
+        ResultCache(tmp_path).put(batch[0], baseline[batch[0]])
+
+        runner = Runner(cache=ResultCache(tmp_path))
+        assert runner.run(batch) == baseline
+        assert (runner.stats.cache_hits, runner.stats.executed) == (1, 2)
+        assert runner.stats.cache_misses == 2
+        assert runner.stats.per_mode == {"best_case": 2}
+        assert runner.stats.summary() == (
+            "cells: 1 cache hits, 0 deduplicated, new cells executed: 2")
+
+        # The resumed run stored the cells it executed, so a second
+        # resume executes nothing.
+        again = Runner(cache=ResultCache(tmp_path))
+        assert again.run(batch) == baseline
+        assert (again.stats.cache_hits, again.stats.executed) == (3, 0)
+
+    def test_full_resume_executes_nothing(self, tmp_path):
+        batch = self.specs(2)
+        baseline = Runner(jobs=2, cache=ResultCache(tmp_path)).run(batch)
+        runner = Runner(jobs=2, cache=ResultCache(tmp_path))
+        assert runner.run(batch) == baseline
+        assert (runner.stats.cache_hits, runner.stats.executed) == (2, 0)
+
+    def test_orphaned_tmp_file_is_not_a_hit(self, tmp_path):
+        # A put killed before its rename leaves only a temp file, which
+        # may be cut short: the cell is a miss and runs again.
+        spec = self.specs(1)[0]
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(spec)
+        path.parent.mkdir(parents=True)
+        (path.parent / "tmpkilled.tmp").write_text('{"cache_schema": 1, "sp')
+        assert cache.get(spec) is None
+        runner = Runner(cache=ResultCache(tmp_path))
+        result = runner.run_one(spec)
+        assert (runner.stats.cache_hits, runner.stats.executed) == (0, 1)
+        assert ResultCache(tmp_path).get(spec) == result
+
+    def test_put_syncs_the_entry_before_renaming_it(self, tmp_path,
+                                                   monkeypatch):
+        calls = []
+        real_fsync, real_replace = cache_mod.os.fsync, cache_mod.os.replace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cache_mod.os, "fsync", fsync)
+        monkeypatch.setattr(cache_mod.os, "replace", replace)
+        cache = ResultCache(tmp_path)
+        cache.put(make_spec(), make_result())
+        assert calls == ["fsync", "replace"]
+        assert cache.get(make_spec()) == make_result()

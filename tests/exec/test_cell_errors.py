@@ -3,8 +3,9 @@
 A cell that raises anything but a ``ReproError`` stops the batch with a
 ``CellError`` naming it; a ``ReproError`` passes through unchanged. The
 parallel cases rely on the pool forking its workers after the
-monkeypatch, so the patched ``repro.exec.execute.execute_spec`` is what
-``execute_cell`` calls inside each worker.
+monkeypatch, so the patched ``repro.exec.execute._execute_best_case`` is
+what ``execute_spec`` calls inside each worker (``execute_spec`` itself
+stays unpatched, because the pool pickles it by name).
 """
 
 import os
@@ -14,7 +15,7 @@ import pytest
 
 import repro.exec.execute as execute
 from repro.errors import ConfigurationError
-from repro.exec.journal import FleetJournal
+from repro.exec.cache import ResultCache
 from repro.exec.runner import CellError, Runner
 from repro.experiments.common import ExperimentConfig, best_case_spec
 
@@ -27,17 +28,16 @@ def spec_with_seed(seed: int):
 
 
 def on_cell(monkeypatch, victim, action):
-    """Make ``execute_spec`` call ``action()`` before running ``victim``,
+    """Make a best-case cell call ``action()`` before running ``victim``,
     in the parent (serial path) and in forked workers alike."""
-    original = execute.execute_spec
+    original = execute._execute_best_case
 
-    def patched(spec, options=None):
+    def patched(spec, options):
         if spec == victim:
             action()
         return original(spec, options)
 
-    monkeypatch.setattr("repro.exec.runner.execute_spec", patched)
-    monkeypatch.setattr("repro.exec.execute.execute_spec", patched)
+    monkeypatch.setattr(execute, "_execute_best_case", patched)
 
 
 def boom():
@@ -67,19 +67,17 @@ class TestCellError:
         with pytest.raises(ConfigurationError, match="deterministic bug"):
             Runner(jobs=jobs).run([victim, spec_with_seed(1)])
 
-    def test_batch_stops_at_once_and_completed_cells_are_journaled(
+    def test_batch_stops_at_once_and_completed_cells_are_cached(
             self, monkeypatch, tmp_path):
         done, victim, never = (spec_with_seed(s) for s in range(3))
         on_cell(monkeypatch, victim, boom)
-        path = tmp_path / "fleet.jsonl"
-        with FleetJournal(path) as journal:
-            runner = Runner(journal=journal)
-            with pytest.raises(CellError):
-                runner.run([done, victim, never])
+        runner = Runner(cache=ResultCache(tmp_path))
+        with pytest.raises(CellError):
+            runner.run([done, victim, never])
         assert runner.stats.executed == 1
-        resumed = FleetJournal(path, resume=True)
-        assert resumed.lookup(done) is not None
-        assert resumed.lookup(never) is None
+        resumed = ResultCache(tmp_path)
+        assert resumed.get(done) is not None
+        assert resumed.get(never) is None
 
     def test_dead_worker_surfaces_as_cell_error(self, monkeypatch):
         victim = spec_with_seed(0)

@@ -5,7 +5,6 @@ import os
 
 from repro.exec.cache import ResultCache
 from repro.exec.execute import execute_spec
-from repro.exec.journal import FleetJournal
 from repro.exec.result import CellResult
 from repro.exec.runner import Runner
 from repro.experiments.common import ExperimentConfig, steady_cell_spec
@@ -34,8 +33,8 @@ class TestExecuteOptIn:
 
 
 class TestStoredResults:
-    """A cached or journaled result lacking the diagnostics the options
-    ask for is a miss: the cell runs again and its entry is replaced."""
+    """A cached result lacking the diagnostics the options ask for is a
+    miss: the cell runs again and its entry is replaced."""
 
     def test_plain_cache_entry_is_a_miss_for_a_diagnosed_run(
             self, tmp_path):
@@ -62,23 +61,21 @@ class TestStoredResults:
         result = Runner(cache=ResultCache(tmp_path)).run_one(spec)
         assert result.diagnostics is not None
 
-    def test_plain_journal_entry_is_a_miss_on_resume(self, tmp_path):
-        spec = tiny_spec()
-        path = tmp_path / "fleet.jsonl"
-        with FleetJournal(path) as journal:
-            Runner(journal=journal, options=RunOptions()).run_one(spec)
-        with FleetJournal(path, resume=True) as journal:
-            resumed = Runner(journal=journal,
-                             options=RunOptions(diagnose=True))
-            assert resumed.run_one(spec).diagnostics is not None
-            assert resumed.stats.journal_hits == 0
-            assert resumed.stats.executed == 1
-        with FleetJournal(path, resume=True) as journal:
-            again = Runner(journal=journal,
-                           options=RunOptions(diagnose=True))
-            assert again.run_one(spec).diagnostics is not None
-            assert (again.stats.journal_hits, again.stats.executed) == (
-                1, 0)
+    def test_plain_cache_entry_is_a_miss_on_resume(self, tmp_path):
+        # A plain fleet killed after one cell, resumed over the same
+        # cache as a diagnosed parallel fleet: both cells execute.
+        spec, other = tiny_spec(), tiny_spec().with_seed(8)
+        Runner(cache=ResultCache(tmp_path),
+               options=RunOptions()).run_one(spec)
+        resumed = Runner(jobs=2, cache=ResultCache(tmp_path),
+                         options=RunOptions(diagnose=True))
+        results = resumed.run([spec, other])
+        assert all(r.diagnostics is not None for r in results.values())
+        assert (resumed.stats.cache_hits, resumed.stats.executed) == (0, 2)
+        again = Runner(jobs=2, cache=ResultCache(tmp_path),
+                       options=RunOptions(diagnose=True))
+        assert again.run([spec, other]) == results
+        assert (again.stats.cache_hits, again.stats.executed) == (2, 0)
 
     def test_spec_hash_is_unchanged_by_options(self, tmp_path):
         spec = tiny_spec()

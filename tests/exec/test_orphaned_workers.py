@@ -29,11 +29,13 @@ FLEET = textwrap.dedent("""
 
     pid_dir = Path(sys.argv[1])
 
-    def report_and_hang(spec, options=None):
+    def report_and_hang(spec, options):
         (pid_dir / str(os.getpid())).touch()
         time.sleep(600)
 
-    execute.execute_spec = report_and_hang
+    # Forked workers see the patched module; the pool pickles the
+    # unpatched execute_spec by name.
+    execute._execute_best_case = report_and_hang
     Runner(jobs=2).run([best_case_spec(0, ExperimentConfig(scale=0.03,
                                                            seed=seed))
                         for seed in range(2)])

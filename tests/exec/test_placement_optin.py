@@ -6,7 +6,6 @@ import pytest
 
 from repro.exec.cache import ResultCache
 from repro.exec.execute import execute_spec
-from repro.exec.journal import FleetJournal
 from repro.exec.result import CellResult
 from repro.exec.runner import Runner, aggregate
 from repro.experiments.common import ExperimentConfig, steady_cell_spec
@@ -50,7 +49,7 @@ class TestExecuteOptIn:
 
 class TestStoredResults:
     """A stored result without the placement summary the options ask
-    for is a miss (cache and ``--resume`` journal alike)."""
+    for is a miss, whether a re-run or a resumed fleet reads it."""
 
     def test_plain_cache_entry_is_a_miss_for_an_audited_run(
             self, tmp_path):
@@ -65,17 +64,16 @@ class TestStoredResults:
         assert again.run_one(spec).placement is not None
         assert (again.stats.cache_hits, again.stats.executed) == (1, 0)
 
-    def test_plain_journal_entry_is_a_miss_on_resume(self, tmp_path):
-        spec = tiny_spec()
-        path = tmp_path / "fleet.jsonl"
-        with FleetJournal(path) as journal:
-            Runner(journal=journal).run_one(spec)
-        with FleetJournal(path, resume=True) as journal:
-            resumed = Runner(journal=journal,
-                             options=RunOptions(placement_audit=5))
-            assert resumed.run_one(spec).placement is not None
-            assert (resumed.stats.journal_hits,
-                    resumed.stats.executed) == (0, 1)
+    def test_plain_cache_entry_is_a_miss_on_resume(self, tmp_path):
+        # A plain fleet killed after one cell, resumed over the same
+        # cache as an audited parallel fleet: both cells execute.
+        spec, other = tiny_spec(), tiny_spec().with_seed(8)
+        Runner(cache=ResultCache(tmp_path)).run_one(spec)
+        resumed = Runner(jobs=2, cache=ResultCache(tmp_path),
+                         options=RunOptions(placement_audit=5))
+        results = resumed.run([spec, other])
+        assert all(r.placement is not None for r in results.values())
+        assert (resumed.stats.cache_hits, resumed.stats.executed) == (0, 2)
 
 
 def make_result(**overrides):

@@ -135,6 +135,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_spec(**overrides(value))
 
+    @pytest.mark.parametrize("overrides", [
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
+        {"contention": ((0.0, 2.5),)},
+        {"contention": ((0.0, -1),)},
+        {"contention": ((0.0, 1), (4.0, 2.5))},
+        {"min_duration_s": 3.0, "max_duration_s": 2.0},
+        {"cha_noise_sigma": -0.1},
+        {"migration_limit_bytes": 0},
+    ], ids=["seed_negative", "seed_fractional", "seed_bool",
+            "contention_fractional", "contention_negative",
+            "contention_step_fractional", "min_above_max",
+            "cha_noise_negative", "migration_limit_zero"])
+    def test_invalid_field_rejected_at_construction(self, overrides):
+        with pytest.raises(ConfigurationError):
+            make_spec(**overrides)
+
 
 class TestDerivedViews:
     def test_single_entry_contention_is_plain_int(self):

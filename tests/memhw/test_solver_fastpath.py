@@ -250,40 +250,3 @@ class TestConvergedStateConsistency:
         expected = (app.n_cores * app.mlp * CACHELINE_BYTES
                     / eq.apps[0].avg_latency_ns)
         assert eq.apps[0].read_rate == pytest.approx(expected, rel=1e-12)
-
-
-class TestSolverMetrics:
-    @pytest.fixture
-    def metered(self, monkeypatch):
-        from repro.obs.metrics import METRICS
-
-        saved = (METRICS.enabled, METRICS._counters, METRICS._gauges,
-                 METRICS._histograms)
-        METRICS.enabled = True
-        METRICS._counters = {}
-        METRICS._gauges = {}
-        METRICS._histograms = {}
-        yield METRICS
-        (METRICS.enabled, METRICS._counters, METRICS._gauges,
-         METRICS._histograms) = saved
-
-    def test_counters_and_histogram(self, metered, tiers):
-        solver = EquilibriumSolver(tiers, use_cache=True)
-        solver.solve(_app(), [0.5, 0.5])
-        solver.solve(_app(), [0.5, 0.5])
-        solver.solve(_app(), [0.8, 0.2])
-        snap = metered.snapshot()
-        assert snap.counters["repro_solver_cache_hits_total"] == 1
-        assert snap.counters["repro_solver_cache_misses_total"] == 2
-        hist = snap.histograms["repro_solver_iterations"]
-        assert hist["count"] == 2  # hits don't re-observe iterations
-
-    def test_disabled_registry_untouched(self, tiers):
-        from repro.obs.metrics import METRICS
-
-        assert not METRICS.enabled  # tests run with metrics off
-        before = set(METRICS._counters) | set(METRICS._histograms)
-        solver = EquilibriumSolver(tiers)
-        solver.solve(_app(), [0.5, 0.5])
-        after = set(METRICS._counters) | set(METRICS._histograms)
-        assert after == before

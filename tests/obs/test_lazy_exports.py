@@ -1,8 +1,8 @@
 """``repro.obs`` exports its names lazily (PEP 562).
 
 Every exported name must still resolve, and importing the exec runner
-and the simulation loop — which reach ``repro.obs.tracer`` and
-``repro.obs.metrics`` — must not load the trace-analysis modules.
+and the simulation loop — which reach ``repro.obs.tracer`` — must not
+load the trace-analysis modules.
 """
 
 import os
@@ -33,11 +33,11 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_from_import_resolves():
-    from repro.obs import METRICS, Timeline, export_chrome_trace
-    from repro.obs.metrics import METRICS as direct
+    from repro.obs import Timeline, Tracer, export_chrome_trace
     from repro.obs.timeline import Timeline as timeline_cls
+    from repro.obs.tracer import Tracer as direct
 
-    assert METRICS is direct
+    assert Tracer is direct
     assert Timeline is timeline_cls
     assert callable(export_chrome_trace)
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec.factories import make_system
-from repro.options import RunOptions
 from repro.runtime.colocation import ColocatedLoop, TenantSpec
 from repro.runtime.loop import QuantumLoop, SimulationLoop
 from repro.tiering.static import StaticPlacementSystem
@@ -253,27 +252,6 @@ class TestOnePipeline:
         for counter in ("cache_hits", "cache_misses"):
             assert (getattr(solver, counter)
                     == getattr(single.solver, counter))
-
-    def test_colocated_metrics_record_quantum_histograms(
-            self, small_machine):
-        from repro.obs.metrics import METRICS
-
-        saved = (METRICS._counters, METRICS._gauges, METRICS._histograms)
-        METRICS._counters = {}
-        METRICS._gauges = {}
-        METRICS._histograms = {}
-        try:
-            make_coloc(small_machine,
-                       options=RunOptions(metrics=True)).run(0.05)
-            snapshot = METRICS.snapshot()
-        finally:
-            METRICS._counters, METRICS._gauges, METRICS._histograms = saved
-        histograms = snapshot.histograms
-        assert histograms["repro_quantum_wall_ns"]["count"] == 5
-        for tier in range(len(small_machine.tiers)):
-            name = f"repro_tier{tier}_loaded_latency_ns"
-            assert histograms[name]["count"] == 5
-        assert snapshot.counters["repro_quanta_total"] == 5
 
     @pytest.mark.parametrize("cls", [SimulationLoop, ColocatedLoop])
     def test_entry_points_bound_in_each_class_body(self, cls):

@@ -1,6 +1,6 @@
 """Observation never perturbs: one test over every way to watch a run.
 
-Each option a run can be observed with — invariant checks, metrics,
+Each option a run can be observed with — invariant checks,
 diagnostics, the placement audit, a tracer (with its ``run_end``
 counters) and the phase profiler — runs the same one-tenant and
 two-tenant loops as the all-off run, and every
@@ -19,7 +19,6 @@ import pytest
 from repro.exec.factories import make_system
 from repro.experiments.common import scaled_machine
 from repro.obs.diagnose import diagnose_events
-from repro.obs.metrics import METRICS
 from repro.obs.tracer import Tracer
 from repro.options import RunOptions
 from repro.runtime.colocation import ColocatedLoop, TenantSpec
@@ -67,7 +66,6 @@ LOOPS = {"one-tenant": _one_tenant, "two-tenant": _two_tenants}
 #: Observation -> (options, traced, profiled).
 OBSERVATIONS = {
     "check": (RunOptions(check=True), False, False),
-    "metrics": (RunOptions(metrics=True), False, False),
     "diagnose": (RunOptions(diagnose=True), True, False),
     "placement_audit": (RunOptions(placement_audit=1), True, False),
     "tracer": (RunOptions(), True, False),
@@ -82,6 +80,8 @@ def run(build, options, traced=False, profiled=False):
     for __ in range(N_QUANTA):
         loop.step()
     loop.emit_run_end()
+    if traced:
+        check_run_end(tracer, loop.metrics.records)
     if options.diagnose:
         diagnose_events(tracer.events())
     if options.placement_audit is not None:
@@ -91,36 +91,29 @@ def run(build, options, traced=False, profiled=False):
         m.records for m in loop.tenant_metrics.values()]
 
 
+def check_run_end(tracer, records):
+    """The ``run_end`` counters agree with the run's own records: one
+    solve per quantum, and the migration bytes the records charged."""
+    [end] = [e for e in tracer.events() if e.get("type") == "run_end"]
+    counters = end["counters"]
+    assert end["n_quanta"] == counters["quanta"] == N_QUANTA
+    assert (counters.get("solver_cache_hits", 0)
+            + counters.get("solver_cache_misses", 0)) == N_QUANTA
+    assert counters.get("migrated_bytes", 0) == sum(
+        r.migration_bytes for r in records)
+
+
 @pytest.fixture(scope="module")
 def plain():
     """The all-off run of each loop, computed once."""
     return {name: run(build, RunOptions()) for name, build in LOOPS.items()}
 
 
-@pytest.fixture
-def metrics_registry():
-    """The process registry switched on (as the CLI and pool workers do
-    for metered runs) with clean state, restored afterwards."""
-    saved = (METRICS.enabled, METRICS._counters, METRICS._gauges,
-             METRICS._histograms)
-    METRICS.enabled = True
-    METRICS._counters, METRICS._gauges, METRICS._histograms = {}, {}, {}
-    yield METRICS
-    (METRICS.enabled, METRICS._counters, METRICS._gauges,
-     METRICS._histograms) = saved
-
-
 @pytest.mark.parametrize("loop_name", sorted(LOOPS))
 @pytest.mark.parametrize("observation", sorted(OBSERVATIONS))
-def test_observation_never_perturbs(observation, loop_name, plain,
-                                    metrics_registry):
+def test_observation_never_perturbs(observation, loop_name, plain):
     options, traced, profiled = OBSERVATIONS[observation]
-    if observation != "metrics":
-        metrics_registry.enabled = False
     observed = run(LOOPS[loop_name], options, traced, profiled)
-    if observation == "metrics":
-        snapshot = metrics_registry.snapshot()
-        assert snapshot.counters["repro_quanta_total"] == N_QUANTA
     expected = plain[loop_name]
     assert len(observed) == len(expected)
     for got, want in zip(observed, expected):

@@ -13,7 +13,8 @@ counters, object identity) instead of timing it:
 * a solve that passes the last solve's objects is that solve's cache
   hit, refreshes the LRU order, and never outlives the cache entry;
 * a warm seed that is the solver's last output solves as its floats do,
-  and every other seed, or an output that is no valid seed, is checked;
+  every other seed is checked, and a solve that overflows raises
+  instead of returning an output that is no valid seed;
 * the empty plan is one shared plan, and an empty plan's result shares
   read-only arrays.
 """
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.controller import ColloidDecision
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ConvergenceError
 from repro.exec.factories import make_system
 from repro.experiments.common import scaled_machine
 from repro.memhw.antagonist import antagonist_core_group
@@ -267,19 +268,23 @@ class TestSolverSameInputs:
         assert again.latencies_ns.tobytes() == copied.latencies_ns.tobytes()
 
     def test_outputs_that_are_not_valid_seeds_are_rejected(self):
+        # A solve whose sweep overflows raises instead of returning an
+        # infinite latency, so every computed output is a valid seed.
         solver = _solver()
         split = _frozen(0.7, 0.3)
         flood = [[TrafficClass(bandwidth=1e308, randomness=0.3,
                                read_fraction=1.0)], []]
-        flooded = _solve(solver, split, extra_traffic=flood)
-        assert flooded.latencies_ns[0] == float("inf")
-        with pytest.raises(ConfigurationError):
-            _solve(solver, split, initial_latencies=flooded.latencies_ns)
-        # Served again from the cache, it is still no valid seed.
-        assert _solve(solver, split, extra_traffic=flood) is flooded
-        assert solver.last_was_cache_hit
-        with pytest.raises(ConfigurationError):
-            _solve(solver, split, initial_latencies=flooded.latencies_ns)
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            _solve(solver, split, extra_traffic=flood)
+        # Nothing was cached or kept as a seed: the same solve raises
+        # again, and the next plain solve is a computed miss.
+        with pytest.raises(ConvergenceError):
+            _solve(solver, split, extra_traffic=flood)
+        assert solver.cache_hits == 0
+        assert solver.cache_misses == 0
+        plain = _solve(solver, split)
+        assert not solver.last_was_cache_hit
+        assert np.isfinite(plain.latencies_ns).all()
 
     def test_a_remembered_split_is_checked_per_kind_of_group(self):
         # Normalization depends on whether the group has cores: an idle

@@ -2,7 +2,9 @@
 
 The options are built from CLI flags over ``REPRO_*`` defaults, and
 nothing under ``src/repro`` reads those variables except
-:mod:`repro.options` or writes ``os.environ`` at all.
+:mod:`repro.options` or writes ``os.environ`` at all. No function under
+``src/repro`` sets process-wide state either: it neither assigns an
+attribute of an imported or module-level name nor declares ``global``.
 """
 
 from __future__ import annotations
@@ -16,12 +18,10 @@ import pytest
 import repro
 from repro.cli import _run_options, build_parser, main
 from repro.errors import ConfigurationError
-from repro.obs.metrics import METRICS
 from repro.options import (
     CHECK_ENV_VAR,
     DEFAULT_AUDIT_PERIOD_QUANTA,
     DIAGNOSE_ENV_VAR,
-    METRICS_ENV_VAR,
     PLACEMENT_AUDIT_ENV_VAR,
     SOLVER_CACHE_ENV_VAR,
     RunOptions,
@@ -29,26 +29,24 @@ from repro.options import (
 
 SRC = Path(repro.__file__).resolve().parent
 
-ENV_NAMES = (CHECK_ENV_VAR, METRICS_ENV_VAR, DIAGNOSE_ENV_VAR,
-             PLACEMENT_AUDIT_ENV_VAR, SOLVER_CACHE_ENV_VAR)
+ENV_NAMES = (CHECK_ENV_VAR, DIAGNOSE_ENV_VAR, PLACEMENT_AUDIT_ENV_VAR,
+             SOLVER_CACHE_ENV_VAR)
 
 
 class TestRunOptions:
     def test_defaults_observe_nothing(self):
         options = RunOptions()
-        assert not (options.check or options.metrics or options.diagnose)
+        assert not (options.check or options.diagnose)
         assert options.placement_audit is None
         assert options.solver_cache
 
     def test_from_env_reads_every_field(self):
         options = RunOptions.from_env({
-            CHECK_ENV_VAR: "1", METRICS_ENV_VAR: "yes",
-            DIAGNOSE_ENV_VAR: "1", PLACEMENT_AUDIT_ENV_VAR: "7",
-            SOLVER_CACHE_ENV_VAR: "0",
+            CHECK_ENV_VAR: "yes", DIAGNOSE_ENV_VAR: "1",
+            PLACEMENT_AUDIT_ENV_VAR: "7", SOLVER_CACHE_ENV_VAR: "0",
         })
-        assert options == RunOptions(check=True, metrics=True,
-                                     diagnose=True, placement_audit=7,
-                                     solver_cache=False)
+        assert options == RunOptions(check=True, diagnose=True,
+                                     placement_audit=7, solver_cache=False)
         assert RunOptions.from_env({}) == RunOptions()
 
     def test_frozen_and_picklable(self):
@@ -70,19 +68,14 @@ class TestCliOptions:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        saved = METRICS.enabled
-        try:
-            return _run_options(build_parser().parse_args(list(argv)))
-        finally:
-            METRICS.enabled = saved
+        return _run_options(build_parser().parse_args(list(argv)))
 
     def test_flags_fill_the_fields(self, monkeypatch):
         options = self.options(
-            monkeypatch, "figure", "fig6", "--check", "--metrics", "m.txt",
-            "--diagnose", "--placement-audit", "4", "--no-solver-cache")
-        assert options == RunOptions(check=True, metrics=True,
-                                     diagnose=True, placement_audit=4,
-                                     solver_cache=False)
+            monkeypatch, "figure", "fig6", "--check", "--diagnose",
+            "--placement-audit", "4", "--no-solver-cache")
+        assert options == RunOptions(check=True, diagnose=True,
+                                     placement_audit=4, solver_cache=False)
 
     def test_audit_period_one_is_kept(self, monkeypatch):
         options = self.options(monkeypatch, "run", "--placement-audit",
@@ -166,3 +159,66 @@ def test_env_names_appear_only_in_options():
                     found.setdefault(str(path.relative_to(SRC)),
                                      set()).update(names)
     assert found == {"options.py": set(ENV_NAMES)}
+
+
+def _bound_names(statements):
+    """Names that ``statements`` bind by ``import`` or, at their own
+    level, by assignment."""
+    names = set()
+    for node in statements:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(t.id for target in targets
+                         for t in ast.walk(target)
+                         if isinstance(t, ast.Name))
+    return names
+
+
+def _process_state_writes(tree):
+    """Lines where a function sets state that outlives its call: an
+    attribute of a name bound by an import (the module's or its own)
+    or by a module-level assignment, and every ``global`` statement."""
+    module_names = _bound_names(tree.body)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield node.lineno
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = list(ast.walk(node))
+        args = node.args
+        local = {a.arg for a in (args.posonlyargs + args.args
+                                 + args.kwonlyargs)}
+        local.update(a.arg for a in (args.vararg, args.kwarg) if a)
+        local.update(n.id for n in inner if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store))
+        imported = _bound_names(
+            n for n in inner if isinstance(n, (ast.Import, ast.ImportFrom)))
+        shared = (module_names - local) | imported
+        for stmt in inner:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+                targets = [stmt.target]
+            else:
+                continue
+            for target in targets:
+                root = target
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if (target is not root and isinstance(root, ast.Name)
+                        and root.id in shared):
+                    yield stmt.lineno
+
+
+def test_no_function_sets_process_wide_state():
+    writes = {
+        str(path.relative_to(SRC)): sorted(set(lines))
+        for path in _python_files()
+        if (lines := list(_process_state_writes(
+            ast.parse(path.read_text()))))
+    }
+    assert writes == {}
