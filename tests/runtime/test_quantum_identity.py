@@ -78,6 +78,8 @@ CASES = {
     "hemem+colloid": lambda **kw: _single(
         make_system("hemem+colloid"), _step_contention, **kw),
     "tpp": lambda **kw: _single(make_system("tpp"), 2, **kw),
+    "tpp+colloid": lambda **kw: _single(make_system("tpp+colloid"), 2, **kw),
+    "memtis": lambda **kw: _single(make_system("memtis"), 1, **kw),
     "memtis+colloid": lambda **kw: _single(
         make_system("memtis+colloid"), 1, **kw),
     "memory-mode": lambda **kw: _single(MemoryModeSystem(), 1, **kw),
@@ -192,6 +194,24 @@ EXPECTED = {
         'antagonist_intensity':
             '67bb4c83515c8bd655ee810b4a52cffa5869242c28bcb91c51cc3c9efb67c433',
     },
+    'memtis': {
+        'time_s':
+            'fac4996409ebc1d06296b6e5b8a67fb17a659376c1d0a56fa5fcf1ef60f59880',
+        'throughput':
+            '880712e13b3fd7b060df36340bca310889d8ad349a9b3f77ef0ff62308f8a4a1',
+        'latencies_ns':
+            '5be84d69d739cd68db93686092ee94cb1d097823e49c56a24a553823345cec36',
+        'p_true':
+            '464823d3a84b6e7f4389a76a92db794c8bd95bcd7cde4530704989ac3cc7d85e',
+        'p_measured':
+            'c4ee1e3dd87a61f82236d3c285c45d23c88db1ebf6aa4f6c1fc77720f7394399',
+        'app_tier_bandwidth':
+            '8317f808db1b5d171ae532ec807db7b93fe7998d406621ad54bcc813d60062af',
+        'migration_bytes':
+            '46d2db286449bc990ca4f67586a97e543c4a16e506452ff3bae28c0eebce12da',
+        'antagonist_intensity':
+            '67bb4c83515c8bd655ee810b4a52cffa5869242c28bcb91c51cc3c9efb67c433',
+    },
     'memtis+colloid': {
         'time_s':
             'fac4996409ebc1d06296b6e5b8a67fb17a659376c1d0a56fa5fcf1ef60f59880',
@@ -243,6 +263,24 @@ EXPECTED = {
             '9b119c6bba149ac9ab3728eee20ac06aea81066662c51cf54a6ec42034d46260',
         'migration_bytes':
             '8f81cf2bbb595a7e6613feb2a17992f149cd08576aa9e1499a24a193a0d0dfa9',
+        'antagonist_intensity':
+            '7f5e283e0c0c04b5502d20dc4e85f0b1441b561654fe4a4236c638a96d6af5f1',
+    },
+    'tpp+colloid': {
+        'time_s':
+            'fac4996409ebc1d06296b6e5b8a67fb17a659376c1d0a56fa5fcf1ef60f59880',
+        'throughput':
+            '0f606f1edf75165bbee972761a8971753a8825f14cea24d37b1ea2f121de8660',
+        'latencies_ns':
+            '8ba90872f34e9c624613f1153e3759a73d657663e217bbcb11a0ece6d0ac318a',
+        'p_true':
+            '8c75c9900c873b215e80e948f59c8974a67ba752394d9f187154b10f5bfd1d82',
+        'p_measured':
+            '7ddceecdc0541382d3901a6b203e40e65fab320048da3dd530f5347781fbb940',
+        'app_tier_bandwidth':
+            '90a6c9aef5046974acab00708dd5dad9514890af3073a2cab3e181731b8139d5',
+        'migration_bytes':
+            '550155ad870b4429230b8bfa4a8ef97e4e8765b5cffcc0090aa2231fc23d9a26',
         'antagonist_intensity':
             '7f5e283e0c0c04b5502d20dc4e85f0b1441b561654fe4a4236c638a96d6af5f1',
     },
