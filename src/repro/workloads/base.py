@@ -10,11 +10,24 @@ core group issuing the accesses. Time-varying workloads override
 from __future__ import annotations
 
 import abc
+import math
+import numbers
 from typing import Optional
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.memhw.corestate import CoreGroup
+
+
+def check_scale(scale) -> None:
+    """The one check of a workload's ``scale``: a finite positive
+    number. Every workload constructor and the spec that names it run
+    it."""
+    if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
+            or not 0.0 < scale < math.inf):
+        raise ConfigurationError(
+            f"workload scale must be finite and positive, got {scale!r}")
 
 
 class Workload(abc.ABC):

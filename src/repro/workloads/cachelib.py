@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.memhw.corestate import CoreGroup
 from repro.units import mib
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, check_scale
 
 #: Effective per-item footprint: 64 B key + 4 KB value + allocator/cache
 #: metadata, sized so 15 M items give the paper's ~75 GB working set.
@@ -42,8 +42,7 @@ class CacheLibWorkload(Workload):
         scale: float = 1.0,
         seed: int = 3,
     ) -> None:
-        if scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        check_scale(scale)
         if not 0 < hot_key_fraction < 1:
             raise ConfigurationError("hot_key_fraction must be in (0, 1)")
         if not 0 < hot_probability <= 1:

@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.memhw.corestate import CoreGroup
 from repro.units import gib, mib
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, check_scale
 
 
 class GraphWorkload(Workload):
@@ -64,8 +64,7 @@ class GraphWorkload(Workload):
         flatten the page-level skew, as in real CSR layouts where one page
         holds thousands of rank entries.
         """
-        if scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        check_scale(scale)
         working_set_bytes = int(working_set_bytes * scale)
         n_pages = max(4, working_set_bytes // page_bytes)
         rng = np.random.default_rng(seed)

@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.memhw.corestate import CoreGroup
 from repro.units import gib, mib
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, check_scale
 
 
 class GupsWorkload(Workload):
@@ -39,8 +39,7 @@ class GupsWorkload(Workload):
         scale: float = 1.0,
         seed: int = 1,
     ) -> None:
-        if scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        check_scale(scale)
         working_set_bytes = int(working_set_bytes * scale)
         hot_bytes = int(hot_bytes * scale)
         if hot_bytes > working_set_bytes:

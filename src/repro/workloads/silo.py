@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.memhw.corestate import CoreGroup
 from repro.units import gib, mib
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, check_scale
 from repro.workloads.zipf import zipf_page_probabilities
 
 #: 64 B key + 100 B value, as in §5.3.
@@ -41,8 +40,7 @@ class SiloYcsbWorkload(Workload):
         # accesses, so its effective memory-level parallelism — and
         # therefore its sensitivity to placement — is smaller. This is why
         # the paper's Silo gains (1.08-1.25x) trail its GUPS gains.
-        if scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        check_scale(scale)
         working_set_bytes = int(working_set_bytes * scale)
         n_keys = max(1000, int(n_keys * scale))
         self.name = "silo-ycsbc"

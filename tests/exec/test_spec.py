@@ -45,7 +45,7 @@ class TestHashing:
         {"max_duration_s": 6.0},
         {"quantum_ms": 20.0},
         {"machine": MachineSpec(scale=0.0625, alt_latency_ratio=2.7)},
-        {"system_kwargs": (("delta", 0.05),)},
+        {"system_kwargs": (("sample_period", 200),)},
     ])
     def test_any_field_change_changes_hash(self, change):
         assert make_spec(**change).content_hash() != (
@@ -61,6 +61,7 @@ class TestHashing:
 class TestRoundTrip:
     def test_dict_round_trip_preserves_identity(self):
         spec = make_spec(
+            system="hemem+colloid",
             system_kwargs=(("delta", 0.05), ("epsilon", 0.01)),
             machine=MachineSpec(scale=0.5, default_tier_ws_divisor=3),
         )
@@ -153,6 +154,47 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_spec(**overrides)
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_spec(system="nope"),
+        lambda: make_spec(system_kwargs=(("bogus", 1),)),
+        lambda: make_spec(system="hemem+colloid",
+                          system_kwargs=(("bogus", 1),)),
+        lambda: WorkloadSpec.make("gups", scale=0),
+        lambda: WorkloadSpec.make("gups", scale=-1),
+        lambda: WorkloadSpec.make("gups", scale=float("nan")),
+        lambda: WorkloadSpec.make("silo", scale=float("inf")),
+        lambda: WorkloadSpec.make("gups", scale=0.03, bogus=1),
+        lambda: WorkloadSpec.make("cachelib", scale=0.03, bogus=1),
+        lambda: MachineSpec(alt_latency_ratio=0),
+        lambda: MachineSpec(alt_latency_ratio=-2),
+        lambda: MachineSpec(alt_latency_ratio=float("nan")),
+        lambda: MachineSpec(alt_latency_ratio=0.5),
+    ], ids=["unknown_system", "unknown_system_kwarg",
+            "unknown_colloid_kwarg", "workload_scale_zero",
+            "workload_scale_negative", "workload_scale_nan",
+            "workload_scale_inf", "unknown_workload_param",
+            "unknown_cachelib_param", "alt_ratio_zero",
+            "alt_ratio_negative", "alt_ratio_nan", "alt_ratio_below_one"])
+    def test_unbuildable_spec_rejected_at_construction(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        # A Colloid integration forwards unknown keywords to its base.
+        lambda: make_spec(system="hemem+colloid",
+                          system_kwargs=(("n_bins", 7),
+                                         ("sample_period", 100))),
+        lambda: make_spec(system="tpp+colloid",
+                          system_kwargs=(("scan_fraction_per_quantum",
+                                          0.01),)),
+        # Best-case and colocated cells name their system by convention.
+        lambda: make_spec(system=BEST_CASE_SYSTEM, mode="best_case"),
+        lambda: MachineSpec(alt_latency_ratio=1.0),
+    ], ids=["colloid_forwards_base_kwargs", "tpp_colloid_base_kwarg",
+            "best_case_system", "alt_ratio_one"])
+    def test_buildable_spec_accepted(self, build):
+        build()
+
 
 class TestDerivedViews:
     def test_single_entry_contention_is_plain_int(self):
@@ -225,6 +267,10 @@ class TestTenantCellSpec:
             self.make_tenant(weight=0.0)
         with pytest.raises(ConfigurationError):
             self.make_tenant(weight=-1.0)
+        with pytest.raises(ConfigurationError):
+            self.make_tenant(system="nope")
+        with pytest.raises(ConfigurationError):
+            self.make_tenant(bogus=1)
 
     def test_runspec_rejects_duplicate_tenant_names(self):
         with pytest.raises(ConfigurationError, match="unique"):
