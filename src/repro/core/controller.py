@@ -18,7 +18,7 @@ Each quantum the controller:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class ColloidController:
         self.monitor.update(ctx.cha)
 
     def decide(self, ctx: QuantumContext, find_pages: PageFinderFn,
-               coldness: np.ndarray,
+               coldness: Union[np.ndarray, Callable[[], np.ndarray]],
                period_ns: Optional[float] = None) -> ColloidDecision:
         """Run lines 3-14 of Algorithm 1 for this quantum.
 
@@ -111,16 +111,15 @@ class ColloidController:
             ctx: The quantum context.
             find_pages: System-specific page-finding procedure.
             coldness: Per-page access-probability estimates used to pick
-                the coldest pages when promotions need capacity.
+                the coldest pages when promotions need capacity, or a
+                zero-argument function returning them, called only
+                then.
             period_ns: The system's action period (MEMTIS acts every
                 500 ms, not every runtime quantum); the dynamic migration
                 limit and the static rate limit both scale with it.
                 Defaults to the runtime quantum.
         """
-        latencies = self.monitor.latencies_ns()
-        l_d = float(latencies[0])
-        l_a = float(latencies[1:].min())
-        p = self.monitor.measured_p()
+        l_d, l_a, p, total_rate = self.monitor.balance()
         dp = self.shift.compute(p, l_d, l_a)
         if ctx.tracer.enabled:
             trace_shift(ctx.tracer, self.shift, p, dp, l_d, l_a)
@@ -131,7 +130,6 @@ class ColloidController:
             period_ns = ctx.quantum_ns
         period_quanta = max(1.0, period_ns / ctx.quantum_ns)
         mode = "promotion" if l_d < l_a else "demotion"
-        total_rate = float(self.monitor.smoothed_rates.sum())
         budget = dynamic_migration_limit(
             dp, total_rate, period_ns,
             int(self.static_limit_bytes * period_quanta),
@@ -176,8 +174,9 @@ class ColloidController:
 
     def _with_make_room(self, placement: PlacementState,
                         promotions: MigrationPlan,
-                        coldness: np.ndarray) -> MigrationPlan:
-        """Prepend coldest-page demotions so promotions have capacity."""
+                        coldness) -> MigrationPlan:
+        """Prepend coldest-page demotions so promotions have capacity;
+        ``coldness`` is as in :meth:`decide`."""
         pages = placement.pages
         sizes = pages.sizes_bytes
         promoted = promotions.page_indices
@@ -189,6 +188,8 @@ class ColloidController:
         default_pages = in_default.nonzero()[0]
         if default_pages.size == 0:
             return promotions
+        if callable(coldness):
+            coldness = coldness()
         # Every page holds at least the smallest page size, so the
         # coldest ceil(need / min size) pages always cover ``need``;
         # only that head of the coldness order is ranked.

@@ -89,17 +89,23 @@ class HememColloidSystem(_ColloidMixin, HememSystem):
         if ctx.time_s - self._last_action_s < self.action_period_s:
             return QuantumDecision.idle()
         self._last_action_s = ctx.time_s
+        # The probability estimates, computed once if a page search or
+        # make-room needs them (a holding decision needs neither).
+        estimates = []
 
-        estimates = self.counters.access_probabilities()
+        def probabilities() -> np.ndarray:
+            if not estimates:
+                estimates.append(self.counters.access_probabilities())
+            return estimates[0]
 
         def find(src_tier: int, dp: float, budget: int) -> np.ndarray:
             return self._finder.find(
                 self.counters.counts, ctx.placement, src_tier, dp, budget,
-                probs=estimates,
+                probs=probabilities(),
             )
 
         decision = self.controller.decide(
-            ctx, find, coldness=estimates,
+            ctx, find, coldness=probabilities,
             period_ns=self.action_period_s * 1e9,
         )
         self.last_decision = decision
@@ -182,9 +188,7 @@ class TppColloidSystem(_ColloidMixin, TppSystem):
         controller = self.controller
         controller.observe(ctx)
         monitor = controller.monitor
-        latencies = monitor.latencies_ns()
-        l_d, l_a = float(latencies[0]), float(latencies[1:].min())
-        p = monitor.measured_p()
+        l_d, l_a, p, total_rate = monitor.balance()
         dp = controller.shift.compute(p, l_d, l_a)
         if ctx.tracer.enabled:
             trace_shift(ctx.tracer, controller.shift, p, dp, l_d, l_a)
@@ -192,7 +196,6 @@ class TppColloidSystem(_ColloidMixin, TppSystem):
         placement = ctx.placement
         tier = placement.pages.tier
         sizes = placement.pages.sizes_bytes
-        rates = monitor.smoothed_rates
         # The quantum's few faults are handled in Python scalars; every
         # move goes the same way, so one destination serves them all.
         moved: list = []
@@ -201,13 +204,13 @@ class TppColloidSystem(_ColloidMixin, TppSystem):
         if dp > 0 and events:
             from repro.core.limit import dynamic_migration_limit
             budget = dynamic_migration_limit(
-                dp, float(rates.sum()), ctx.quantum_ns,
+                dp, total_rate, ctx.quantum_ns,
                 controller.static_limit_bytes,
             )
             mode_promotion = l_d < l_a
             src_tier = 1 if mode_promotion else 0
             dst = 0 if mode_promotion else 1
-            r = float(rates[src_tier])
+            r = monitor.smoothed_rate(src_tier)
             acc_p, acc_b = 0.0, 0
             for event in events:
                 page = event.page

@@ -15,7 +15,7 @@ paper.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +85,10 @@ class LatencyMonitor:
             return np.zeros(self.n_tiers)
         return np.array(self._rate)
 
+    def smoothed_rate(self, tier: int) -> float:
+        """One tier's EWMA-smoothed request rate (requests/ns)."""
+        return 0.0 if self._rate is None else self._rate[tier]
+
     def latencies_ns(self) -> np.ndarray:
         """Per-tier latency estimates, ``O / R`` on the smoothed signals.
 
@@ -92,22 +96,43 @@ class LatencyMonitor:
         probe request would see, and the right operand for the balancing
         comparison (an idle tier is maximally attractive).
         """
+        return np.array(self._latencies())
+
+    def _latencies(self) -> List[float]:
+        """:meth:`latencies_ns` as floats."""
         if self._occupancy is None:
-            return self._unloaded.copy()
-        result = self._unloaded_list.copy()
-        for i, (occupancy, rate) in enumerate(zip(self._occupancy,
-                                                  self._rate)):
-            if rate > _MIN_RATE:
-                result[i] = occupancy / rate
-        # Measurement noise can push the estimate below physical unloaded
-        # latency; clamp, as the kernel implementation does.
-        return np.maximum(result, self._unloaded)
+            return self._unloaded_list.copy()
+        result = []
+        for occupancy, rate, unloaded in zip(self._occupancy, self._rate,
+                                             self._unloaded_list):
+            latency = occupancy / rate if rate > _MIN_RATE else unloaded
+            # Measurement noise can push the estimate below physical
+            # unloaded latency; clamp, as the kernel implementation does
+            # (keeping a NaN, as ``np.maximum`` would).
+            result.append(latency if latency >= unloaded
+                          or latency != latency else unloaded)
+        return result
+
+    def balance(self) -> Tuple[float, float, float, float]:
+        """What Algorithm 1 compares, as floats: ``(L_D, L_A, p, total
+        rate)`` — the default tier's latency estimate, the lowest
+        alternate-tier estimate, :meth:`measured_p` and the summed
+        smoothed request rate."""
+        latencies = self._latencies()
+        alternates = latencies[1:]
+        l_a = (alternates[0] if len(alternates) == 1
+               else float(np.min(alternates)))
+        total = self._total_rate()
+        return latencies[0], l_a, self._default_share(total), total
 
     def measured_p(self) -> float:
         """Default-tier share of total request rate (Algorithm 1, line 4)."""
-        if self._rate is None:
-            return 0.0
-        total = tier_sum(self._rate)
+        return self._default_share(self._total_rate())
+
+    def _total_rate(self) -> float:
+        return 0.0 if self._rate is None else tier_sum(self._rate)
+
+    def _default_share(self, total: float) -> float:
         if total <= _MIN_RATE:
             return 0.0
         return self._rate[0] / total

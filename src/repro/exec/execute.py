@@ -140,12 +140,18 @@ def best_case_result(workload: Workload, machine: Machine,
     )
 
 
+def _tail(metrics) -> list:
+    """The records of the run's last quarter (at least one)."""
+    return metrics.tail(max(1, len(metrics) // 4))
+
+
 def _tail_stats(metrics) -> Tuple[Tuple[float, ...], float]:
     """(per-tier tail-mean latency, default tier's tail bandwidth share)
-    over the last quarter of the run — the figures' common reduction."""
-    tail = max(1, len(metrics) // 4)
-    latencies = metrics.latencies_ns[-tail:].mean(axis=0)
-    bandwidth = metrics.app_tier_bandwidth[-tail:].mean(axis=0)
+    over the last quarter of the run — the figures' common reduction.
+    Only the tail's rows are stacked."""
+    rows = _tail(metrics)
+    latencies = np.vstack([r.latencies_ns for r in rows]).mean(axis=0)
+    bandwidth = np.vstack([r.app_tier_bandwidth for r in rows]).mean(axis=0)
     total = float(bandwidth.sum())
     share = float(bandwidth[0]) / total if total else 0.0
     return tuple(float(x) for x in latencies), share
@@ -175,9 +181,9 @@ def _tenant_payload(spec: RunSpec, loop) -> "dict | None":
     payload = {}
     for name, metrics in loop.tenant_metrics.items():
         latencies, share = _tail_stats(metrics)
-        tail = max(1, len(metrics) // 4)
+        throughput = np.array([r.throughput for r in _tail(metrics)])
         payload[name] = {
-            "throughput": float(metrics.throughput[-tail:].mean()),
+            "throughput": float(throughput.mean()),
             "tail_latencies_ns": list(latencies),
             "tail_default_share": share,
             "cpu_work": _cpu_work(systems[name]),

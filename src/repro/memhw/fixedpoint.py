@@ -2,7 +2,7 @@
 
 Given a machine (tiers + latency curves), an application core group whose
 traffic splits across tiers according to the current page placement, any
-pinned core groups (the antagonist), and extra per-tier traffic (page
+pinned core groups (the antagonist), and per-tier copy streams (page
 migrations), this module solves the coupled system
 
     per-core demand rate  =  N * 64 / L_avg          (closed loop, §3.1)
@@ -47,28 +47,36 @@ steady state between quanta):
 * **Memoization** — an exact-key LRU cache on the solver returns the
   previously computed :class:`MultiEquilibrium` in O(1) when a quantum
   re-poses the identical system (same app groups, splits, pinned
-  groups, and extra traffic; the tier specs are fixed per solver
+  groups, and copy streams; the tier specs are fixed per solver
   instance). Cached results are shared objects: treat an equilibrium as
   immutable. Disable with ``--no-solver-cache`` (the ``solver_cache``
   field of :class:`~repro.options.RunOptions`). A solve passed the last
   solve's very core groups, read-only splits (the loop's cached tier
-  splits) and pinned groups, without extra traffic, is its hit with no
-  key built; it still refreshes the LRU order, counts the hit and
-  checks a foreign ``initial_latencies``. ``validate_cache_hits`` turns
-  it off.
+  splits) and pinned groups, and copy streams equal to its streams (or
+  none, as it had none), is its hit with no key built; it still
+  refreshes the LRU order, counts the hit and checks a foreign
+  ``initial_latencies``. ``validate_cache_hits`` turns it off.
+* **Terms built once** — a core group's key (its class and field
+  values, which compare equal exactly when the groups do, hashed in C
+  rather than by the dataclass ``__hash__``) and coefficients are built
+  once per group object; the normalized split and its key bytes once
+  per distinct value of a float array split (a new split object with
+  the values of an earlier one, as when pages move back and forth, is
+  not normalized again); and the pinned groups' key and sweep entries
+  once per tuple of pairs, while the caller passes that very tuple
+  again. Copy streams are plain ``(bandwidth, randomness,
+  read_fraction)`` tuples, so they enter the key as they are.
 * **Own seeds** — the ``latencies_ns`` array a solver returned last
   (read-only, checked finite and positive when it was computed) seeds
   the next solve without being converted or checked again; any other
-  seed is validated. A miss builds each core group's coefficients once
-  per group object and normalizes each read-only split once per split
-  object.
-* **A scalar sweep** — per-solve constants (traffic-class aggregates,
+  seed is validated.
+* **A scalar sweep** — per-solve constants (copy-stream aggregates,
   core-group demand coefficients, tier mix efficiencies) are hoisted
   into Python floats once per solve, and each sweep is a short loop over
   the tiers that evaluates each tier's :class:`LatencyCurve` on a float.
   With two or three tiers this is several times cheaper than numpy calls
-  on tiny arrays. Floating-point addition order is preserved (extra
-  traffic, then the application groups in input order, then pinned
+  on tiny arrays. Floating-point addition order is preserved (copy
+  streams, then the application groups in input order, then pinned
   groups), so the per-tier sums are those the per-tier traffic lists
   always gave.
 * **A two-tier step path** — on two tiers, which is every paper
@@ -88,7 +96,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from operator import is_, mul
 from typing import List, Optional, Sequence, Tuple
@@ -97,7 +105,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.memhw.corestate import CoreGroup
-from repro.memhw.latency import LatencyCurve, TrafficClass
+from repro.memhw.latency import LatencyCurve
 from repro.memhw.tier import MemoryTierSpec
 from repro.options import RunOptions
 from repro.units import CACHELINE_BYTES
@@ -115,9 +123,14 @@ _JACOBIAN_STEP = 1e-7
 
 #: Default capacity of the per-solver memoization cache (solves).
 DEFAULT_SOLVE_CACHE_SIZE = 512
-#: Capacity of the per-object coefficient and split memos (cleared when
+#: Capacity of the per-object core-group and split memos (cleared when
 #: full).
 _MEMO_SIZE = 64
+
+#: One copy stream on one tier: ``(bandwidth, randomness,
+#: read_fraction)`` — bytes/ns of interconnect traffic, 0.0 (sequential)
+#: to 1.0 (random), and the share of it that is reads, in [0, 1].
+CopyStream = Tuple[float, float, float]
 
 @dataclass(frozen=True)
 class AppEquilibrium:
@@ -255,56 +268,87 @@ def _coefficients(group: CoreGroup) -> tuple:
             group.wire_read_fraction(), 1.0 - group.wire_read_fraction())
 
 
+def _group_key(group: CoreGroup) -> tuple:
+    """A core group's memoization key: its class and compared field
+    values, equal exactly when the dataclass ``__eq__`` says the groups
+    are."""
+    return (type(group), *[getattr(group, f.name) for f in fields(group)
+                           if f.compare])
+
+
+def _copy_streams(extra_traffic, n: int) -> tuple:
+    """The per-tier copy streams as a tuple of tuples (their key form),
+    each stream checked to be a :data:`CopyStream` in its domain."""
+    if len(extra_traffic) != n:
+        raise ConfigurationError(
+            "extra_traffic must have one entry per tier"
+        )
+    streams = tuple([tuple(tier_streams) for tier_streams in extra_traffic])
+    for tier_streams in streams:
+        for stream in tier_streams:
+            if type(stream) is not tuple or len(stream) != 3:
+                raise ConfigurationError(
+                    "a copy stream is a (bandwidth, randomness, "
+                    f"read_fraction) tuple, got {stream!r}"
+                )
+            bandwidth, randomness, read_fraction = stream
+            # A NaN bandwidth passes, as it always did; its solve
+            # overflows and raises.
+            if (bandwidth < 0 or not 0 <= randomness <= 1
+                    or not 0 <= read_fraction <= 1):
+                raise ConfigurationError(
+                    "a copy stream needs a non-negative bandwidth and a "
+                    f"randomness and read fraction in [0, 1], got {stream!r}"
+                )
+    return streams
+
+
 class _SolveProblem:
     """Per-solve constants of the fixed-point map, as Python floats.
 
     Everything that does not change across iterations is aggregated here
     once, so each sweep is a short loop of float arithmetic. The
-    extra-traffic aggregates are accumulated in the per-tier class order
+    copy-stream aggregates are accumulated in the per-tier stream order
     (and the application and pinned contributions added after, in that
     order), so float addition order — and hence the computed sums —
     matches the historical per-tier list construction. With several
     application groups the additions run in input order.
 
-    ``apps`` holds ``(coefficients, split values)`` per application and
-    ``pinned`` ``(coefficients, tier index)`` per pinned group, with the
+    ``apps`` holds the sweep entry ``(split values, *coefficients)`` of
+    each application and ``pinned`` the entry ``(tier index,
+    *coefficients[1:])`` of each pinned group with cores, with the
     coefficients of :func:`_coefficients`; ``extra`` holds the per-tier
-    extra traffic classes, or is None for no extra traffic, whose
-    aggregates are ``zeros`` (shared: sweeps copy them).
+    copy streams, or is None for none, whose aggregates are ``zeros``
+    (shared: sweeps copy them).
     """
 
     __slots__ = ("apps", "pinned", "extra_total", "extra_rand",
                  "extra_write", "extra_read", "extra_req")
 
-    def __init__(self, apps, pinned,
-                 extra: Optional[Sequence[Sequence[TrafficClass]]],
+    def __init__(self, apps: tuple, pinned: tuple,
+                 extra: Optional[Tuple[Tuple[CopyStream, ...], ...]],
                  zeros: List[float]) -> None:
-        self.apps = tuple([(split, *coefficients)
-                           for coefficients, split in apps])
-        self.pinned = tuple([(tier_idx, *coefficients[1:])
-                             for coefficients, tier_idx in pinned
-                             if coefficients[0]])
+        self.apps = apps
+        self.pinned = pinned
         if extra is None:
             self.extra_total = self.extra_rand = self.extra_write = \
                 self.extra_read = self.extra_req = zeros
             return
-        n = len(extra)
-        self.extra_total = [0.0] * n
-        self.extra_rand = [0.0] * n
-        self.extra_write = [0.0] * n
-        self.extra_read = [0.0] * n
-        self.extra_req = [0.0] * n
-        for i in range(n):
-            for cls in extra[i]:
-                self.extra_total[i] += cls.bandwidth
-                self.extra_rand[i] += cls.bandwidth * cls.randomness
-                self.extra_write[i] += (
-                    cls.bandwidth * (1.0 - cls.read_fraction)
-                )
-                self.extra_read[i] += cls.bandwidth * cls.read_fraction
-                self.extra_req[i] += (
-                    cls.bandwidth * cls.read_fraction / CACHELINE_BYTES
-                )
+        self.extra_total, self.extra_rand, self.extra_write = [], [], []
+        self.extra_read, self.extra_req = [], []
+        for tier_streams in extra:
+            total = rand = write = read = req = 0.0
+            for bandwidth, randomness, read_fraction in tier_streams:
+                total += bandwidth
+                rand += bandwidth * randomness
+                write += bandwidth * (1.0 - read_fraction)
+                read += bandwidth * read_fraction
+                req += bandwidth * read_fraction / CACHELINE_BYTES
+            self.extra_total.append(total)
+            self.extra_rand.append(rand)
+            self.extra_write.append(write)
+            self.extra_read.append(read)
+            self.extra_req.append(req)
 
 
 def _broyden_update(inverse: List[List[float]], latencies: List[float],
@@ -419,11 +463,13 @@ class EquilibriumSolver:
         # output is a valid seed) and its values as a list once needed.
         self._own_seed: Optional[np.ndarray] = None
         self._own_warm: Optional[List[float]] = None
-        # Per core group object, its coefficients; per read-only split
-        # object (and whether its group has cores), its normalization.
-        # Each entry holds its object, so the id stays its own.
-        self._coefficient_memo: dict = {}
+        # Per core group object, its key and coefficients (each entry
+        # holds its group, so the id stays its own); per (whether the
+        # group has cores, float split bytes), the normalized split; the
+        # last tuple of pinned pairs and its terms.
+        self._group_memo: dict = {}
         self._split_memo: dict = {}
+        self._pinned_memo: Optional[tuple] = None
         self._zeros = [0.0] * len(self._tiers)
         self._no_extra_key = ((),) * len(self._tiers)
         if use_cache is None:
@@ -463,7 +509,7 @@ class EquilibriumSolver:
         app: CoreGroup,
         split: Sequence[float],
         pinned: Sequence[Tuple[CoreGroup, int]] = (),
-        extra_traffic: Optional[Sequence[Sequence[TrafficClass]]] = None,
+        extra_traffic: Optional[Sequence[Sequence[CopyStream]]] = None,
         initial_latencies: Optional[Sequence[float]] = None,
     ) -> MultiEquilibrium:
         """Solve for the steady state of one application.
@@ -475,8 +521,10 @@ class EquilibriumSolver:
                 the application has any cores.
             pinned: (group, tier index) pairs whose traffic goes entirely
                 to one tier (the antagonist).
-            extra_traffic: Optional per-tier open-loop traffic classes
-                (page-migration reads/writes).
+            extra_traffic: Optional per-tier open-loop copy streams
+                (page-migration reads/writes): for each tier, a sequence
+                of :data:`CopyStream` tuples. Each is checked: bandwidth
+                non-negative, randomness and read fraction in [0, 1].
             initial_latencies: Optional warm start — per-tier latencies
                 to seed the iteration with (typically a nearby known
                 equilibrium, e.g. the previous quantum's). The fixed
@@ -504,7 +552,7 @@ class EquilibriumSolver:
         self,
         apps: Sequence[Tuple[CoreGroup, Sequence[float]]],
         pinned: Sequence[Tuple[CoreGroup, int]] = (),
-        extra_traffic: Optional[Sequence[Sequence[TrafficClass]]] = None,
+        extra_traffic: Optional[Sequence[Sequence[CopyStream]]] = None,
         initial_latencies: Optional[Sequence[float]] = None,
     ) -> MultiEquilibrium:
         """Solve one shared steady state for several application groups.
@@ -520,8 +568,8 @@ class EquilibriumSolver:
                 a stable order (the order tenants are declared). Each
                 split obeys the same rules as :meth:`solve`'s.
             pinned: As in :meth:`solve`.
-            extra_traffic: As in :meth:`solve` — typically the summed
-                migration traffic of every tenant.
+            extra_traffic: As in :meth:`solve` — typically every
+                tenant's copy streams, in tenant order.
             initial_latencies: As in :meth:`solve`.
 
         Returns:
@@ -543,7 +591,7 @@ class EquilibriumSolver:
             raise ConfigurationError(
                 "at least one application group is required"
             )
-        n = self.n_tiers
+        n = len(self._unloaded)
         # The read-only array this solver returned last was checked when
         # it was computed: it seeds without being read again.
         own_seed = (initial_latencies is not None
@@ -561,38 +609,27 @@ class EquilibriumSolver:
                 raise ConfigurationError(
                     "initial_latencies must be finite and positive"
                 )
-        # A solve passed the last solve's very objects is its hit.
-        inputs = (*chain(*apps), *chain(*pinned))
+        # A solve passed the last solve's very objects and copy streams
+        # equal to its (validated) streams is its hit.
         last, self._last_solve = self._last_solve, None
-        if (last is not None and extra_traffic is None
-                and len(inputs) == len(last[0])
-                and all(map(is_, inputs, last[0]))):
-            __, key, equilibrium = self._last_solve = last
+        inputs = (*chain(*apps), *chain(*pinned))
+        if (last is not None and len(inputs) == len(last[0])
+                and all(map(is_, inputs, last[0]))
+                and (last[1] is None if extra_traffic is None
+                     else tuple(extra_traffic) == last[1])):
+            __, __, key, equilibrium = self._last_solve = last
         else:
-            splits = [self._split_terms(group, split)
-                      for group, split in apps]
-            pinned_t = tuple((group, int(tier_idx))
-                             for group, tier_idx in pinned)
-            for _, tier_idx in pinned_t:
-                if not 0 <= tier_idx < n:
-                    raise ConfigurationError(
-                        f"pinned tier index {tier_idx} out of range"
-                    )
+            terms = [self._app_terms(group, split) for group, split in apps]
+            pinned_key, pinned_entries = self._pinned_terms(pinned)
             if extra_traffic is None:
                 extra = None
                 extra_key = self._no_extra_key
-            elif len(extra_traffic) != n:
-                raise ConfigurationError(
-                    "extra_traffic must have one entry per tier"
-                )
             else:
-                extra = extra_key = tuple([tuple(classes)
-                                           for classes in extra_traffic])
+                extra = extra_key = _copy_streams(extra_traffic, n)
             key = equilibrium = None
             if self._cache_enabled:
-                key = (tuple([(group, terms[2]) for (group, _), terms
-                              in zip(apps, splits)]),
-                       pinned_t, extra_key)
+                key = (tuple([app_terms[0] for app_terms in terms]),
+                       pinned_key, extra_key)
                 equilibrium = self._cache.get(key)
         self.last_was_cache_hit = equilibrium is not None
         self.last_hit_residual = None
@@ -600,7 +637,7 @@ class EquilibriumSolver:
             self._cache.move_to_end(key)
             self.cache_hits += 1
             if self._validate_cache_hits:
-                problem = self._problem(apps, splits, pinned_t, extra)
+                problem = self._problem(terms, pinned_entries, extra)
                 latencies = equilibrium.latencies_ns.tolist()
                 check_lat, _ = self._evaluate(problem, latencies)
                 self.last_hit_residual = _relative_residual(
@@ -609,7 +646,7 @@ class EquilibriumSolver:
             if latencies_ns is not self._own_seed:
                 self._own_seed, self._own_warm = latencies_ns, None
         else:
-            problem = self._problem(apps, splits, pinned_t, extra)
+            problem = self._problem(terms, pinned_entries, extra)
             if own_seed:
                 warm = (self._own_warm if self._own_warm is not None
                         else initial_latencies.tolist())
@@ -621,10 +658,10 @@ class EquilibriumSolver:
                 latencies_ns=latencies_ns,
                 apps=tuple([
                     AppEquilibrium(avg_latency_ns=avg, read_rate=rate,
-                                   split=split,
+                                   split=app_terms[2],
                                    tier_read_rate=np.array(tier_read))
-                    for (avg, rate, tier_read), (split, _, _)
-                    in zip(app_states, splits)
+                    for (avg, rate, tier_read), app_terms
+                    in zip(app_states, terms)
                 ]),
                 tier_wire_traffic=np.array(wire),
                 tier_read_request_rate=np.array(req),
@@ -639,61 +676,120 @@ class EquilibriumSolver:
                 if len(self._cache) > self._cache_size:
                     self._cache.popitem(last=False)
         if (self._last_solve is None and key is not None
-                and extra_traffic is None and not self._validate_cache_hits
+                and not self._validate_cache_hits
                 and all(isinstance(split, np.ndarray)
                         and not split.flags.writeable
                         for _, split in apps)):
-            self._last_solve = (inputs, key, equilibrium)
+            self._last_solve = (inputs, key[2] if extra_traffic is not None
+                                else None, key, equilibrium)
         return equilibrium
+
+    def _problem(self, terms, pinned_entries, extra) -> _SolveProblem:
+        """The :class:`_SolveProblem` of the applications' ``terms``."""
+        return _SolveProblem(tuple([app_terms[1] for app_terms in terms]),
+                             pinned_entries, extra, self._zeros)
+
+    def _group_terms(self, group: CoreGroup) -> tuple:
+        """``(key, coefficients)`` of a core group (:func:`_group_key`,
+        :func:`_coefficients`), built once per group object."""
+        entry = self._group_memo.get(id(group))
+        if entry is None:
+            if len(self._group_memo) >= _MEMO_SIZE:
+                self._group_memo.clear()
+            entry = self._group_memo[id(group)] = (
+                group, (_group_key(group), _coefficients(group)))
+        return entry[1]
+
+    def _app_terms(self, group: CoreGroup, split) -> tuple:
+        """``(key, sweep entry, split array)`` of one application: its
+        part of the cache key (group key, normalized split bytes), its
+        :class:`_SolveProblem` entry, and the normalized split the
+        equilibrium keeps."""
+        group_key, coefficients = self._group_terms(group)
+        array, values, split_bytes = self._split_terms(group, split)
+        return (group_key, split_bytes), (values, *coefficients), array
 
     def _split_terms(self, group: CoreGroup, split) -> tuple:
         """``(array, values, bytes)`` of the normalized split: the array
-        the equilibrium keeps, its floats, and its cache-key bytes. A
-        read-only array split is normalized once per object."""
-        memo_key = (id(split), group.n_cores > 0)
-        entry = self._split_memo.get(memo_key)
-        if entry is not None:
-            return entry[1]
-        array = self._normalize_split(group, split)
-        terms = (array, array.tolist(), array.tobytes())
-        if isinstance(split, np.ndarray) and not split.flags.writeable:
+        the equilibrium keeps, its floats and its cache-key bytes. A
+        float array split is normalized once per value, and its
+        normalized array, shared by equal splits, is read-only."""
+        memo_key = None
+        if (type(split) is np.ndarray and split.dtype == np.float64
+                and split.ndim == 1):
+            memo_key = (group.n_cores > 0, split.tobytes())
+            terms = self._split_memo.get(memo_key)
+            if terms is not None:
+                return terms
+        array, values = self._normalize_split(group, split)
+        terms = (array, values, array.tobytes())
+        if memo_key is not None:
             array.flags.writeable = False
             if len(self._split_memo) >= _MEMO_SIZE:
                 self._split_memo.clear()
-            self._split_memo[memo_key] = (split, terms)
+            self._split_memo[memo_key] = terms
         return terms
 
-    def _problem(self, apps, splits, pinned_t, extra) -> _SolveProblem:
-        """The :class:`_SolveProblem` of a miss."""
-        return _SolveProblem(
-            [(self._coefficients(group), values)
-             for (group, _), (_, values, _) in zip(apps, splits)],
-            [(self._coefficients(group), tier_idx)
-             for group, tier_idx in pinned_t],
-            extra, self._zeros)
+    def _pinned_terms(self, pinned) -> tuple:
+        """``(key, sweep entries)`` of the pinned groups: their part of
+        the cache key and the :class:`_SolveProblem` entries of those
+        with cores. A tuple of ``(group, int)`` pairs passed again is
+        recognized by identity."""
+        memo = self._pinned_memo
+        if memo is not None and pinned is memo[0]:
+            return memo[1]
+        n = len(self._unloaded)
+        key = []
+        entries = []
+        for group, tier_idx in pinned:
+            tier_idx = int(tier_idx)
+            if not 0 <= tier_idx < n:
+                raise ConfigurationError(
+                    f"pinned tier index {tier_idx} out of range"
+                )
+            group_key, coefficients = self._group_terms(group)
+            key.append((group_key, tier_idx))
+            if coefficients[0]:
+                entries.append((tier_idx, *coefficients[1:]))
+        terms = (tuple(key), tuple(entries))
+        if type(pinned) is tuple and all(
+                type(pair) is tuple and type(pair[1]) is int
+                for pair in pinned):
+            self._pinned_memo = (pinned, terms)
+        return terms
 
-    def _coefficients(self, group: CoreGroup) -> tuple:
-        """:func:`_coefficients` of ``group``, built once per group
-        object."""
-        entry = self._coefficient_memo.get(id(group))
-        if entry is None:
-            if len(self._coefficient_memo) >= _MEMO_SIZE:
-                self._coefficient_memo.clear()
-            entry = self._coefficient_memo[id(group)] = (
-                group, _coefficients(group))
-        return entry[1]
+    def _normalize_split(self, app: CoreGroup, split: Sequence[float]):
+        """``(array, values)``: the normalized split as an array and as
+        its floats.
 
-    def _normalize_split(self, app: CoreGroup,
-                         split: Sequence[float]) -> np.ndarray:
-        n = self.n_tiers
+        Per-tier floats give the values np.clip and the array division
+        would (NaN propagates, -0.0 clips to 0.0), without numpy's
+        per-call cost on two or three elements; two tiers are
+        straight-line floats.
+        """
+        n = len(self._unloaded)
         split_arr = np.asarray(split, dtype=float)
         if split_arr.shape != (n,):
             raise ConfigurationError(
                 f"split must have {n} entries, got shape {split_arr.shape}"
             )
-        # Per-tier floats: the same values np.clip and the array division
-        # give (NaN propagates, -0.0 clips to 0.0), without numpy's
-        # per-call cost on two or three elements.
+        if n == 2:
+            first, second = split_arr.tolist()
+            if first < -1e-12 or second < -1e-12:
+                raise ConfigurationError(
+                    "split fractions must be non-negative")
+            first = 0.0 if first <= 0.0 else first
+            second = 0.0 if second <= 0.0 else second
+            total_split = (0.0 + first) + second
+            if app.n_cores > 0:
+                if abs(total_split - 1.0) > 1e-6:
+                    raise ConfigurationError(
+                        f"split must sum to 1, got {total_split}"
+                    )
+                first /= total_split
+                second /= total_split
+            values = [first, second]
+            return np.array(values), values
         values = split_arr.tolist()
         if any(v < -1e-12 for v in values):
             raise ConfigurationError("split fractions must be non-negative")
@@ -705,7 +801,7 @@ class EquilibriumSolver:
                     f"split must sum to 1, got {total_split}"
                 )
             values = [v / total_split for v in values]
-        return np.array(values)
+        return np.array(values), values
 
     def _iterate(self, problem: _SolveProblem,
                  warm: Optional[List[float]]):

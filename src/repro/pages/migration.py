@@ -202,9 +202,19 @@ class MigrationExecutor:
         # from zero gives the first quantum exactly one quantum's budget.
         self._tokens = 0
         self.tracer = NULL_TRACER if tracer is None else tracer
-        # The per-tier copy bytes of an empty plan (read-only, shared).
-        self._no_bytes = np.zeros(placement.n_tiers, dtype=np.int64)
-        self._no_bytes.flags.writeable = False
+        # The result of an empty plan: one shared instance per executor,
+        # whose per-tier copy bytes are read-only zeros.
+        no_bytes = np.zeros(placement.n_tiers, dtype=np.int64)
+        no_bytes.flags.writeable = False
+        self.empty_result = MigrationResult(
+            bytes_moved=0, moves_applied=0, moves_skipped=0,
+            moves_deferred=0,
+            read_bytes_per_tier=no_bytes,
+            write_bytes_per_tier=no_bytes,
+            moved_pages=_NO_MOVES,
+            moved_src_tiers=_NO_MOVES,
+            moved_dst_tiers=_NO_MOVES,
+        )
 
     @property
     def limit_bytes_per_quantum(self) -> int:
@@ -229,7 +239,8 @@ class MigrationExecutor:
                 dynamic migration limit).
 
         Returns:
-            A :class:`MigrationResult`; the placement state is mutated.
+            A :class:`MigrationResult` (:attr:`empty_result` for an
+            empty plan); the placement state is mutated.
         """
         if quantum_ns <= 0:
             raise ConfigurationError("quantum must be positive")
@@ -242,16 +253,8 @@ class MigrationExecutor:
         n_planned = len(plan)
         if not n_planned:
             # Most quanta plan nothing: the tokens accrued above are all
-            # an empty plan changes.
-            return MigrationResult(
-                bytes_moved=0, moves_applied=0, moves_skipped=0,
-                moves_deferred=0,
-                read_bytes_per_tier=self._no_bytes,
-                write_bytes_per_tier=self._no_bytes,
-                moved_pages=_NO_MOVES,
-                moved_src_tiers=_NO_MOVES,
-                moved_dst_tiers=_NO_MOVES,
-            )
+            # an empty plan changes, and its result is the shared one.
+            return self.empty_result
         pages = placement.pages
 
         moved_read = [0] * n_tiers   # bytes read per tier

@@ -152,16 +152,24 @@ class PlacementState:
             raise ConfigurationError("probability vector length mismatch")
         split = np.zeros(self.n_tiers)
         tier = self._pages.tier
-        for t in range(self.n_tiers):
-            split[t] = access_probs[tier == t].sum()
-        # Page sizes are positive, so when the tiers hold every byte no
-        # page is unplaced and the unplaced pass has nothing to find.
-        if sum(self._used) != self._pages.total_bytes:
-            unplaced = access_probs[tier == UNPLACED].sum()
+        # ``compress`` selects what boolean indexing does, in page order,
+        # for less. Page sizes are positive, so when the tiers hold every
+        # byte no page is unplaced: on two tiers, the pages outside tier
+        # 0 are exactly tier 1's.
+        if sum(self._used) == self._pages.total_bytes:
+            if self.n_tiers == 2:
+                in_default = tier == 0
+                split[0] = access_probs.compress(in_default).sum()
+                split[1] = access_probs.compress(~in_default).sum()
+                return split
+        else:
+            unplaced = access_probs.compress(tier == UNPLACED).sum()
             if unplaced > 1e-12:
                 raise ConfigurationError(
                     "accessed pages must be placed before solving"
                 )
+        for t in range(self.n_tiers):
+            split[t] = access_probs.compress(tier == t).sum()
         return split
 
 

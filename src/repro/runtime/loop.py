@@ -36,7 +36,6 @@ from repro.memhw.antagonist import antagonist_core_group
 from repro.memhw.cha import ChaCounters
 from repro.memhw.corestate import CoreGroup
 from repro.memhw.fixedpoint import EquilibriumSolver, tier_sum
-from repro.memhw.latency import TrafficClass
 from repro.memhw.topology import Machine
 from repro.obs.events import TRACE_SCHEMA_VERSION
 from repro.obs.profile import PhaseProfiler
@@ -55,6 +54,9 @@ from repro.workloads.base import Workload
 #: Default static migration limit: 25 MiB per 10 ms quantum (2.5 GiB/s),
 #: in line with the rate limits the evaluated systems configure.
 DEFAULT_MIGRATION_LIMIT_PER_QUANTUM = 25 * mib(1)
+
+#: Access-pattern randomness of page-copy traffic (page-sized streams).
+COPY_RANDOMNESS = 0.3
 
 ContentionSchedule = Union[int, Callable[[float], int]]
 
@@ -203,9 +205,12 @@ class _Tenant:
         migration rate over the following quanta.
 
         Returns:
-            (per-tier traffic-class lists or None, bytes charged) — the
-            migration bandwidth presented to the equilibrium solver and
-            the amount recorded as this quantum's migration volume.
+            (per-tier copy streams or None, bytes charged) — the
+            migration bandwidth presented to the equilibrium solver, as
+            a list of one tuple of
+            :data:`~repro.memhw.fixedpoint.CopyStream` per tier (reads,
+            then writes), and the amount recorded as this quantum's
+            migration volume.
         """
         read_debt = self.copy_read_debt
         write_debt = self.copy_write_debt
@@ -219,24 +224,18 @@ class _Tenant:
         fraction = min(1.0, rate_limit / max(moved_debt, 1.0))
         charged_read = [debt * fraction for debt in read_debt]
         charged_write = [debt * fraction for debt in write_debt]
-        traffic = []
+        streams = []
         for t, (read, write) in enumerate(zip(charged_read,
                                               charged_write)):
             read_debt[t] -= read
             write_debt[t] -= write
-            classes = []
+            tier_streams = ()
             if read > 0:
-                classes.append(TrafficClass(
-                    bandwidth=read / quantum_ns,
-                    randomness=0.3, read_fraction=1.0,
-                ))
+                tier_streams = ((read / quantum_ns, COPY_RANDOMNESS, 1.0),)
             if write > 0:
-                classes.append(TrafficClass(
-                    bandwidth=write / quantum_ns,
-                    randomness=0.3, read_fraction=0.0,
-                ))
-            traffic.append(classes)
-        return traffic, int(tier_sum(charged_read))
+                tier_streams += ((write / quantum_ns, COPY_RANDOMNESS, 0.0),)
+            streams.append(tier_streams)
+        return streams, int(tier_sum(charged_read))
 
     def add_copy_debt(self, result) -> None:
         """Owe the copies of an executed migration batch."""
@@ -288,7 +287,8 @@ class QuantumLoop:
       metrics, ``run_end`` counters — is the tuple :attr:`observers`,
       built once from :attr:`options` and the tracer
       (:mod:`repro.runtime.observers`); the phase profiler stays a lap
-      timer between their hooks.
+      timer between their hooks, and is not called at all when it is
+      off.
     """
 
     def _setup(self, machine: Machine, quantum_ms: float,
@@ -330,8 +330,11 @@ class QuantumLoop:
         # Last antagonist intensity observed; a change mid-run is the
         # paper's Fig. 4c dynamism and opens a new diagnostics epoch.
         self._last_intensity: Optional[int] = None
-        # The antagonist's core group at that intensity.
+        # The antagonist's core group at that intensity, and the pinned
+        # pairs of the solve: one tuple per intensity, so the solver
+        # recognizes it by identity.
         self._antagonist: Optional[CoreGroup] = None
+        self._pinned: tuple = ()
         # The last solved equilibrium and what the records take from it:
         # CPU-observed latencies, measured p, per-tenant bandwidth.
         self._recorded_eq = None
@@ -427,11 +430,13 @@ class QuantumLoop:
         t = self.time_s
         tracer = self.tracer
         profiler = self.profiler
+        profiling = profiler.enabled
         observers = self.observers
         tenants = self._tenants
         if tracer.enabled:
             tracer.time_s = t
-        profiler.start()
+        if profiling:
+            profiler.start()
 
         # 1. Advance workloads and the antagonist schedule.
         for tenant in tenants:
@@ -463,6 +468,7 @@ class QuantumLoop:
         if intensity != self._last_intensity:
             self._antagonist = antagonist_core_group(
                 intensity, self.machine.antagonist)
+            self._pinned = ((self._antagonist, 0),)
             previous = self._last_intensity
             self._last_intensity = intensity
             if previous is not None and tracer.enabled:
@@ -473,26 +479,27 @@ class QuantumLoop:
                     previous=previous,
                     epoch=self._epoch,
                 )
-        antagonist = self._antagonist
-        dt_workload = profiler.lap("workload_advance")
+        if profiling:
+            dt_workload = profiler.lap("workload_advance")
 
-        # 2. One shared solve over every tenant's demand plus the summed
-        # migration traffic (tenant order keeps the sum deterministic).
-        combined_traffic = None
+        # 2. One shared solve over every tenant's demand plus every
+        # tenant's copy streams (tenant order keeps the sum
+        # deterministic).
+        combined_streams = None
         for tenant in tenants:
-            traffic, tenant.charged = tenant.drain_copy_debt(
+            streams, tenant.charged = tenant.drain_copy_debt(
                 self._migration_limit_bytes, self.quantum_ns)
-            if combined_traffic is None:
-                combined_traffic = traffic
-            elif traffic is not None:
-                for tier, classes in enumerate(traffic):
-                    combined_traffic[tier].extend(classes)
+            if combined_streams is None:
+                combined_streams = streams
+            elif streams is not None:
+                for tier, tier_streams in enumerate(streams):
+                    combined_streams[tier] += tier_streams
         self._apps = apps = [(tenant.app_core_group(), tenant.split)
                              for tenant in tenants]
         equilibrium = _solve_apps(
             self.solver, apps,
-            pinned=[(antagonist, 0)],
-            extra_traffic=combined_traffic,
+            pinned=self._pinned,
+            extra_traffic=combined_streams,
             initial_latencies=self._warm_latencies,
         )
         self._warm_latencies = equilibrium.latencies_ns
@@ -513,7 +520,8 @@ class QuantumLoop:
         latencies_ns, measured_p, bandwidths = self._recorded
         for observer in observers:
             observer.post_solve(t, equilibrium, self.solver)
-        dt_solve = profiler.lap("equilibrium_solve")
+        if profiling:
+            dt_solve = profiler.lap("equilibrium_solve")
         if tracer.enabled:
             tracer.emit(
                 "solver_converged",
@@ -542,11 +550,11 @@ class QuantumLoop:
                 placement=tenant.placement,
                 cha=tenant.cha.window(equilibrium, self.quantum_ns),
                 feed=feed,
-                rng=tenant.rng,
                 tracer=tenant.tracer,
             )
             decision = tenant.spec.system.quantum(ctx)
-            dt_decide += profiler.lap("tiering_decision")
+            if profiling:
+                dt_decide += profiler.lap("tiering_decision")
             for observer in observers:
                 observer.post_decision(t, tenant)
             result = tenant.executor.execute(
@@ -554,11 +562,13 @@ class QuantumLoop:
             )
             if result.bytes_moved > 0:
                 tenant.add_copy_debt(result)
-            dt_migrate += profiler.lap("migration_execute")
+            if profiling:
+                dt_migrate += profiler.lap("migration_execute")
             for observer in observers:
                 observer.post_execute(t, tenant, decision, result)
-            # Observation belongs to no phase.
-            profiler.start()
+            if profiling:
+                # Observation belongs to no phase.
+                profiler.start()
 
             record = QuantumRecord(
                 time_s=t,
@@ -598,7 +608,7 @@ class QuantumLoop:
             )
         for observer in observers:
             observer.end_of_quantum(t, aggregate)
-        if profiler.enabled and tracer.enabled:
+        if profiling and tracer.enabled:
             tracer.emit(
                 "phase_timing",
                 phases={

@@ -65,6 +65,13 @@ class MetricsRecorder:
         """All recorded quanta, in time order."""
         return list(self._records)
 
+    def tail(self, n: int) -> List[QuantumRecord]:
+        """The last ``n`` (at least one) recorded quanta, in time order."""
+        if n < 1:
+            raise ConfigurationError(f"tail length must be >= 1, got {n}")
+        self._require_data()
+        return self._records[-n:]
+
     def _require_data(self) -> None:
         if not self._records:
             raise ConfigurationError("no records yet")

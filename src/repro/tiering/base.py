@@ -44,19 +44,18 @@ class QuantumContext:
     """
 
     __slots__ = ("time_s", "quantum_ns", "placement", "_cha", "feed",
-                 "rng", "tracer")
+                 "tracer")
 
     def __init__(self, time_s: float, quantum_ns: float,
                  placement: PlacementState,
                  cha: Union[ChaSample, Callable[[], ChaSample]],
-                 feed: AccessFeed, rng: np.random.Generator,
+                 feed: AccessFeed,
                  tracer: object = NULL_TRACER) -> None:
         self.time_s = time_s
         self.quantum_ns = quantum_ns
         self.placement = placement
         self._cha = cha
         self.feed = feed
-        self.rng = rng
         self.tracer = tracer
 
     @property

@@ -81,8 +81,10 @@ class TppSystem(TieringSystem):
 
     def collect_faults(self, ctx: QuantumContext):
         """Run the scanner/fault machinery for this quantum."""
+        feed = ctx.feed
         events = self.tracker.quantum(
-            page_access_rates=ctx.feed.page_access_rates(),
+            access_probs=feed.access_probs,
+            request_rate=feed.request_rate,
             now_ns=ctx.time_s * 1e9,
             quantum_ns=ctx.quantum_ns,
         )

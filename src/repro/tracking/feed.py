@@ -4,8 +4,10 @@ Tiering systems must not read the workload's true access distribution —
 on real hardware they only see sampled or fault-driven signals. The
 :class:`AccessFeed` is the boundary: the runtime constructs one per quantum
 from the true distribution and the solved request rate, and systems draw
-*observations* from it (PEBS samples, fault arrivals). All randomness is
-owned by the feed's RNG so experiments are reproducible.
+*observations* from it: PEBS samples from the feed's own RNG, and hint
+faults from the tracking substrate (:mod:`repro.tracking.hintfaults`,
+seeded by its system), whose exponential clocks run on the per-page
+access rates.
 """
 
 from __future__ import annotations
@@ -73,12 +75,11 @@ class AccessFeed:
         return self._rng.multinomial(n_samples, self._probs).astype(
             np.int64, copy=False)
 
-    def page_access_rates(self) -> np.ndarray:
-        """Per-page access rates (requests/ns) — the physical quantity the
-        hint-fault tracker's exponential clocks run on."""
-        return self._probs * self.request_rate
-
     @property
-    def rng(self) -> np.random.Generator:
-        """The feed's RNG (shared with fault generation)."""
-        return self._rng
+    def access_probs(self) -> np.ndarray:
+        """The true per-page access distribution, for the tracking
+        substrates that simulate physical signals on it, not for
+        placement policy: page ``i`` is accessed at ``access_probs[i] *
+        request_rate`` requests/ns, the rate the hint-fault tracker's
+        exponential clocks run on."""
+        return self._probs

@@ -46,14 +46,18 @@ class HintFaultTracker:
     after access-pattern changes (§5.2).
 
     A quantum costs what it scans and faults, not what the address space
-    holds. Two structures are kept up to date instead of re-derived: the
+    holds. A page's access rate is its probability times the request
+    rate, multiplied out only for the pages that arm a fault. Two
+    structures are kept up to date instead of re-derived: the
     ascending list of marked pages without a due time (the last scan's
     fresh marks plus pages whose rate was not positive) and a heap of
-    ``(due_ns, page)`` for the marked pages that have one. Each pending
-    page draws its wait with one scalar ``exponential``, in ascending page
-    order: numpy draws an array of waits element by element as
-    ``scale * standard_exponential``, so the stream is the one a single
-    array draw over the same pages would consume.
+    ``(due_ns, page)`` for the marked pages that have one. The pending
+    pages with a positive rate draw their waits from one
+    ``standard_exponential`` call, in ascending page order, each scaled
+    by ``1 / rate``: numpy's ``exponential(scale)`` is ``scale *
+    standard_exponential`` drawn element by element, so the waits and the
+    stream are those of one scalar ``exponential`` per page, or of a
+    single array draw over the same pages.
     """
 
     def __init__(self, n_pages: int, scan_pages_per_quantum: int,
@@ -76,14 +80,16 @@ class HintFaultTracker:
         """Indices of currently marked (fault-armed) pages."""
         return np.flatnonzero(np.frombuffer(self._marked, dtype=np.uint8))
 
-    def quantum(self, page_access_rates: np.ndarray, now_ns: float,
-                quantum_ns: float) -> List[FaultEvent]:
+    def quantum(self, access_probs: np.ndarray, request_rate: float,
+                now_ns: float, quantum_ns: float) -> List[FaultEvent]:
         """Advance one quantum: deliver due faults, then scan more pages.
 
         Args:
-            page_access_rates: True per-page access rates (requests/ns)
-                during this quantum — the physical clocks of the armed
-                faults.
+            access_probs: True per-page access probabilities during this
+                quantum.
+            request_rate: Total requests/ns; page ``i``'s access rate,
+                the physical clock of its armed fault, is
+                ``access_probs[i] * request_rate``.
             now_ns: Time at the *start* of the quantum.
             quantum_ns: Quantum duration.
 
@@ -91,8 +97,8 @@ class HintFaultTracker:
             Fault events that fired during the quantum, in page order,
             with their time-to-fault measurements.
         """
-        if page_access_rates.shape != (self._n_pages,):
-            raise ConfigurationError("access rate shape mismatch")
+        if access_probs.shape != (self._n_pages,):
+            raise ConfigurationError("access probability shape mismatch")
         end = now_ns + quantum_ns
         marked = self._marked
         mark_time = self._mark_time
@@ -100,16 +106,24 @@ class HintFaultTracker:
 
         # Arm due-times for pages marked but not yet scheduled (rate may
         # have been zero, or the page was just marked last quantum). The
-        # rate stays a numpy scalar so ``1.0 / rate`` keeps its dtype.
+        # rate is the numpy scalar product ``access_probs * request_rate``
+        # would hold, so ``1.0 / rate`` keeps its dtype.
         waiting = []
+        armed = []
         for page in self._pending:
-            rate = page_access_rates[page]
+            rate = access_probs[page] * request_rate
             if rate > 0:
-                at = now_ns + self._rng.exponential(1.0 / rate)
+                armed.append((page, float(1.0 / rate)))
+            else:
+                waiting.append(page)
+        if armed:
+            draws = self._rng.standard_exponential(len(armed)).tolist()
+            for (page, scale), draw in zip(armed, draws):
+                at = now_ns + scale * draw
                 if isfinite(at):
                     heappush(due, (at, page))
-                    continue
-            waiting.append(page)
+                else:
+                    waiting.append(page)
 
         fired = []
         while due and due[0][0] <= end:

@@ -32,7 +32,7 @@ def make_ctx(placement, occupancy, rate):
     )
     return QuantumContext(
         time_s=0.0, quantum_ns=1e7, placement=placement, cha=sample,
-        feed=None, rng=np.random.default_rng(0),
+        feed=None,
     )
 
 

@@ -28,15 +28,14 @@ def make_ctx(placement, occupancy, rate, probs=None, request_rate=1.0):
     n = placement.pages.n_pages
     if probs is None:
         probs = np.full(n, 1.0 / n)
-    rng = np.random.default_rng(0)
     return QuantumContext(
         time_s=0.0,
         quantum_ns=1e7,
         placement=placement,
         cha=ChaSample(np.asarray(occupancy, float),
                       np.asarray(rate, float), 1e7),
-        feed=AccessFeed(probs, request_rate, 1e7, rng),
-        rng=rng,
+        feed=AccessFeed(probs, request_rate, 1e7,
+                        np.random.default_rng(0)),
     )
 
 

@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.memhw.antagonist import antagonist_core_group
 from repro.memhw.corestate import CoreGroup
 from repro.memhw.fixedpoint import EquilibriumSolver
-from repro.memhw.latency import TrafficClass
 from repro.memhw.topology import paper_testbed
 
 
@@ -104,8 +103,7 @@ class TestEquilibriumBasics:
         base = solver.solve(app, [0.9, 0.1])
         loaded = solver.solve(
             app, [0.9, 0.1],
-            extra_traffic=[[TrafficClass(60.0, randomness=0.3,
-                                         read_fraction=1.0)], []],
+            extra_traffic=[[(60.0, 0.3, 1.0)], []],
         )
         assert loaded.latencies_ns[0] > base.latencies_ns[0]
 

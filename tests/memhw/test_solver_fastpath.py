@@ -18,7 +18,6 @@ from repro.memhw.fixedpoint import (
     SOLVER_RELATIVE_TOLERANCE,
     EquilibriumSolver,
 )
-from repro.memhw.latency import TrafficClass
 from repro.memhw.topology import paper_testbed
 from repro.options import SOLVER_CACHE_ENV_VAR, RunOptions
 
@@ -65,10 +64,7 @@ class TestWarmStartFidelity:
         ant = antagonist_core_group(intensity, machine.antagonist)
         pinned = [(ant, 0)]
         bw = migration_mib * 1024 * 1024 / 1e9  # bytes/ns
-        extra = (
-            [(TrafficClass(bw, randomness=0.3, read_fraction=1.0),)
-             if bw > 0 else (), ()]
-        )
+        extra = [((bw, 0.3, 1.0),) if bw > 0 else (), ()]
         cold = EquilibriumSolver(machine.tiers, use_cache=False)
         warm = EquilibriumSolver(machine.tiers, use_cache=False)
         # Seed from a (possibly distant) other equilibrium.
@@ -154,7 +150,7 @@ class TestMemoizationFidelity:
         solver.solve(_app(), [0.6, 0.4])
         solver.solve(_app(), [0.61, 0.39])
         solver.solve(_app(n_cores=12), [0.6, 0.4])
-        extra = [(TrafficClass(0.5, 0.3, 1.0),), ()]
+        extra = [((0.5, 0.3, 1.0),), ()]
         solver.solve(_app(), [0.6, 0.4], extra_traffic=extra)
         assert solver.cache_hits == 0
         assert solver.cache_misses == 4

@@ -21,7 +21,6 @@ from repro.experiments.common import ExperimentConfig
 from repro.memhw.antagonist import antagonist_core_group
 from repro.memhw.corestate import CoreGroup
 from repro.memhw.fixedpoint import EquilibriumSolver
-from repro.memhw.latency import TrafficClass
 from repro.memhw.topology import cxl_testbed, hbm_testbed, paper_testbed
 from repro.workloads.gups import GupsWorkload
 from tests.core.test_multitier import three_tier_machine
@@ -67,8 +66,8 @@ def _posed(machine_name, weights, intensity, migration_mib):
     bw = migration_mib * 1024 * 1024 / 1e9  # bytes/ns
     extra = [() for _ in range(n)]
     if bw > 0:
-        extra[0] = (TrafficClass(bw, randomness=0.3, read_fraction=0.0),)
-        extra[-1] = (TrafficClass(bw, randomness=0.3, read_fraction=1.0),)
+        extra[0] = ((bw, 0.3, 0.0),)
+        extra[-1] = ((bw, 0.3, 1.0),)
     return machine, app, split, pinned, extra
 
 
@@ -238,8 +237,7 @@ def test_overloaded_solve_finishes_on_the_damped_fallback(monkeypatch):
     finishes on damped updates. It must still reach the fixed point."""
     machine = paper_testbed()
     app = CoreGroup("app", 18, 20.0, randomness=0.75, read_fraction=0.15)
-    extra = [(TrafficClass(18.0, randomness=0.3, read_fraction=0.0),),
-             (TrafficClass(18.0, randomness=0.3, read_fraction=1.0),)]
+    extra = [((18.0, 0.3, 0.0),), ((18.0, 0.3, 1.0),)]
     pinned = [(antagonist_core_group(1, machine.antagonist), 0)]
     newton_points = [0]
     original = EquilibriumSolver._newton_point

@@ -37,7 +37,6 @@ from repro.memhw.fixedpoint import (
     _relative_residual,
     _relative_residual_n,
 )
-from repro.memhw.latency import TrafficClass
 from repro.memhw.topology import paper_testbed
 from repro.workloads.gups import GupsWorkload
 from tests.core.test_multitier import three_tier_machine
@@ -194,7 +193,7 @@ def test_degenerate_broyden_step_leaves_the_inverse(candidate,
 def problems(draw):
     """A two-tier solver and the problem of one miss: core groups with
     and without cores, splits with zeros, pinned groups on either tier,
-    with or without extra traffic."""
+    with or without copy streams."""
     solver = EquilibriumSolver(paper_testbed().tiers, use_cache=False)
 
     def group(name):
@@ -212,12 +211,11 @@ def problems(draw):
     pinned = tuple((group(f"pin{i}"), draw(st.integers(0, 1)))
                    for i in range(draw(st.integers(0, 2))))
     extra = draw(st.none() | st.just(
-        ((TrafficClass(draw(st.floats(0.0, 30.0)), randomness=0.3,
-                       read_fraction=1.0),),
-         (TrafficClass(draw(st.floats(0.0, 30.0)), randomness=0.3,
-                       read_fraction=0.0),))))
-    splits = [solver._split_terms(app, split) for app, split in apps]
-    return solver, solver._problem(apps, splits, pinned, extra)
+        (((draw(st.floats(0.0, 30.0)), 0.3, 1.0),),
+         ((draw(st.floats(0.0, 30.0)), 0.3, 0.0),))))
+    terms = [solver._app_terms(app, split) for app, split in apps]
+    __, pinned_entries = solver._pinned_terms(pinned)
+    return solver, solver._problem(terms, pinned_entries, extra)
 
 
 latencies = st.lists(st.one_of(st.sampled_from(EDGES),
@@ -295,8 +293,7 @@ def _chain(machine, splits, extra=None):
 
 
 def test_two_tier_solves_match_the_general_steps(monkeypatch):
-    extra = [(TrafficClass(0.5, randomness=0.3, read_fraction=1.0),),
-             (TrafficClass(0.5, randomness=0.3, read_fraction=0.0),)]
+    extra = [((0.5, 0.3, 1.0),), ((0.5, 0.3, 0.0),)]
     splits = [[p, 1.0 - p] for p in np.linspace(0.0, 1.0, 41).tolist()]
     two_tier = _chain(paper_testbed(), splits, extra)
     _general_steps(monkeypatch)
@@ -338,8 +335,7 @@ def test_three_tier_solves_take_the_general_path(monkeypatch):
     machine = three_tier_machine()
     splits = [[p, (1.0 - p) * 0.6, (1.0 - p) * 0.4]
               for p in [0.2 + 0.05 * i for i in range(12)]]
-    extra = [(TrafficClass(0.5, randomness=0.3, read_fraction=1.0),), (),
-             (TrafficClass(0.5, randomness=0.3, read_fraction=0.0),)]
+    extra = [((0.5, 0.3, 1.0),), (), ((0.5, 0.3, 0.0),)]
     equilibria = _chain(machine, splits, extra)
     assert set(calls) == {"_relative_residual_n", "_newton_point_n",
                           "_broyden_update_n", "_evaluate_n"}

@@ -31,7 +31,6 @@ from repro.experiments.common import scaled_machine
 from repro.memhw.antagonist import antagonist_core_group
 from repro.memhw.corestate import CoreGroup
 from repro.memhw.fixedpoint import EquilibriumSolver
-from repro.memhw.latency import TrafficClass
 from repro.memhw.topology import paper_testbed
 from repro.pages.migration import MigrationExecutor, MigrationPlan
 from repro.pages.pagestate import PageArray
@@ -223,8 +222,7 @@ class TestSolverSameInputs:
         solver = _solver()
         split = _frozen(0.7, 0.3)
         first = _solve(solver, split)
-        copy = [[TrafficClass(bandwidth=2.0, randomness=0.3,
-                              read_fraction=1.0)], []]
+        copy = [[(2.0, 0.3, 1.0)], []]
         assert _solve(solver, split, extra_traffic=copy) is not first
         assert _solve(solver, split) is first
 
@@ -272,8 +270,7 @@ class TestSolverSameInputs:
         # infinite latency, so every computed output is a valid seed.
         solver = _solver()
         split = _frozen(0.7, 0.3)
-        flood = [[TrafficClass(bandwidth=1e308, randomness=0.3,
-                               read_fraction=1.0)], []]
+        flood = [[(1e308, 0.3, 1.0)], []]
         with pytest.raises(ConvergenceError, match="overflowed"):
             _solve(solver, split, extra_traffic=flood)
         # Nothing was cached or kept as a seed: the same solve raises

@@ -24,7 +24,6 @@ from repro.memhw.fixedpoint import (
     MultiEquilibrium,
     tier_sum,
 )
-from repro.memhw.latency import TrafficClass
 from repro.memhw.topology import paper_testbed
 from repro.pages.pagestate import PageArray
 from repro.pages.placement import PlacementState
@@ -92,8 +91,9 @@ def test_normalize_split_matches_numpy(n, n_cores):
     for split in splits:
         if n_cores and abs(np.clip(split, 0.0, None).sum() - 1.0) > 1e-6:
             continue
-        got = solver._normalize_split(group, split)
+        got, values = solver._normalize_split(group, split)
         assert bits(got) == bits(former_normalize_split(split, n_cores))
+        assert bits(values) == bits(got)
 
 
 def equilibrium(rates, latencies):
@@ -201,17 +201,15 @@ def former_drain(read_debt, write_debt, rate_limit, quantum_ns):
     charged_write = write_debt * fraction
     read_debt -= charged_read
     write_debt -= charged_write
-    traffic = []
+    streams = []
     for t in range(len(charged_read)):
-        classes = []
+        tier_streams = []
         if charged_read[t] > 0:
-            classes.append(TrafficClass(charged_read[t] / quantum_ns,
-                                        0.3, 1.0))
+            tier_streams.append((charged_read[t] / quantum_ns, 0.3, 1.0))
         if charged_write[t] > 0:
-            classes.append(TrafficClass(charged_write[t] / quantum_ns,
-                                        0.3, 0.0))
-        traffic.append(classes)
-    return traffic, int(charged_read.sum())
+            tier_streams.append((charged_write[t] / quantum_ns, 0.3, 0.0))
+        streams.append(tuple(tier_streams))
+    return streams, int(charged_read.sum())
 
 
 @pytest.mark.parametrize("n", [2, 3])

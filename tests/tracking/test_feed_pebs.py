@@ -47,7 +47,7 @@ class TestAccessFeed:
 
     def test_page_access_rates(self):
         feed = make_feed(rate=2.0)
-        rates = feed.page_access_rates()
+        rates = feed.access_probs * feed.request_rate
         assert rates.sum() == pytest.approx(2.0)
 
     def test_rejects_bad_args(self):

@@ -19,7 +19,7 @@ def drive(tracker, rates, quanta, quantum_ns=1e7):
     events = []
     for q in range(quanta):
         events.extend(
-            tracker.quantum(rates, now_ns=q * quantum_ns,
+            tracker.quantum(rates, 1.0, now_ns=q * quantum_ns,
                             quantum_ns=quantum_ns)
         )
     return events
@@ -29,16 +29,16 @@ class TestScanning:
     def test_scanner_marks_round_robin(self):
         tracker = make_tracker(n_pages=10, scan=4)
         rates = np.zeros(10)
-        tracker.quantum(rates, 0.0, 1e6)
+        tracker.quantum(rates, 1.0, 0.0, 1e6)
         assert set(tracker.marked_pages) == {0, 1, 2, 3}
-        tracker.quantum(rates, 1e6, 1e6)
+        tracker.quantum(rates, 1.0, 1e6, 1e6)
         assert set(tracker.marked_pages) == {0, 1, 2, 3, 4, 5, 6, 7}
 
     def test_scan_wraps_around(self):
         tracker = make_tracker(n_pages=6, scan=4)
         rates = np.zeros(6)
-        tracker.quantum(rates, 0.0, 1e6)
-        tracker.quantum(rates, 1e6, 1e6)
+        tracker.quantum(rates, 1.0, 0.0, 1e6)
+        tracker.quantum(rates, 1.0, 1e6, 1e6)
         assert set(tracker.marked_pages) == set(range(6))
 
     def test_rejects_bad_construction(self):
@@ -50,7 +50,7 @@ class TestScanning:
     def test_rejects_rate_shape_mismatch(self):
         tracker = make_tracker(n_pages=10)
         with pytest.raises(ConfigurationError):
-            tracker.quantum(np.zeros(5), 0.0, 1e6)
+            tracker.quantum(np.zeros(5), 1.0, 0.0, 1e6)
 
 
 class TestFaultStatistics:
@@ -82,8 +82,8 @@ class TestFaultStatistics:
     def test_fault_clears_mark_until_rescanned(self):
         tracker = make_tracker(n_pages=4, scan=4, seed=5)
         rates = np.full(4, 1e-2)  # faults fire almost immediately
-        tracker.quantum(rates, 0.0, 1e6)          # scan all
-        events = tracker.quantum(rates, 1e6, 1e6)  # all fault, rescan
+        tracker.quantum(rates, 1.0, 0.0, 1e6)          # scan all
+        events = tracker.quantum(rates, 1.0, 1e6, 1e6)  # all fault, rescan
         assert len(events) == 4
         # After faulting, pages were re-marked by the same quantum's scan.
         assert len(tracker.marked_pages) == 4
@@ -167,21 +167,28 @@ def _tracker_runs(draw):
     schedule = draw(st.lists(st.integers(0, len(rates) - 1),
                              min_size=n_quanta, max_size=n_quanta))
     quantum_ns = draw(st.sampled_from([1e4, 1e6, 1e7]))
-    return n_pages, scan, [rates[i] for i in schedule], quantum_ns
+    request_rate = draw(st.sampled_from([1.0, 0.37, 3e-3, 2.5e2]))
+    return (n_pages, scan, [rates[i] for i in schedule], quantum_ns,
+            request_rate)
 
 
 class TestAgainstArrayTracker:
+    """The tracker, given per-page probabilities and the request rate,
+    against the array tracker given the whole ``probs * rate`` array."""
+
     @given(run=_tracker_runs(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_same_events_marks_and_generator_state(self, run, seed):
-        n_pages, scan, schedule, quantum_ns = run
+        n_pages, scan, schedule, quantum_ns, request_rate = run
         new = HintFaultTracker(n_pages, scan, np.random.default_rng(seed))
         old = ArrayHintFaultTracker(n_pages, scan,
                                     np.random.default_rng(seed))
         with np.errstate(over="ignore"):  # the subnormal rate's wait
-            for q, rates in enumerate(schedule):
-                got = new.quantum(rates, q * quantum_ns, quantum_ns)
-                want = old.quantum(rates, q * quantum_ns, quantum_ns)
+            for q, probs in enumerate(schedule):
+                got = new.quantum(probs, request_rate, q * quantum_ns,
+                                  quantum_ns)
+                want = old.quantum(probs * request_rate, q * quantum_ns,
+                                   quantum_ns)
                 assert got == want
                 np.testing.assert_array_equal(new.marked_pages,
                                               old.marked_pages)
@@ -193,7 +200,7 @@ class TestAgainstArrayTracker:
         old = ArrayHintFaultTracker(7, 5, np.random.default_rng(1))
         rates = np.linspace(1e-6, 1e-4, 7)
         for q in range(12):
-            assert (new.quantum(rates, q * 1e5, 1e5)
+            assert (new.quantum(rates, 1.0, q * 1e5, 1e5)
                     == old.quantum(rates, q * 1e5, 1e5))
             np.testing.assert_array_equal(new.marked_pages,
                                           old.marked_pages)
