@@ -23,6 +23,9 @@ def convergence_time_s(
 ) -> Optional[float]:
     """Time from the disturbance until the series settles.
 
+    A throughput band (Fig. 9), not controller convergence (see "Three
+    meanings of converged" in docs/OBSERVABILITY.md).
+
     The final value is estimated from the last ``settle_fraction`` of the
     post-disturbance samples; the convergence point is the earliest sample
     after the disturbance from which *all* subsequent samples stay within

@@ -356,22 +356,27 @@ def _contention_schedule(args):
 def _run_loop(args, build):
     """Build the loop with ``build(tracer, options)``, run it for
     ``--duration`` and emit its ``run_end``; returns ``(loop, metrics,
-    tracer)``."""
+    tracer, wall_ns)``, ``wall_ns`` being the wall time of the run."""
+    from time import perf_counter_ns
+
     from repro.obs.tracer import Tracer
 
     options = _run_options(args)
     tracer = Tracer(jsonl_path=args.trace) if args.trace else None
     loop = build(tracer, options)
     try:
+        start_ns = perf_counter_ns()
         metrics = loop.run(duration_s=args.duration)
+        wall_ns = perf_counter_ns() - start_ns
         loop.emit_run_end()
     finally:
         if tracer is not None:
             tracer.close()
-    return loop, metrics, tracer
+    return loop, metrics, tracer, wall_ns
 
 
-def _finish_run(args, loop, metrics, tracer, checks: str) -> int:
+def _finish_run(args, loop, metrics, tracer, wall_ns: int,
+                checks: str) -> int:
     """Write the requested exports and print the lines every run ends
     with; ``checks`` names what the checker counted."""
     from repro.runtime.export import to_csv, to_json
@@ -385,7 +390,7 @@ def _finish_run(args, loop, metrics, tracer, checks: str) -> int:
         print(f"wrote {args.trace} ({events} events)")
     if args.profile:
         print("phase profile :")
-        print(loop.profiler.format_summary())
+        print(loop.profiler.format_summary(wall_ns=wall_ns))
     if args.check:
         print(f"invariants    : {loop.checker.checks_run} {checks} passed")
     return 0
@@ -410,7 +415,7 @@ def cmd_run_colocated(args) -> int:
         )
         for i, (name, kind, system) in enumerate(parsed)
     ]
-    loop, metrics, tracer = _run_loop(
+    loop, metrics, tracer, wall_ns = _run_loop(
         args, lambda tracer, options: ColocatedLoop(
             machine=scaled_machine(scale),
             tenants=tenants,
@@ -437,7 +442,8 @@ def cmd_run_colocated(args) -> int:
         print(f"  {name:<10}: "
               f"{tenant_metrics.steady_state_throughput():.2f} GB/s, "
               f"default share {share:.1%}, grant {grant_gb} GB")
-    return _finish_run(args, loop, metrics, tracer, "machine checks")
+    return _finish_run(args, loop, metrics, tracer, wall_ns,
+                       "machine checks")
 
 
 def cmd_run(args) -> int:
@@ -460,7 +466,7 @@ def cmd_run(args) -> int:
                 "--hotset-shift is only defined for the gups workload"
             )
         workload = HotSetShiftWorkload(workload, args.hotset_shift)
-    loop, metrics, tracer = _run_loop(
+    loop, metrics, tracer, wall_ns = _run_loop(
         args, lambda tracer, options: SimulationLoop(
             machine=scaled_machine(scale),
             workload=workload,
@@ -485,7 +491,8 @@ def cmd_run(args) -> int:
     print("tier latencies: "
           + "  ".join(f"{x:.0f} ns" for x in latency))
     print(f"default share : {metrics.p_true[-tail:].mean():.1%}")
-    return _finish_run(args, loop, metrics, tracer, "checks")
+    return _finish_run(args, loop, metrics, tracer, wall_ns,
+                       "checks")
 
 
 def cmd_figure(args) -> int:
@@ -569,25 +576,19 @@ def cmd_diagnose(args) -> int:
         format_diagnostics,
         with_overrides,
     )
-    from repro.obs.report import tenant_names_of, tenant_view
-    from repro.obs.timeline import build_timeline
+    from repro.obs.timeline import split_timelines
     from repro.obs.tracer import load_events
 
     config = with_overrides(DEFAULT_CONFIG, epsilon=args.epsilon,
                             sustain_quanta=args.sustain)
     events = load_events(args.trace)
-    timeline = build_timeline(events)
-    tenants = tenant_names_of(events)
+    timeline, tenants = split_timelines(events)
     if tenants:
         # Colocated trace: each tenant's controller is judged on its own
         # view (its labeled events plus the shared machine context);
         # criticals in any tenant make the run critical.
-        sections = {}
-        timelines = {}
-        for tenant in tenants:
-            tenant_timeline = build_timeline(tenant_view(events, tenant))
-            timelines[tenant] = tenant_timeline
-            sections[tenant] = diagnose_timeline(tenant_timeline, config)
+        sections = {name: diagnose_timeline(tenant_timeline, config)
+                    for name, tenant_timeline in tenants.items()}
         has_critical = any(d.has_critical for d in sections.values())
         if args.json:
             payload = {"tenants": {name: diag.to_dict()
@@ -598,7 +599,7 @@ def cmd_diagnose(args) -> int:
             for name, diag in sections.items():
                 parts.append(f"== tenant: {name} ==")
                 parts.append(format_diagnostics(
-                    diag, timeline=timelines[name]))
+                    diag, timeline=tenants[name]))
             text = "\n".join(parts) + "\n"
     else:
         diagnostics = diagnose_timeline(timeline, config)
@@ -614,7 +615,8 @@ def cmd_diagnose(args) -> int:
     else:
         print(text, end="")
     if args.chrome_trace:
-        export_chrome_trace(events, args.chrome_trace, timeline=timeline)
+        export_chrome_trace(events, args.chrome_trace,
+                            split=(timeline, tenants), config=config)
         print(f"wrote {args.chrome_trace}")
     return 2 if has_critical else 0
 

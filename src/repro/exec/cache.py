@@ -30,8 +30,10 @@ from typing import Optional
 from repro.exec.result import CellResult
 from repro.exec.spec import RunSpec
 
-#: Bump when the CellResult payload layout changes.
-CACHE_SCHEMA_VERSION = 1
+#: Bump when the CellResult payload layout changes (2: a colocated
+#: cell's diagnostics are per tenant, and its machine placement sums
+#: the tenants').
+CACHE_SCHEMA_VERSION = 2
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"

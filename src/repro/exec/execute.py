@@ -79,25 +79,29 @@ def _cell_tracer(spec: RunSpec, options: RunOptions):
     return Tracer(ring_size=max(DEFAULT_RING_SIZE, int(quanta * 16)))
 
 
-def _finalize_cell(loop, tracer) -> "Tuple[dict | None, dict | None]":
-    """Distill the cell's trace into its opt-in payloads.
+def cell_payloads(events, options: RunOptions
+                  ) -> "Tuple[dict | None, dict | None]":
+    """A cell's ``(diagnostics, placement)`` payloads from its trace.
 
-    Returns ``(diagnostics, placement)`` — each None when the loop's
-    options leave it off or the trace is empty.
+    Each is None when ``options`` leave it off or the trace is empty. A
+    colocated cell's diagnostics are per tenant,
+    ``{"tenants": {name: summary}}``, as in ``repro diagnose --json``.
     """
-    if tracer is None:
-        return None, None
-    from repro.obs.diagnose import diagnose_events
-    from repro.obs.placement import placement_payload
-
-    loop.emit_run_end()
-    events = tracer.events()
     if not events:
         return None, None
-    options = loop.options
-    diagnostics = (diagnose_events(events).summary.to_dict()
-                   if options.diagnose else None)
-    placement = (placement_payload(events)
+    from repro.obs.diagnose import diagnose_timeline
+    from repro.obs.placement import placement_payload
+    from repro.obs.timeline import split_timelines
+
+    machine, tenants = split_timelines(events)
+    diagnostics = None
+    if options.diagnose and tenants:
+        diagnostics = {"tenants": {
+            name: diagnose_timeline(timeline).summary.to_dict()
+            for name, timeline in tenants.items()}}
+    elif options.diagnose:
+        diagnostics = diagnose_timeline(machine).summary.to_dict()
+    placement = (placement_payload(machine, tenants)
                  if options.placement_audit is not None else None)
     return diagnostics, placement
 
@@ -235,7 +239,11 @@ def _execute_loop(spec: RunSpec, options: RunOptions) -> CellResult:
                        duration_s=float(spec.duration_s),
                        series=TraceSeries.from_metrics(metrics))
     latencies, share = _tail_stats(metrics)
-    diagnostics, placement = _finalize_cell(loop, tracer)
+    diagnostics, placement = None, None
+    if tracer is not None:
+        loop.emit_run_end()
+        diagnostics, placement = cell_payloads(tracer.events(),
+                                               loop.options)
     return CellResult(
         mode=spec.mode,
         tail_latencies_ns=latencies,

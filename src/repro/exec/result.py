@@ -89,9 +89,10 @@ class CellResult:
         series: Trace-mode time series (None otherwise).
         diagnostics: Run-health summary dict
             (:meth:`repro.obs.diagnose.DiagnosticsSummary.to_dict`) when
-            the cell's options said ``diagnose`` (``--diagnose``); None
-            otherwise. Results written before the
-            field existed load as None.
+            the cell's options said ``diagnose`` (``--diagnose``); for a
+            colocated cell, ``{"tenants": {name: summary}}``. None
+            otherwise. Results written before the field existed load as
+            None.
         tenants: For colocated cells, per-tenant summaries keyed by
             tenant name — each a dict with ``throughput``,
             ``tail_latencies_ns``, ``tail_default_share``, ``cpu_work``

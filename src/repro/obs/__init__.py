@@ -8,7 +8,8 @@ events (see :mod:`repro.obs.events`) into a ring buffer and optionally a
 JSONL file that ``repro report trace.jsonl`` turns into a run report.
 
 On top of recorded traces sits the run-health diagnostics engine:
-:mod:`repro.obs.timeline` folds events into typed per-quantum samples,
+:mod:`repro.obs.timeline` folds events into typed per-quantum samples
+(the one fold every reader below shares),
 :mod:`repro.obs.diagnose` judges them with convergence / oscillation /
 reset-storm / thrash detectors (``repro diagnose trace.jsonl``), and
 :mod:`repro.obs.chrometrace` exports the same timeline as Chrome Trace
@@ -29,12 +30,10 @@ _EXPORTS = {
     "diagnose": ("DiagnosticsSummary", "diagnose_events",
                  "diagnose_timeline", "format_diagnostics"),
     "events": ("EVENT_SCHEMAS", "TRACE_SCHEMA_VERSION", "describe_schema"),
-    "profile": ("Counters", "PhaseProfiler", "merge_phase_events"),
-    "report": ("TraceSummary", "format_summary", "report_from_file",
-               "summarize_events"),
-    "timeline": ("Timeline", "build_timeline"),
-    "tracer": ("NULL_TRACER", "NullTracer", "Tracer", "iter_events",
-               "load_events"),
+    "profile": ("Counters", "PhaseProfiler"),
+    "report": ("format_summary", "report_from_file"),
+    "timeline": ("Timeline", "build_timeline", "split_timelines"),
+    "tracer": ("NULL_TRACER", "NullTracer", "Tracer", "load_events"),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items()

@@ -9,11 +9,14 @@ a run opens directly in ``chrome://tracing`` or Perfetto:
 * **phase spans** — the profiler's per-quantum wall-clock phase laps
   (``phase_timing`` events, needs ``--profile``) laid end-to-end on a
   wall-clock-scaled process so relative phase cost is visible;
-* **instant markers** (``"ph": "i"``) — watermark resets, hot-set
-  shifts, contention changes, and invariant violations on the
-  simulated track;
+* **instant markers** (``"ph": "i"``) — watermark resets, each
+  epoch's convergence point, hot-set shifts, contention changes, and
+  invariant violations on the simulated track;
 * **counter tracks** (``"ph": "C"``) — per-tier loaded latency, the
   controller's ``p``, and migration bytes per quantum.
+
+A colocated trace gets one ``p`` track and one set of reset and
+convergence markers per tenant, labeled ``[tenant]``.
 
 The two processes deliberately use different time bases (simulated vs
 wall): the Trace Event Format has no notion of dual clocks, and pids
@@ -28,9 +31,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.obs.timeline import Timeline, build_timeline
+from repro.obs.diagnose import DiagnosticsConfig, diagnose_timeline
+from repro.obs.timeline import Timeline, split_timelines
 from repro.obs.tracer import PathLike
 
 #: Process ids (Trace Event Format groups tracks by pid/tid).
@@ -55,18 +59,54 @@ def _counter(name: str, ts_us: float, values: Dict) -> dict:
             "pid": PID_SIMULATED, "tid": 0, "args": values}
 
 
-def chrome_trace_events(events: List[dict],
-                        timeline: Optional[Timeline] = None,
-                        ) -> List[dict]:
+def _controller_events(timeline: Timeline, label: str,
+                       config: Optional[DiagnosticsConfig]) -> List[dict]:
+    """One controller's tracks: its ``p`` counter, its watermark resets
+    and a marker where each epoch converged (diagnose's definition)."""
+    suffix = f" [{label}]" if label else ""
+    scope = {"tenant": label} if label else {}
+    out: List[dict] = []
+    for sample in timeline.samples:
+        ts_us = sample.time_s * 1e6
+        if sample.p is not None:
+            out.append(_counter(f"p (default-tier share){suffix}", ts_us,
+                                {"p": sample.p}))
+        for side in sample.reset_sides:
+            out.append(_instant(
+                f"watermark reset ({side}){suffix}", ts_us,
+                dict(scope, side=side, quantum=sample.index),
+            ))
+    quanta = diagnose_timeline(timeline, config).summary.convergence_quanta
+    for epoch, converged_in in zip(timeline.epochs, quanta):
+        if converged_in is None:
+            continue
+        sample = timeline.samples[epoch.start + converged_in]
+        out.append(_instant(
+            f"converged (epoch {epoch.index}){suffix}",
+            sample.time_s * 1e6,
+            dict(scope, epoch=epoch.index, quanta=converged_in),
+        ))
+    return out
+
+
+def chrome_trace_events(
+        events: List[dict],
+        split: Optional[Tuple[Timeline, Dict[str, Timeline]]] = None,
+        config: Optional[DiagnosticsConfig] = None,
+) -> List[dict]:
     """Convert trace events to Trace Event Format event dicts.
 
     Args:
         events: Events as loaded by
             :func:`~repro.obs.tracer.load_events`.
-        timeline: Pre-built timeline (rebuilt from ``events`` when
-            omitted).
+        split: The trace's machine and per-tenant timelines
+            (:func:`~repro.obs.timeline.split_timelines`; folded from
+            ``events`` when omitted). A colocated trace gets one set of
+            controller tracks per tenant.
+        config: Diagnostics thresholds behind the convergence markers
+            (:data:`~repro.obs.diagnose.DEFAULT_CONFIG` when omitted).
     """
-    timeline = timeline or build_timeline(events)
+    timeline, tenants = split or split_timelines(events)
     out: List[dict] = list(_METADATA)
     quantum_us = (timeline.quantum_s * 1e6
                   if timeline.quantum_s else None)
@@ -90,9 +130,6 @@ def chrome_trace_events(events: List[dict],
                 {f"tier{i}": value
                  for i, value in enumerate(sample.latencies_ns)},
             ))
-        if sample.p is not None:
-            out.append(_counter("p (default-tier share)", ts_us,
-                                {"p": sample.p}))
         if sample.executed_bytes or sample.planned_bytes:
             out.append(_counter(
                 "migration bytes", ts_us,
@@ -137,11 +174,6 @@ def chrome_trace_events(events: List[dict],
                  "wasted_bytes": sample.wasted_migration_bytes,
                  "quantum": sample.index},
             ))
-        for side in sample.reset_sides:
-            out.append(_instant(
-                f"watermark reset ({side})", ts_us,
-                {"side": side, "quantum": sample.index},
-            ))
         if sample.workload_shift:
             out.append(_instant("hot-set shift", ts_us,
                                 {"quantum": sample.index}))
@@ -152,13 +184,16 @@ def chrome_trace_events(events: List[dict],
                  "intensity": sample.contention},
             ))
 
-    for event in events:
-        if event.get("type") == "invariant_violation":
-            out.append(_instant(
-                f"invariant violation: {event.get('invariant', '?')}",
-                float(event.get("time_s", 0.0)) * 1e6,
-                {"message": event.get("message", "")},
-            ))
+    controllers = tenants or {"": timeline}
+    for label, controller in controllers.items():
+        out.extend(_controller_events(controller, label, config))
+
+    for violation in timeline.invariant_violations:
+        out.append(_instant(
+            f"invariant violation: {violation.get('invariant', '?')}",
+            float(violation.get("time_s", 0.0)) * 1e6,
+            {"message": violation.get("message", "")},
+        ))
 
     # Wall-clock phase spans: lay each quantum's profiled laps
     # end-to-end so the track shows where wall time actually went.
@@ -201,8 +236,11 @@ def profiler_chrome_events(profiler) -> List[dict]:
     return events
 
 
-def export_chrome_trace(events: List[dict], path: PathLike,
-                        timeline: Optional[Timeline] = None) -> Path:
+def export_chrome_trace(
+        events: List[dict], path: PathLike,
+        split: Optional[Tuple[Timeline, Dict[str, Timeline]]] = None,
+        config: Optional[DiagnosticsConfig] = None,
+) -> Path:
     """Write the Trace Event Format JSON object for a trace.
 
     The output is the JSON Object Format (``{"traceEvents": [...]}``),
@@ -210,7 +248,8 @@ def export_chrome_trace(events: List[dict], path: PathLike,
     """
     path = Path(path)
     payload = {
-        "traceEvents": chrome_trace_events(events, timeline=timeline),
+        "traceEvents": chrome_trace_events(events, split=split,
+                                           config=config),
         "displayTimeUnit": "ms",
     }
     path.write_text(json.dumps(payload) + "\n")

@@ -320,6 +320,9 @@ def _convergence_point(timeline: Timeline, epoch: Epoch,
                        ) -> Optional[Tuple[int, str]]:
     """Earliest convergence under either criterion.
 
+    The repo's one definition of controller convergence (see "Three
+    meanings of converged" in docs/OBSERVABILITY.md).
+
     Returns ``(epoch-relative index, criterion)`` where criterion is
     ``"latency-balance"`` (|L_D - L_A|/L_A sustained below epsilon) or
     ``"p-settled"`` (p inside a narrow band for a full window), or None
@@ -824,17 +827,16 @@ DETECTORS: Tuple[Tuple[str, Callable[[Timeline, DiagnosticsConfig],
 )
 
 
-def _summarize(timeline: Timeline, findings: Sequence[Finding],
-               config: DiagnosticsConfig) -> DiagnosticsSummary:
-    convergence: List[Optional[int]] = []
+def _summarize(timeline: Timeline,
+               findings: Sequence[Finding]) -> DiagnosticsSummary:
+    # The convergence detector reports every epoch that converged, at
+    # the point it computed; an epoch without such a finding did not
+    # converge or carried no controller data.
+    converged = {f.evidence["epoch"]: f.evidence["convergence_quanta"]
+                 for f in findings if f.detector == "convergence"
+                 and "convergence_quanta" in f.evidence}
     oscillation = 0.0
     thrash = 0.0
-    for epoch in timeline.epochs:
-        imbalance = _epoch_imbalance(timeline, epoch)
-        has_data = any(v is not None for v in imbalance)
-        point = (_convergence_point(timeline, epoch, config)
-                 if has_data else None)
-        convergence.append(point[0] if point is not None else None)
     for finding in findings:
         if finding.detector == "oscillation":
             oscillation = max(oscillation,
@@ -854,11 +856,11 @@ def _summarize(timeline: Timeline, findings: Sequence[Finding],
     return DiagnosticsSummary(
         n_quanta=timeline.n_quanta,
         n_epochs=len(timeline.epochs),
-        convergence_quanta=tuple(convergence),
+        convergence_quanta=tuple(converged.get(epoch.index)
+                                 for epoch in timeline.epochs),
         oscillation_score=oscillation,
         thrash_score=thrash,
-        watermark_resets=sum(s.watermark_resets
-                             for s in timeline.samples),
+        watermark_resets=timeline.total("watermark_resets"),
         findings=counts,
         max_severity=max_severity,
         misplacement_gap_first=gaps[0] if gaps else None,
@@ -879,7 +881,7 @@ def diagnose_timeline(timeline: Timeline,
         findings.extend(detector(timeline, config))
     return RunDiagnostics(
         findings=tuple(findings),
-        summary=_summarize(timeline, findings, config),
+        summary=_summarize(timeline, findings),
     )
 
 

@@ -35,7 +35,7 @@ for off); the CLI's ``--placement-audit`` sets it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -503,72 +503,57 @@ class PlacementObserver:
 # -- trace-side summary ----------------------------------------------------
 
 
-def summarize_placement_events(
-    events: Sequence[dict]) -> Optional[dict]:
-    """Distill ``placement_sample`` events into a JSON-safe summary.
+def placement_summary(timeline) -> Optional[dict]:
+    """Distill a :class:`~repro.obs.timeline.Timeline`'s placement
+    samples into a JSON-safe summary; None without placement samples.
 
-    Used for the ``placement`` payload on
-    :class:`~repro.exec.result.CellResult` and the placement section of
-    ``repro report``. Returns None when the trace carries no placement
-    samples.
+    Read by the placement section of ``repro report`` and, through
+    :func:`placement_payload`, the ``placement`` payload on
+    :class:`~repro.exec.result.CellResult`. On a machine timeline the
+    occupancy, flows and churn are summed over tenants and the gaps are
+    the worst tenant's.
     """
-    samples = [e for e in events if e.get("type") == "placement_sample"]
+    samples = [s for s in timeline.samples if s.occupancy_bytes is not None]
     if not samples:
         return None
-    audits = [e for e in samples if "gap_balance" in e]
-    ping_peak = 0
-    wasted_total = 0
-    moved_total = 0
-    for event in samples:
-        ping_peak = max(ping_peak, int(event.get("ping_pong_pages", 0)))
-        wasted_total += int(event.get("wasted_bytes", 0))
-        flows = event.get("flow_bytes") or []
-        for i, row in enumerate(flows):
-            for j, value in enumerate(row):
-                if i != j:
-                    moved_total += int(value)
+    audits = [s for s in samples if s.gap_balance is not None]
     summary: Dict[str, object] = {
         "n_samples": len(samples),
         "n_audits": len(audits),
-        "ping_pong_pages_peak": ping_peak,
-        "wasted_migration_bytes": wasted_total,
-        "flow_bytes_total": moved_total,
+        "ping_pong_pages_peak": max(s.ping_pong_pages for s in samples),
+        "wasted_migration_bytes": sum(s.wasted_migration_bytes
+                                      for s in samples),
+        "flow_bytes_total": sum(
+            value for s in samples
+            for i, row in enumerate(s.flow_bytes or ())
+            for j, value in enumerate(row) if i != j),
+        "tier_bytes_last": [sum(row) for row in samples[-1].occupancy_bytes],
     }
-    last = samples[-1]
-    tier_bytes = last.get("tier_bytes")
-    if tier_bytes:
-        summary["tier_bytes_last"] = [
-            int(sum(row)) for row in tier_bytes
-        ]
     if audits:
-        summary["gap_balance_first"] = float(audits[0]["gap_balance"])
-        summary["gap_balance_last"] = float(audits[-1]["gap_balance"])
-        summary["gap_packed_first"] = float(audits[0]["gap_packed"])
-        summary["gap_packed_last"] = float(audits[-1]["gap_packed"])
+        summary["gap_balance_first"] = audits[0].gap_balance
+        summary["gap_balance_last"] = audits[-1].gap_balance
+        summary["gap_packed_first"] = audits[0].gap_packed
+        summary["gap_packed_last"] = audits[-1].gap_packed
     return summary
 
 
-def placement_payload(events: Sequence[dict]) -> Optional[dict]:
+def placement_payload(machine, tenants) -> Optional[dict]:
     """Machine-level summary plus per-tenant breakdowns.
 
-    Single-app traces return the plain summary; tenant-labeled traces
-    additionally carry a ``tenants`` mapping of per-tenant summaries.
+    Args:
+        machine: The trace's machine :class:`~repro.obs.timeline.Timeline`.
+        tenants: Per-tenant timelines (empty for a single-app trace), as
+            :func:`~repro.obs.timeline.split_timelines` returns them.
     """
-    summary = summarize_placement_events(events)
+    summary = placement_summary(machine)
     if summary is None:
         return None
-    tenants: Dict[str, dict] = {}
-    names = sorted({e["tenant"] for e in events
-                    if e.get("type") == "placement_sample"
-                    and "tenant" in e})
-    for name in names:
-        scoped = summarize_placement_events(
-            [e for e in events if e.get("tenant") == name]
-        )
-        if scoped is not None:
-            tenants[name] = scoped
-    if tenants:
-        summary["tenants"] = tenants
+    scoped = {name: placement_summary(timeline)
+              for name, timeline in tenants.items()}
+    scoped = {name: value for name, value in scoped.items()
+              if value is not None}
+    if scoped:
+        summary["tenants"] = scoped
     return summary
 
 
@@ -585,5 +570,5 @@ __all__ = [
     "occupancy_ledger",
     "pack_hottest_p",
     "placement_payload",
-    "summarize_placement_events",
+    "placement_summary",
 ]

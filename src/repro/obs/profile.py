@@ -190,22 +190,33 @@ class PhaseProfiler:
             }
         return out
 
-    def format_summary(self) -> str:
-        """Fixed-width text table of the phase breakdown."""
+    def format_summary(self, wall_ns: int) -> str:
+        """Fixed-width text table of the phase breakdown.
+
+        Shares are of ``wall_ns``, the measured wall time of the
+        profiled run; an ``unattributed`` row (wall time no phase
+        covers) and a ``total (wall)`` row close the table, so the rows
+        visibly add up to the run.
+        """
         summary = self.summary()
         if not summary:
             return "no phases profiled"
-        grand_total = sum(s["total_ns"] for s in summary.values())
         lines = [f"{'phase':<20} {'total ms':>10} {'mean us':>10} "
                  f"{'share':>7}"]
+
+        def row(name: str, total_ns: float, mean: str) -> str:
+            share = total_ns / wall_ns if wall_ns else 0.0
+            return (f"{name:<20} {total_ns / 1e6:>10.2f} {mean:>10} "
+                    f"{share:>6.1%}")
+
         order = sorted(summary, key=lambda k: -summary[k]["total_ns"])
         for name in order:
             s = summary[name]
-            share = s["total_ns"] / grand_total if grand_total else 0.0
-            lines.append(
-                f"{name:<20} {s['total_ns'] / 1e6:>10.2f} "
-                f"{s['mean_ns'] / 1e3:>10.2f} {share:>6.1%}"
-            )
+            lines.append(row(name, s["total_ns"],
+                             f"{s['mean_ns'] / 1e3:.2f}"))
+        phased_ns = sum(s["total_ns"] for s in summary.values())
+        lines.append(row("unattributed", wall_ns - phased_ns, ""))
+        lines.append(row("total (wall)", wall_ns, ""))
         return "\n".join(lines)
 
     def reset(self) -> None:
@@ -216,26 +227,4 @@ class PhaseProfiler:
         self._open.clear()
 
 
-def merge_phase_events(phase_events) -> Dict[str, int]:
-    """Sum per-phase ns across ``phase_timing`` trace events.
-
-    Args:
-        phase_events: Iterable of event dicts with a ``phases`` mapping.
-
-    Raises:
-        ConfigurationError: If an event has no ``phases`` mapping.
-    """
-    totals: Dict[str, int] = {}
-    for event in phase_events:
-        phases = event.get("phases")
-        if not isinstance(phases, dict):
-            raise ConfigurationError(
-                "phase_timing event without a 'phases' mapping"
-            )
-        for name, ns in phases.items():
-            totals[name] = totals.get(name, 0) + int(ns)
-    return totals
-
-
-__all__ = ["Counters", "PhaseProfiler", "PhaseSpan",
-           "merge_phase_events"]
+__all__ = ["Counters", "PhaseProfiler", "PhaseSpan"]

@@ -1,14 +1,24 @@
 """Per-quantum timelines folded from recorded traces.
 
-A raw JSONL trace is a flat stream of heterogeneous events; the
-diagnostics engine (:mod:`repro.obs.diagnose`) wants the run as the loop
-experienced it — one typed sample per quantum carrying the solved
-latencies, the controller's ``p`` and watermark bracket, migration
-volume, solver cost, and phase wall time. :func:`build_timeline` is that
-fold. Events are grouped by their ``time_s`` stamp (the tracer stamps
-every event of a quantum with the same simulated time, set once per
-quantum by the loop), so the builder needs no quantum markers in the
+A raw JSONL trace is a flat stream of heterogeneous events; every
+consumer — the report (:mod:`repro.obs.report`), the diagnostics engine
+(:mod:`repro.obs.diagnose`), the Chrome-trace export and the exec
+layer's per-cell payloads — wants the run as the loop experienced it:
+one typed sample per quantum carrying the solved latencies, the
+controller's ``p`` and watermark bracket, migration volume, solver cost,
+and phase wall time, plus run-level facts in a header.
+:func:`build_timeline` is that fold, and the only code that reads trace
+events by type. Events are grouped by their ``time_s`` stamp (the tracer
+stamps every event of a quantum with the same simulated time, set once
+per quantum by the loop), so the builder needs no quantum markers in the
 stream and works on ring-buffer slices as well as full files.
+
+A colocated trace labels each tenant's events with ``tenant``.
+:func:`split_timelines` folds it into a machine timeline plus one
+timeline per tenant (MaxMem-style per-application accounting). The
+machine timeline sums occupancy, flows and churn over the tenants and
+keeps the worst tenant's gap; it does not fold the tenants' controller
+events, which interleave within a quantum and are answered per tenant.
 
 Unknown/future event kinds are counted and skipped — a timeline built by
 today's code must load tomorrow's traces.
@@ -21,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.events import EVENT_SCHEMAS
-from repro.obs.tracer import PathLike, load_events
 
 #: Event kinds folded into per-quantum samples. Everything else (run
 #: metadata, fleet progress, per-system extras) is either lifted into
@@ -37,6 +46,12 @@ _QUANTUM_EVENT_KINDS = (
     "workload_shift",
     "contention_change",
 )
+
+#: The per-tenant controller's events. A colocated trace interleaves
+#: several controllers within one quantum, so only a one-controller
+#: timeline folds them.
+_CONTROLLER_EVENT_KINDS = ("compute_shift", "watermark_reset",
+                           "colloid_decision")
 
 
 def _sum_matrices(a, b):
@@ -140,7 +155,24 @@ class Timeline:
         unknown_event_counts: Counts of kinds absent from
             :data:`~repro.obs.events.EVENT_SCHEMAS` (skipped, never
             fatal).
-        runtime_counters: ``run_end`` counter totals (empty if absent).
+        runtime_counters: The last ``run_end`` event's counter totals
+            (empty if absent).
+        tenants: Tenant labels in first-appearance order (empty for a
+            single-app trace). With more than one, the controller's
+            events are not folded (see :func:`split_timelines`).
+        invariant_violations: ``invariant_violation`` events recorded by
+            a ``--check`` run (each with ``invariant``, ``message`` and
+            the offending quantum's ``time_s``).
+        progress: The last ``run_progress`` event's fields — completed/
+            total cells, wall time, completion throughput — for
+            fleet-level traces (None otherwise).
+        n_promoted: Pages promoted by fault-driven systems
+            (``tpp_promotion`` events).
+        n_demoted: Pages queued for kswapd demotion alongside those
+            promotions.
+        malformed_events: Events of a known kind whose payload could not
+            be folded (e.g. ``phase_timing`` without a ``phases``
+            mapping) — skipped and counted, never fatal.
     """
 
     meta: Dict = field(default_factory=dict)
@@ -150,10 +182,35 @@ class Timeline:
     event_counts: Dict[str, int] = field(default_factory=dict)
     unknown_event_counts: Dict[str, int] = field(default_factory=dict)
     runtime_counters: Dict[str, int] = field(default_factory=dict)
+    tenants: Tuple[str, ...] = ()
+    invariant_violations: List[Dict] = field(default_factory=list)
+    progress: Optional[Dict] = None
+    n_promoted: int = 0
+    n_demoted: int = 0
+    malformed_events: int = 0
 
     @property
     def n_quanta(self) -> int:
         return len(self.samples)
+
+    @property
+    def answers_controller(self) -> bool:
+        """Whether the controller's events were folded: one tenant (or
+        none) in the trace."""
+        return len(self.tenants) <= 1
+
+    def total(self, attr: str) -> int:
+        """One integer sample attribute summed over the run."""
+        return sum(getattr(sample, attr) for sample in self.samples)
+
+    @property
+    def phase_totals_ns(self) -> Dict[str, int]:
+        """Profiled wall time per loop phase, summed over the quanta."""
+        totals: Dict[str, int] = {}
+        for sample in self.samples:
+            for name, ns in sample.phases_ns.items():
+                totals[name] = totals.get(name, 0) + ns
+        return totals
 
     def epoch_samples(self, epoch: Epoch) -> List[QuantumSample]:
         """The samples belonging to one epoch."""
@@ -179,12 +236,10 @@ def _fold_into(sample: QuantumSample, event: dict) -> None:
         if "measured_p" in event:
             sample.measured_p = float(event["measured_p"])
     elif etype == "compute_shift":
-        for src, dst in (("p", "p"), ("p_lo", "p_lo"), ("p_hi", "p_hi"),
-                         ("dp", "dp"),
-                         ("latency_default_ns", "latency_default_ns"),
-                         ("latency_alternate_ns", "latency_alternate_ns")):
-            if src in event:
-                setattr(sample, dst, float(event[src]))
+        for name in ("p", "p_lo", "p_hi", "dp", "latency_default_ns",
+                     "latency_alternate_ns"):
+            if name in event:
+                setattr(sample, name, float(event[name]))
     elif etype == "watermark_reset":
         side = str(event.get("side", "?"))
         sample.reset_sides = sample.reset_sides + (side,)
@@ -199,44 +254,27 @@ def _fold_into(sample: QuantumSample, event: dict) -> None:
         # Tenant-labeled samples from colocated runs land on the same
         # quantum: occupancy and flows sum into the machine view, churn
         # counts add, and the gap keeps the worst tenant (per-tenant
-        # views are available through report.tenant_view).
-        pages_m = event.get("tier_pages")
-        if pages_m is not None:
-            pages_m = tuple(tuple(int(x) for x in row)
-                            for row in pages_m)
-            sample.occupancy_pages = (
-                pages_m if sample.occupancy_pages is None
-                else _sum_matrices(sample.occupancy_pages, pages_m)
-            )
-        bytes_m = event.get("tier_bytes")
-        if bytes_m is not None:
-            bytes_m = tuple(tuple(int(x) for x in row)
-                            for row in bytes_m)
-            sample.occupancy_bytes = (
-                bytes_m if sample.occupancy_bytes is None
-                else _sum_matrices(sample.occupancy_bytes, bytes_m)
-            )
-        flow_m = event.get("flow_bytes")
-        if flow_m is not None:
-            flow_m = tuple(tuple(int(x) for x in row)
-                           for row in flow_m)
-            sample.flow_bytes = (
-                flow_m if sample.flow_bytes is None
-                else _sum_matrices(sample.flow_bytes, flow_m)
-            )
+        # views come from split_timelines).
+        for src, dst in (("tier_pages", "occupancy_pages"),
+                         ("tier_bytes", "occupancy_bytes"),
+                         ("flow_bytes", "flow_bytes")):
+            if event.get(src) is not None:
+                matrix = tuple(tuple(int(x) for x in row)
+                               for row in event[src])
+                current = getattr(sample, dst)
+                setattr(sample, dst, matrix if current is None
+                        else _sum_matrices(current, matrix))
         sample.ping_pong_pages += int(event.get("ping_pong_pages", 0))
         sample.wasted_migration_bytes += int(
             event.get("wasted_bytes", 0)
         )
-        for src, dst in (("gap_packed", "gap_packed"),
-                         ("gap_balance", "gap_balance"),
-                         ("p_packed", "p_packed"),
-                         ("p_balance", "p_balance")):
-            if src in event:
-                value = float(event[src])
-                current = getattr(sample, dst)
+        for name in ("gap_packed", "gap_balance", "p_packed",
+                     "p_balance"):
+            if name in event:
+                value = float(event[name])
+                current = getattr(sample, name)
                 if current is None or value > current:
-                    setattr(sample, dst, value)
+                    setattr(sample, name, value)
     elif etype == "workload_shift":
         sample.workload_shift = True
     elif etype == "contention_change":
@@ -245,11 +283,50 @@ def _fold_into(sample: QuantumSample, event: dict) -> None:
             sample.contention = int(event["intensity"])
     elif etype == "phase_timing":
         phases = event.get("phases")
-        if isinstance(phases, dict):
-            for name, ns in phases.items():
-                sample.phases_ns[name] = (
-                    sample.phases_ns.get(name, 0) + int(ns)
-                )
+        if not isinstance(phases, dict):
+            raise ValueError("phase_timing event without a phases mapping")
+        for name, ns in phases.items():
+            sample.phases_ns[name] = sample.phases_ns.get(name, 0) + int(ns)
+
+
+def _fold_header(timeline: Timeline, event: dict) -> None:
+    """Apply one run-level event to the timeline header."""
+    etype = event["type"]
+    fields = {k: v for k, v in event.items() if k not in ("type", "time_s")}
+    if etype == "run_start":
+        if not timeline.meta:
+            timeline.meta = fields
+    elif etype == "run_end":
+        counters = event.get("counters")
+        if isinstance(counters, dict):
+            timeline.runtime_counters = {
+                name: int(value) for name, value in counters.items()
+            }
+    elif etype == "run_progress":
+        timeline.progress = fields
+    elif etype == "invariant_violation":
+        timeline.invariant_violations.append(event)
+    elif etype == "tpp_promotion":
+        timeline.n_promoted += int(event.get("n_promoted", 0))
+        timeline.n_demoted += int(event.get("n_demoted", 0))
+
+
+def tenant_names_of(events: List[dict]) -> List[str]:
+    """Tenant labels present in a trace, in first-appearance order.
+
+    Empty for single-app traces — only colocated runs label events
+    with ``tenant`` (see :class:`~repro.obs.tracer.TenantTracer`).
+    """
+    return list(dict.fromkeys(
+        event["tenant"] for event in events
+        if event.get("tenant") is not None
+    ))
+
+
+def tenant_view(events: List[dict], tenant: str) -> List[dict]:
+    """One tenant's view of a colocated trace: its own labeled events
+    plus the unlabeled machine-scoped ones (run_start, solver, ...)."""
+    return [e for e in events if e.get("tenant", tenant) == tenant]
 
 
 def build_timeline(events: List[dict]) -> Timeline:
@@ -257,13 +334,14 @@ def build_timeline(events: List[dict]) -> Timeline:
 
     Raises:
         ConfigurationError: If ``events`` is empty. Unknown event kinds
-            and malformed quantum events never raise — they are counted
-            in :attr:`Timeline.unknown_event_counts` / skipped so that
-            traces from newer code remain diagnosable.
+            and malformed events never raise — they are counted in
+            :attr:`Timeline.unknown_event_counts` /
+            :attr:`Timeline.malformed_events` so that traces from newer
+            code remain diagnosable.
     """
     if not events:
         raise ConfigurationError("trace contains no events")
-    timeline = Timeline()
+    timeline = Timeline(tenants=tuple(tenant_names_of(events)))
     samples_by_time: Dict[float, QuantumSample] = {}
     for event in events:
         etype = event.get("type", "<untyped>")
@@ -275,35 +353,24 @@ def build_timeline(events: List[dict]) -> Timeline:
                 timeline.unknown_event_counts.get(etype, 0) + 1
             )
             continue
-        if etype == "run_start":
-            if not timeline.meta:
-                timeline.meta = {k: v for k, v in event.items()
-                                 if k not in ("type", "time_s")}
-            continue
-        if etype == "run_end":
-            counters = event.get("counters")
-            if isinstance(counters, dict):
-                timeline.runtime_counters = {
-                    name: int(value) for name, value in counters.items()
-                }
-            continue
-        if etype not in _QUANTUM_EVENT_KINDS:
-            continue
         try:
+            if etype not in _QUANTUM_EVENT_KINDS:
+                _fold_header(timeline, event)
+                continue
+            if (etype in _CONTROLLER_EVENT_KINDS
+                    and not timeline.answers_controller):
+                continue
             time_s = float(event.get("time_s", 0.0))
-        except (TypeError, ValueError):
-            continue
-        sample = samples_by_time.get(time_s)
-        if sample is None:
-            sample = QuantumSample(index=len(samples_by_time),
-                                   time_s=time_s)
-            samples_by_time[time_s] = sample
-        try:
+            sample = samples_by_time.get(time_s)
+            if sample is None:
+                sample = QuantumSample(index=len(samples_by_time),
+                                       time_s=time_s)
+                samples_by_time[time_s] = sample
             _fold_into(sample, event)
         except (TypeError, ValueError):
-            # A malformed field in an otherwise-known event: keep the
-            # sample with whatever folded cleanly.
-            continue
+            # A malformed field in an otherwise-known event: keep
+            # whatever folded cleanly and count the event.
+            timeline.malformed_events += 1
 
     timeline.samples = sorted(samples_by_time.values(),
                               key=lambda s: s.time_s)
@@ -330,9 +397,19 @@ def build_timeline(events: List[dict]) -> Timeline:
     return timeline
 
 
-def timeline_from_file(path: PathLike) -> Timeline:
-    """Load a JSONL trace and fold it into a :class:`Timeline`."""
-    return build_timeline(load_events(path))
+def split_timelines(
+        events: List[dict]) -> Tuple[Timeline, Dict[str, Timeline]]:
+    """Fold a trace into its machine timeline plus one per tenant.
+
+    The tenant mapping is empty for a single-app trace, whose machine
+    timeline answers every question. For a colocated trace each tenant's
+    timeline folds its view (:func:`tenant_view`), and the controller's
+    questions are answered there only.
+    """
+    return build_timeline(events), {
+        name: build_timeline(tenant_view(events, name))
+        for name in tenant_names_of(events)
+    }
 
 
 __all__ = [
@@ -340,5 +417,7 @@ __all__ = [
     "QuantumSample",
     "Timeline",
     "build_timeline",
-    "timeline_from_file",
+    "split_timelines",
+    "tenant_names_of",
+    "tenant_view",
 ]

@@ -22,7 +22,7 @@ import gzip
 import json
 from collections import deque
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -115,7 +115,7 @@ class NullTracer:
     def emit(self, event_type: str, **fields) -> None:
         """Discard the event."""
 
-    def events(self, event_type: Optional[str] = None) -> List[dict]:
+    def events(self) -> List[dict]:
         """A null tracer never holds events."""
         return []
 
@@ -196,12 +196,10 @@ class Tracer:
             self._handle.write(json.dumps(event))
             self._handle.write("\n")
 
-    def events(self, event_type: Optional[str] = None) -> List[dict]:
-        """Events currently in the ring, oldest first, optionally
-        filtered by type."""
-        if event_type is None:
-            return list(self._ring)
-        return [e for e in self._ring if e["type"] == event_type]
+    def events(self) -> List[dict]:
+        """Events currently in the ring, oldest first (fold them with
+        :func:`repro.obs.timeline.build_timeline`)."""
+        return list(self._ring)
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -258,9 +256,9 @@ class TenantTracer:
         fields.setdefault("tenant", self.tenant)
         self._inner.emit(event_type, **fields)
 
-    def events(self, event_type: Optional[str] = None) -> List[dict]:
+    def events(self) -> List[dict]:
         """This tenant's labeled events from the wrapped tracer's ring."""
-        return [e for e in self._inner.events(event_type)
+        return [e for e in self._inner.events()
                 if e.get("tenant") == self.tenant]
 
     @property
@@ -307,12 +305,6 @@ def load_events(path: PathLike) -> List[dict]:
     return events
 
 
-def iter_events(events: List[dict],
-                event_type: str) -> Iterator[dict]:
-    """Yield events of one type, preserving order."""
-    return (e for e in events if e.get("type") == event_type)
-
-
 __all__ = [
     "DEFAULT_RING_SIZE",
     "JsonList",
@@ -321,6 +313,5 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TenantTracer",
     "Tracer",
-    "iter_events",
     "load_events",
 ]

@@ -45,6 +45,9 @@ def run_steady_state(
 ) -> SteadyStateResult:
     """Run ``loop`` until throughput settles; return the steady state.
 
+    The steady-cell settle rule, not controller convergence (see "Three
+    meanings of converged" in docs/OBSERVABILITY.md).
+
     Settling criterion: ``settle_chunks`` consecutive chunk means within
     ``tolerance`` (relative) of each other, after at least
     ``min_duration_s``.

@@ -8,7 +8,8 @@ from repro.check.invariants import find_shift_computer
 from repro.core.integrate import HememColloidSystem
 from repro.core.shift import ShiftComputer
 from repro.errors import ReproError
-from repro.obs.report import format_summary, summarize_events
+from repro.obs.report import format_summary
+from repro.obs.timeline import build_timeline
 from repro.obs.tracer import Tracer
 from repro.options import CHECK_ENV_VAR, RunOptions
 from repro.pages.pagestate import PageArray
@@ -201,7 +202,8 @@ class TestTraceIntegration:
         checker = Checker(tracer=tracer)
         with pytest.raises(InvariantViolation):
             checker.check_equilibrium(1.0, [-1.0], 1.0, 0.5)
-        events = tracer.events("invariant_violation")
+        events = [e for e in tracer.events()
+                  if e["type"] == "invariant_violation"]
         assert len(events) == 1
         assert events[0]["invariant"] == "memhw.latency_physical"
         assert checker.violations[0]["message"] == events[0]["message"]
@@ -211,9 +213,9 @@ class TestTraceIntegration:
         checker = Checker(tracer=tracer)
         with pytest.raises(InvariantViolation):
             checker.check_equilibrium(1.0, [-1.0], 1.0, 0.5)
-        summary = summarize_events(tracer.events())
-        assert len(summary.invariant_violations) == 1
-        text = format_summary(summary)
+        timeline = build_timeline(tracer.events())
+        assert len(timeline.invariant_violations) == 1
+        text = format_summary(timeline)
         assert "INVARIANT VIOLATIONS" in text
         assert "memhw.latency_physical" in text
 
@@ -222,9 +224,9 @@ class TestTraceIntegration:
         loop = make_loop(tracer=tracer)
         for __ in range(20):
             loop.step()
-        summary = summarize_events(tracer.events())
-        assert summary.invariant_violations == []
-        assert "INVARIANT VIOLATIONS" not in format_summary(summary)
+        timeline = build_timeline(tracer.events())
+        assert timeline.invariant_violations == []
+        assert "INVARIANT VIOLATIONS" not in format_summary(timeline)
 
 
 class TestLoopIntegration:

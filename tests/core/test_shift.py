@@ -15,6 +15,11 @@ from repro.errors import ConfigurationError
 from repro.obs.tracer import Tracer
 
 
+def events_of(tracer, kind):
+    """The tracer's ring events of one kind, oldest first."""
+    return [e for e in tracer.events() if e["type"] == kind]
+
+
 class TestAlgorithmSemantics:
     def test_paper_defaults(self):
         shift = ShiftComputer()
@@ -105,10 +110,10 @@ class TestShiftTracing:
         for __ in range(3):
             dp = shift.compute(0.5, 100.0, 200.0)
             trace_shift(tracer, shift, 0.5, dp, 100.0, 200.0)
-        resets = tracer.events("watermark_reset")
+        resets = events_of(tracer, "watermark_reset")
         assert len(resets) == 1
         assert resets[0]["side"] == "init"
-        assert len(tracer.events("compute_shift")) == 3
+        assert len(events_of(tracer, "compute_shift")) == 3
 
     def test_trace_shift_emits_dynamic_reset(self):
         tracer = Tracer()
@@ -117,10 +122,10 @@ class TestShiftTracing:
         shift.p_lo, shift.p_hi = 0.60, 0.62
         dp = shift.compute(0.61, 300.0, 100.0)
         trace_shift(tracer, shift, 0.61, dp, 300.0, 100.0)
-        (reset,) = tracer.events("watermark_reset")
+        (reset,) = events_of(tracer, "watermark_reset")
         assert reset["side"] == "lo"
         assert reset["resets"] == 1
-        (event,) = tracer.events("compute_shift")
+        (event,) = events_of(tracer, "compute_shift")
         assert event["p_lo"] == 0.0
         assert event["dp"] == pytest.approx(dp)
 
@@ -132,7 +137,7 @@ class TestShiftTracing:
         shift.reset()
         dp = shift.compute(0.5, 100.0, 200.0)
         trace_shift(tracer, shift, 0.5, dp, 100.0, 200.0)
-        sides = [e["side"] for e in tracer.events("watermark_reset")]
+        sides = [e["side"] for e in events_of(tracer, "watermark_reset")]
         assert sides == ["init", "init"]
 
 

@@ -8,6 +8,12 @@ from repro.exec.runner import Runner
 from repro.experiments.common import ExperimentConfig, best_case_spec
 from repro.obs.tracer import Tracer
 
+
+def events_of(tracer, kind):
+    """The tracer's ring events of one kind, oldest first."""
+    return [e for e in tracer.events() if e["type"] == kind]
+
+
 TINY = ExperimentConfig(scale=0.03, seed=7)
 
 
@@ -88,7 +94,7 @@ class TestRendering:
         progress.cell_done("instant-a")
         progress.cell_done("instant-b")
         progress.finish()
-        events = tracer.events("run_progress")
+        events = events_of(tracer, "run_progress")
         for event in events:
             assert event["wall_elapsed_s"] >= MIN_RATE_ELAPSED_S
             assert math.isfinite(event["cells_per_s"])
@@ -110,7 +116,7 @@ class TestTraceEvents:
         progress.cell_done("first")
         progress.cell_done("second")
         progress.finish()
-        events = tracer.events("run_progress")
+        events = events_of(tracer, "run_progress")
         assert [e["completed"] for e in events] == [1, 2]
         assert all(e["total"] == 2 for e in events)
         assert events[0]["label"] == "first"
@@ -128,7 +134,7 @@ class TestCellStart:
         progress.cell_done("a")
         progress.cell_start("b")
         progress.finish()
-        events = tracer.events("cell_start")
+        events = events_of(tracer, "cell_start")
         assert [e["label"] for e in events] == ["a", "b"]
         assert [e["completed"] for e in events] == [0, 1]
         assert all(e["total"] == 2 for e in events)

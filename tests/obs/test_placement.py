@@ -19,10 +19,10 @@ from repro.obs.placement import (
     occupancy_ledger,
     pack_hottest_p,
     placement_payload,
-    summarize_placement_events,
+    placement_summary,
 )
-from repro.obs.report import format_summary, summarize_events
-from repro.obs.timeline import build_timeline
+from repro.obs.report import format_summary
+from repro.obs.timeline import build_timeline, split_timelines
 from repro.options import PLACEMENT_AUDIT_ENV_VAR, RunOptions
 from repro.obs.tracer import Tracer, load_events
 from repro.pages.pagestate import PageArray
@@ -275,8 +275,9 @@ class TestObserver:
 
 class TestSummaries:
     def test_no_samples_is_none(self):
-        assert summarize_placement_events([META]) is None
-        assert placement_payload([META]) is None
+        timeline = build_timeline([META])
+        assert placement_summary(timeline) is None
+        assert placement_payload(timeline, {}) is None
 
     def test_summary_folds_samples_and_audits(self):
         events = [META]
@@ -287,7 +288,7 @@ class TestSummaries:
                          "gap_packed": 0.1}
             events.append(sample(i, ping_pong_pages=i,
                                  wasted_bytes=100 * i, **extra))
-        summary = summarize_placement_events(events)
+        summary = placement_summary(build_timeline(events))
         assert summary["n_samples"] == 4
         assert summary["n_audits"] == 2
         assert summary["ping_pong_pages_peak"] == 3
@@ -298,14 +299,26 @@ class TestSummaries:
         assert summary["gap_balance_last"] == pytest.approx(0.05)
 
     def test_payload_scopes_tenants(self):
+        # The machine view sums occupancy, flows and churn over the
+        # tenants of each quantum and keeps the worst tenant's gap.
         events = [META,
-                  sample(0, tenant="a", ping_pong_pages=2),
-                  sample(0, tenant="b")]
-        payload = placement_payload(events)
-        assert payload["n_samples"] == 2
-        assert set(payload["tenants"]) == {"a", "b"}
-        assert payload["tenants"]["a"]["ping_pong_pages_peak"] == 2
-        assert payload["tenants"]["b"]["ping_pong_pages_peak"] == 0
+                  sample(0, tenant="a", ping_pong_pages=2,
+                         gap_balance=0.1, gap_packed=0.0),
+                  sample(0, tenant="b", ping_pong_pages=3,
+                         gap_balance=0.3, gap_packed=0.2)]
+        payload = placement_payload(*split_timelines(events))
+        tenants = payload["tenants"]
+        assert set(tenants) == {"a", "b"}
+        assert payload["n_samples"] == 1
+        assert tenants["a"]["ping_pong_pages_peak"] == 2
+        assert tenants["b"]["ping_pong_pages_peak"] == 3
+        assert payload["ping_pong_pages_peak"] == 5
+        a, b = tenants["a"], tenants["b"]
+        assert payload["tier_bytes_last"] == [
+            x + y for x, y in zip(a["tier_bytes_last"], b["tier_bytes_last"])]
+        assert payload["flow_bytes_total"] == (a["flow_bytes_total"]
+                                               + b["flow_bytes_total"])
+        assert payload["gap_balance_last"] == pytest.approx(0.3)
 
 
 class TestTimelineFold:
@@ -396,14 +409,14 @@ class TestRenderings:
         return events
 
     def test_report_renders_placement_section(self):
-        text = format_summary(summarize_events(self.trace()))
+        text = format_summary(build_timeline(self.trace()))
         assert "-- placement --" in text
         assert "3 (1 audited)" in text
         assert "gap vs latency-balance" in text
         assert "4 page(s) promoted, 2 queued for kswapd demotion" in text
 
     def test_report_without_samples_has_no_section(self):
-        text = format_summary(summarize_events([META]))
+        text = format_summary(build_timeline([META]))
         assert "-- placement --" not in text
 
     def test_chrome_trace_tracks(self):

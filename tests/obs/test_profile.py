@@ -4,7 +4,7 @@ relies on this exact contract (depth, auto-close, ordering)."""
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.profile import PhaseProfiler, merge_phase_events
+from repro.obs.profile import PhaseProfiler
 
 
 class TestNestedSpans:
@@ -89,14 +89,18 @@ class TestLapTimer:
         assert profiler.drain_spans() == []
 
 
-class TestMergePhaseEvents:
-    def test_sums_across_events(self):
-        merged = merge_phase_events([
-            {"phases": {"solve": 10, "migrate": 5}},
-            {"phases": {"solve": 7}},
-        ])
-        assert merged == {"solve": 17, "migrate": 5}
-
-    def test_missing_phases_mapping_raises(self):
-        with pytest.raises(ConfigurationError):
-            merge_phase_events([{"type": "phase_timing"}])
+class TestFormatSummary:
+    def test_rows_add_up_to_the_wall_time(self, monkeypatch):
+        clock = iter([0, 600_000, 900_000])
+        monkeypatch.setattr("repro.obs.profile.perf_counter_ns",
+                            lambda: next(clock))
+        profiler = PhaseProfiler(enabled=True)
+        profiler.start()
+        profiler.lap("solve")
+        profiler.lap("migrate")
+        lines = profiler.format_summary(wall_ns=1_000_000).splitlines()
+        rows = {line.split()[0]: line for line in lines[1:]}
+        assert list(rows) == ["solve", "migrate", "unattributed", "total"]
+        assert rows["unattributed"].split()[1:] == ["0.10", "10.0%"]
+        assert rows["total"].split() == ["total", "(wall)", "1.00",
+                                         "100.0%"]

@@ -1,13 +1,18 @@
 """Tests for the trace-report subsystem."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.report import (
-    format_summary,
-    report_from_file,
-    summarize_events,
-)
+from repro.obs.diagnose import diagnose_events
+from repro.obs.report import format_summary, report_from_file
+from repro.obs.timeline import build_timeline, tenant_names_of, tenant_view
+
+
+def events_of(tracer, kind):
+    """The tracer's ring events of one kind, oldest first."""
+    return [e for e in tracer.events() if e["type"] == kind]
 
 
 def shift_event(time_s, dp, l_d=300.0, l_a=150.0, p_lo=0.0, p_hi=1.0,
@@ -30,53 +35,68 @@ META = {"type": "run_start", "time_s": 0.0, "system": "hemem+colloid",
         "migration_limit_bytes": 1 << 20}
 
 
+def write_trace(tmp_path, events):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in events))
+    return path
+
+
+def balanced(n, start=0):
+    """``n`` quanta of a controller holding L_D == L_A."""
+    return [shift_event((start + i) / 100, dp=0.0, l_d=150.0, l_a=150.0)
+            for i in range(n)]
+
+
 class TestSummarize:
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigurationError):
-            summarize_events([])
+            build_timeline([])
 
-    def test_convergence_time_and_quantum(self):
+    def test_convergence_time_and_quantum(self, tmp_path):
+        # The report's one convergence answer is diagnose's.
         events = [META,
-                  shift_event(0.00, dp=0.2),
-                  shift_event(0.01, dp=0.1),
-                  shift_event(0.02, dp=0.0, l_d=150.0),
-                  shift_event(0.03, dp=0.0, l_d=150.0)]
-        summary = summarize_events(events)
-        assert summary.convergence_time_s == pytest.approx(0.02)
-        assert summary.convergence_quantum == 2
+                  shift_event(0.00, dp=0.2, p=0.1),
+                  shift_event(0.01, dp=0.1, p=0.3)] + balanced(6, start=2)
+        summary = diagnose_events(events).summary
+        assert summary.convergence_quanta == (2,)
+        text = report_from_file(write_trace(tmp_path, events))
+        assert "epoch 0       : converged in 2 quanta" in text
+        assert "converged at" not in text
 
-    def test_never_converged(self):
-        events = [META, shift_event(0.0, dp=0.1), shift_event(0.01, dp=0.1)]
-        summary = summarize_events(events)
-        assert summary.convergence_time_s is None
-        assert summary.convergence_quantum is None
+    def test_never_converged(self, tmp_path):
+        events = [META, shift_event(0.0, dp=0.1, p=0.2),
+                  shift_event(0.01, dp=0.1, p=0.5)]
+        assert diagnose_events(events).summary.convergence_quanta == (None,)
+        text = report_from_file(write_trace(tmp_path, events))
+        assert "epoch 0       : did not converge" in text
 
     def test_always_balanced_converges_immediately(self):
-        events = [META, shift_event(0.05, dp=0.0), shift_event(0.06, dp=0.0)]
-        summary = summarize_events(events)
-        assert summary.convergence_time_s == pytest.approx(0.05)
+        events = [META] + balanced(6, start=5)
+        assert diagnose_events(events).summary.convergence_quanta == (0,)
 
     def test_latency_balance_error_uses_tail(self):
-        # Tail = last quarter of 8 events = the last 2 (l_d=200, l_a=100).
+        # Tail = last quarter of 8 quanta = the last 2 (l_d=200,
+        # l_a=100): |L_D - L_A| / L_A = 100%, QuantumSample.imbalance.
         events = [META]
         events += [shift_event(i / 100, dp=0.1, l_d=1000.0, l_a=100.0)
                    for i in range(6)]
         events += [shift_event((6 + i) / 100, dp=0.1, l_d=200.0,
                                l_a=100.0) for i in range(2)]
-        summary = summarize_events(events)
-        assert summary.latency_balance_error == pytest.approx(0.5)
+        text = format_summary(build_timeline(events))
+        assert "latency imbalance (tail): 100.00% |L_D - L_A| / L_A" in text
 
     def test_migration_efficiency(self):
         events = [META,
                   migration_event(0.0, planned=100, executed=60,
                                   deferred=2),
                   migration_event(0.01, planned=100, executed=100)]
-        summary = summarize_events(events)
-        assert summary.planned_bytes == 200
-        assert summary.executed_bytes == 160
-        assert summary.migration_efficiency == pytest.approx(0.8)
-        assert summary.clipped_quanta == 1
-        assert summary.moves_deferred == 2
+        timeline = build_timeline(events)
+        assert timeline.total("planned_bytes") == 200
+        assert timeline.total("executed_bytes") == 160
+        assert timeline.total("moves_deferred") == 2
+        text = format_summary(timeline)
+        assert "executed      : 160 B (80.0% of planned)" in text
+        assert "clipped       : 1 quanta hit the budget" in text
 
     def test_init_resets_not_counted_as_dynamic(self):
         events = [META,
@@ -84,9 +104,9 @@ class TestSummarize:
                    "side": "init", "p": 0.5, "resets": 0},
                   {"type": "watermark_reset", "time_s": 0.5,
                    "side": "hi", "p": 0.2, "resets": 1}]
-        summary = summarize_events(events)
-        assert summary.watermark_resets == 1
-        assert summary.event_counts["watermark_reset"] == 2
+        timeline = build_timeline(events)
+        assert timeline.total("watermark_resets") == 1
+        assert timeline.event_counts["watermark_reset"] == 2
 
     def test_phase_totals_merged(self):
         events = [META,
@@ -94,8 +114,8 @@ class TestSummarize:
                    "phases": {"equilibrium_solve": 100, "other": 10}},
                   {"type": "phase_timing", "time_s": 0.01,
                    "phases": {"equilibrium_solve": 50}}]
-        summary = summarize_events(events)
-        assert summary.phase_totals_ns["equilibrium_solve"] == 150
+        timeline = build_timeline(events)
+        assert timeline.phase_totals_ns["equilibrium_solve"] == 150
 
     def test_unknown_kinds_skipped_and_counted(self):
         # A trace written by newer code must still summarize.
@@ -103,11 +123,11 @@ class TestSummarize:
                   {"type": "future_event", "time_s": 0.0, "x": 1},
                   {"type": "future_event", "time_s": 0.01, "x": 2},
                   {"type": "other_future", "time_s": 0.01}]
-        summary = summarize_events(events)
-        assert summary.unknown_event_counts == \
+        timeline = build_timeline(events)
+        assert timeline.unknown_event_counts == \
             {"future_event": 2, "other_future": 1}
-        assert summary.convergence_time_s is not None
-        text = format_summary(summary)
+        assert timeline.n_quanta == 1
+        text = format_summary(timeline)
         assert "unknown kinds : 3 event(s) skipped" in text
         assert "future_event=2" in text
 
@@ -118,17 +138,17 @@ class TestSummarize:
                   {"type": "phase_timing", "time_s": 0.01,
                    "phases": "not-a-mapping"},
                   {"type": "phase_timing", "time_s": 0.02}]
-        summary = summarize_events(events)
-        assert summary.malformed_events == 2
-        assert summary.phase_totals_ns == {"equilibrium_solve": 100}
+        timeline = build_timeline(events)
+        assert timeline.malformed_events == 2
+        assert timeline.phase_totals_ns == {"equilibrium_solve": 100}
         assert "malformed     : 2 event(s) skipped" in \
-            format_summary(summary)
+            format_summary(timeline)
 
     def test_clean_trace_reports_no_skips(self):
-        summary = summarize_events([META, shift_event(0.0, dp=0.0)])
-        assert summary.unknown_event_counts == {}
-        assert summary.malformed_events == 0
-        text = format_summary(summary)
+        timeline = build_timeline([META, shift_event(0.0, dp=0.0)])
+        assert timeline.unknown_event_counts == {}
+        assert timeline.malformed_events == 0
+        text = format_summary(timeline)
         assert "unknown kinds" not in text
         assert "malformed" not in text
 
@@ -142,16 +162,16 @@ class TestFormat:
                                   deferred=1),
                   {"type": "phase_timing", "time_s": 0.0,
                    "phases": {"equilibrium_solve": 1000}}]
-        text = format_summary(summarize_events(events))
-        assert "convergence" in text
-        assert "converged at  : 0.010 s (quantum 1)" in text
+        text = format_summary(build_timeline(events))
+        assert "-- controller --" in text
+        assert "final bracket : [0.0000, 1.0000]" in text
         assert "migration efficiency" in text
         assert "80.0% of planned" in text
         assert "phase-time breakdown" in text
         assert "equilibrium_solve" in text
 
     def test_report_without_optional_sections(self):
-        text = format_summary(summarize_events([META]))
+        text = format_summary(build_timeline([META]))
         assert "no compute_shift events" in text
         assert "no migrations planned" in text
         assert "--profile" in text
@@ -190,10 +210,10 @@ class TestRunEndAndProgress:
                   {"type": "run_end", "time_s": 0.5, "simulated_s": 0.5,
                    "n_quanta": 50,
                    "counters": {"quanta": 50, "migrated_bytes": 4096}}]
-        summary = summarize_events(events)
-        assert summary.runtime_counters == {"quanta": 50,
+        timeline = build_timeline(events)
+        assert timeline.runtime_counters == {"quanta": 50,
                                             "migrated_bytes": 4096}
-        text = format_summary(summary)
+        text = format_summary(timeline)
         assert "runtime counters" in text
         assert "quanta" in text
         assert "4,096" in text
@@ -204,7 +224,7 @@ class TestRunEndAndProgress:
                    "n_quanta": 10, "counters": {"quanta": 10}},
                   {"type": "run_end", "time_s": 0.5, "simulated_s": 0.5,
                    "n_quanta": 50, "counters": {"quanta": 50}}]
-        assert summarize_events(events).runtime_counters == {"quanta": 50}
+        assert build_timeline(events).runtime_counters == {"quanta": 50}
 
     def test_fleet_progress_parsed_and_rendered(self):
         events = [META,
@@ -212,18 +232,18 @@ class TestRunEndAndProgress:
                    "total": 12, "label": "hemem i0",
                    "wall_elapsed_s": 6.0, "cells_per_s": 0.5,
                    "eta_s": 18.0}]
-        summary = summarize_events(events)
-        assert summary.fleet_progress["completed"] == 3
-        assert summary.fleet_progress["total"] == 12
-        text = format_summary(summary)
+        timeline = build_timeline(events)
+        assert timeline.progress["completed"] == 3
+        assert timeline.progress["total"] == 12
+        text = format_summary(timeline)
         assert "fleet progress" in text
         assert "3/12" in text
 
     def test_no_run_end_sections_absent(self):
-        summary = summarize_events([META])
-        assert summary.runtime_counters == {}
-        assert summary.fleet_progress is None
-        text = format_summary(summary)
+        timeline = build_timeline([META])
+        assert timeline.runtime_counters == {}
+        assert timeline.progress is None
+        text = format_summary(timeline)
         assert "runtime counters" not in text
         assert "fleet progress" not in text
 
@@ -243,17 +263,17 @@ class TestRunEndAndProgress:
              "attempts": 2, "error_type": "InjectedCrash",
              "error": "injected crash"},
         ]
-        summary = summarize_events(events)
-        assert summary.unknown_event_counts == {"cell_retried": 2,
+        timeline = build_timeline(events)
+        assert timeline.unknown_event_counts == {"cell_retried": 2,
                                                 "cell_failed": 1}
-        text = format_summary(summary)
+        text = format_summary(timeline)
         assert "unknown kinds : 3 event(s) skipped" in text
         assert "fleet faults" not in text
 
     def test_no_faults_section_absent(self):
-        summary = summarize_events([META])
-        assert summary.unknown_event_counts == {}
-        text = format_summary(summary)
+        timeline = build_timeline([META])
+        assert timeline.unknown_event_counts == {}
+        text = format_summary(timeline)
         assert "fleet faults" not in text
         assert "unknown kinds" not in text
 
@@ -275,7 +295,7 @@ class TestRunEndAndProgress:
         )
         loop.run(duration_s=0.3)
         loop.emit_run_end()
-        (event,) = tracer.events("run_end")
+        (event,) = events_of(tracer, "run_end")
         assert event["n_quanta"] == len(loop.metrics)
         assert event["simulated_s"] == pytest.approx(loop.time_s)
         assert event["counters"]["quanta"] == len(loop.metrics)
@@ -293,14 +313,10 @@ class TestTenantViews:
         ]
 
     def test_tenant_names_in_first_appearance_order(self):
-        from repro.obs.report import tenant_names_of
-
         assert tenant_names_of(self.events()) == ["a", "b"]
         assert tenant_names_of([dict(META)]) == []
 
     def test_tenant_view_keeps_own_and_unlabeled_events(self):
-        from repro.obs.report import tenant_view
-
         view = tenant_view(self.events(), "a")
         assert len(view) == 4  # run_start + 3 'a' events
         assert all(e.get("tenant", "a") == "a" for e in view)
@@ -308,10 +324,8 @@ class TestTenantViews:
         assert len(view_b) == 2
 
     def test_per_tenant_summaries_differ(self):
-        from repro.obs.report import tenant_view
-
         events = self.events()
-        summary_a = summarize_events(tenant_view(events, "a"))
-        summary_b = summarize_events(tenant_view(events, "b"))
-        assert sum(summary_a.event_counts.values()) == 4
-        assert sum(summary_b.event_counts.values()) == 2
+        timeline_a = build_timeline(tenant_view(events, "a"))
+        timeline_b = build_timeline(tenant_view(events, "b"))
+        assert sum(timeline_a.event_counts.values()) == 4
+        assert sum(timeline_b.event_counts.values()) == 2

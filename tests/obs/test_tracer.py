@@ -6,15 +6,20 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.events import EVENT_SCHEMAS, TRACE_SCHEMA_VERSION, describe_schema
-from repro.obs.profile import Counters, PhaseProfiler, merge_phase_events
+from repro.obs.profile import Counters, PhaseProfiler
+from repro.obs.timeline import build_timeline
 from repro.obs.tracer import (
     NULL_TRACER,
     JsonList,
     NullTracer,
     Tracer,
-    iter_events,
     load_events,
 )
+
+
+def events_of(tracer, kind):
+    """The tracer's ring events of one kind, oldest first."""
+    return [e for e in tracer.events() if e["type"] == kind]
 
 
 class TestTracer:
@@ -46,7 +51,7 @@ class TestTracer:
         tracer = Tracer()
         tracer.emit("hemem_cooling", coolings=1, total_coolings=1)
         tracer.emit("memtis_split", n_split=7)
-        assert len(tracer.events("memtis_split")) == 1
+        assert len(events_of(tracer, "memtis_split")) == 1
 
     def test_json_list_is_stored_as_given(self):
         """A field already made of JSON values is shared, not copied;
@@ -92,7 +97,7 @@ class TestTracer:
         assert [e["type"] for e in events] == [
             "memtis_split", "hemem_cooling",
         ]
-        assert list(iter_events(events, "memtis_split"))[0]["n_split"] == 4
+        assert events[0]["n_split"] == 4
 
     def test_load_rejects_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -164,7 +169,7 @@ class TestPhaseProfiler:
         profiler = PhaseProfiler(enabled=True)
         profiler.start()
         profiler.lap("a")
-        text = profiler.format_summary()
+        text = profiler.format_summary(wall_ns=profiler.phases["a"] * 2)
         assert "a" in text and "share" in text
 
     def test_reset_clears(self):
@@ -175,15 +180,21 @@ class TestPhaseProfiler:
         assert profiler.summary() == {}
 
     def test_merge_phase_events(self):
-        merged = merge_phase_events([
-            {"type": "phase_timing", "phases": {"a": 10, "b": 5}},
-            {"type": "phase_timing", "phases": {"a": 2}},
+        # Phase totals are the sum of the timeline samples' phases_ns.
+        timeline = build_timeline([
+            {"type": "phase_timing", "time_s": 0.0,
+             "phases": {"a": 10, "b": 5}},
+            {"type": "phase_timing", "time_s": 0.01, "phases": {"a": 2}},
         ])
-        assert merged == {"a": 12, "b": 5}
+        assert timeline.phase_totals_ns == {"a": 12, "b": 5}
 
     def test_merge_rejects_malformed(self):
-        with pytest.raises(ConfigurationError):
-            merge_phase_events([{"type": "phase_timing"}])
+        timeline = build_timeline([
+            {"type": "phase_timing", "time_s": 0.0, "phases": {"a": 1}},
+            {"type": "phase_timing", "time_s": 0.01},
+        ])
+        assert timeline.phase_totals_ns == {"a": 1}
+        assert timeline.malformed_events == 1
 
 
 class TestLoopIntegration:
@@ -211,7 +222,7 @@ class TestLoopIntegration:
         assert {"run_start", "solver_converged", "compute_shift",
                 "watermark_reset", "migration_executed",
                 "phase_timing"} <= types
-        meta = tracer.events("run_start") or [
+        meta = events_of(tracer, "run_start") or [
             e for e in load_events(path) if e["type"] == "run_start"
         ]
         assert meta[0]["system"] == "hemem+colloid"

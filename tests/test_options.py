@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -222,3 +223,26 @@ def test_no_function_sets_process_wide_state():
             ast.parse(path.read_text()))))
     }
     assert writes == {}
+
+
+#: Selecting trace events by their type: ``iter_events(...)``,
+#: ``event.get("type") == ...`` or ``event["type"] == ...``.
+_EVENT_BY_TYPE = re.compile(
+    r"""iter_events\(|\.get\(\s*["']type["']\s*\)\s*==|"""
+    r"""\[\s*["']type["']\s*\]\s*==""")
+
+
+def test_only_the_timeline_selects_events_by_type():
+    """One fold per question: :func:`repro.obs.timeline.build_timeline`
+    is the only code that reads trace events by type; the report,
+    diagnose, the Chrome trace and the cell payloads read its
+    Timeline."""
+    fold = SRC / "obs" / "timeline.py"
+    selections = {
+        str(path.relative_to(SRC)): lines
+        for path in _python_files() if path != fold
+        if (lines := [number for number, line in
+                      enumerate(path.read_text().splitlines(), 1)
+                      if _EVENT_BY_TYPE.search(line)])
+    }
+    assert selections == {}
